@@ -14,8 +14,8 @@ from .calculus import (HessianOperator, covariant_derivative,
                        hessian_at_solution, riemannian_hessian_form,
                        solve_hessian, standard_shape_hessian_form,
                        taylor_remainder_probe)
-from .curve import (CurveGeometry, DiscreteCurve, build_geometry, check_simple,
-                    retract, tangential_second_derivative)
+from .curve import (CurveGeometry, DiscreteCurve, check_simple, retract,
+                    tangential_second_derivative)
 from .functional import (VolumeFunctional, boundary_kernel, distance_bar,
                          distance_tilde, evaluate_general, evaluate_mso)
 from .harness import (ExperimentSpec, initial_shape, reference_ellipse,
@@ -44,7 +44,6 @@ __all__ = [
     "SolverConfig",
     "VolumeFunctional",
     "boundary_kernel",
-    "build_geometry",
     "check_simple",
     "convergence_diagnostics",
     "covariant_derivative",

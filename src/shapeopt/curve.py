@@ -38,21 +38,79 @@ def signed_area(nodes):
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
+# candidate pairs tested per chunk; bounds the broad phase's memory when
+# every segment overlaps every other in x (a comb or zigzag)
+_PAIR_CHUNK = 1 << 16
+
+
 def _segments_intersect(nodes):
-    """True if any two non-adjacent closed-polygon segments properly cross."""
+    """True if any two non-adjacent closed-polygon segments properly cross.
+
+    Sort-and-sweep broad phase on segment bounding boxes (the sweep of
+    Shamos-Hoey and Bentley-Ottmann): the boxes are sorted by xmin,
+    ``searchsorted`` on xmax yields every pair that overlaps in x, and
+    pairs that miss in y or are adjacent are dropped.  The exact test
+    then runs on the survivors with the arithmetic of an all-pairs loop
+    over i < j: r = nodes[j] - nodes[i], |den| > 1e-15 and t, u strictly
+    inside (0, 1).
+
+    Each box is padded by a forward bound on the rounding error of the
+    computed t and u (the |den| threshold caps the error at
+    ~eps * Lmax * D / 1e-15 for longest segment Lmax and diameter D), so
+    a pair whose computed t and u land in (0, 1) always has overlapping
+    padded boxes.  The result is therefore the all-pairs loop's boolean,
+    bit for bit.
+
+    Cost is O(N log N) plus the candidate pairs, which is O(N) for the
+    smooth curves the solvers produce.  Pairs are generated in chunks of
+    at most ``_PAIR_CHUNK`` and the function returns on the first hit,
+    so the worst case (all pairs overlapping in x and y) is O(N^2) time
+    in O(N + chunk) memory.
+    """
     n = len(nodes)
-    a = nodes
-    b = np.roll(nodes, -1, axis=0)
-    d = b - a
-    for i in range(n - 2):
-        # adjacent segments share an endpoint and are skipped
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        r = a[js] - a[i]
-        dj = d[js]
-        den = d[i, 0] * dj[:, 1] - d[i, 1] * dj[:, 0]
+    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    dx, dy = xn - x, yn - y
+
+    eps = np.finfo(float).eps
+    seglen = np.hypot(dx, dy)
+    lmax = float(seglen.max())
+    diam = float(np.hypot(np.ptp(x), np.ptp(y)))
+    slack = 1e-15 - 8.0 * eps * lmax * lmax
+    if slack > 0.0:
+        err_t = 8.0 * eps * lmax * (diam + lmax) / slack + 8.0 * eps
+        pad = err_t * seglen + 8.0 * eps * float(np.abs(nodes).max())
+    else:
+        pad = np.inf
+    xlo, xhi = np.minimum(x, xn) - pad, np.maximum(x, xn) + pad
+    ylo, yhi = np.minimum(y, yn) - pad, np.maximum(y, yn) + pad
+
+    order = np.argsort(xlo)
+    end = np.searchsorted(xlo[order], xhi[order], side="right")
+    counts = end - np.arange(n) - 1
+    cum = np.cumsum(counts)
+
+    row = 0
+    while row < n:
+        base = int(cum[row - 1]) if row else 0
+        stop = max(int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")), row + 1)
+        cnt = counts[row:stop]
+        k = np.repeat(np.arange(row, stop), cnt)
+        m = k + 1 + np.arange(len(k)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        row = stop
+        p, q = order[k], order[m]
+        i, j = np.minimum(p, q), np.maximum(p, q)
+        # adjacent segments, including the wrap pair (0, N-1), share an
+        # endpoint and are skipped
+        keep = ((ylo[p] <= yhi[q]) & (ylo[q] <= yhi[p])
+                & (j - i >= 2) & (j - i != n - 1))
+        i, j = i[keep], j[keep]
+        rx, ry = x[j] - x[i], y[j] - y[i]
+        dix, diy, djx, djy = dx[i], dy[i], dx[j], dy[j]
+        den = dix * djy - diy * djx
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (r[:, 0] * dj[:, 1] - r[:, 1] * dj[:, 0]) / den
-            u = (r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]) / den
+            t = (rx * djy - ry * djx) / den
+            u = (rx * diy - ry * dix) / den
         hit = (np.abs(den) > 1e-15) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
         if hit.any():
             return True
@@ -68,6 +126,10 @@ def check_simple(curve_or_nodes):
     polygon does not self-cross (for example a circle pushed inward
     through its own center).  Accepts a DiscreteCurve or a raw (N, 2)
     node array.
+
+    Cost is O(N log N) plus the candidate pairs of the bounding-box
+    sweep in ``_segments_intersect``; a polygon whose segments all
+    overlap each other falls back to O(N^2) time in bounded chunks.
     """
     nodes = curve_or_nodes.nodes if isinstance(curve_or_nodes, DiscreteCurve) \
         else np.asarray(curve_or_nodes, dtype=float)
@@ -230,11 +292,6 @@ def _compute_geometry(c):
         raise DegenerateCurve("zero speed in curvature stencil")
     curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed ** 3
     return CurveGeometry(tangent, normal, curvature, weights)
-
-
-def build_geometry(c):
-    """Geometry of curve c (cached on the curve after the first call)."""
-    return c.geometry
 
 
 def retract(c, h, t=1.0):

@@ -25,7 +25,7 @@ TAYLOR_MUS = (1.0, 1.3, 1.6, 2.0, 2.5, 3.0, 1.15, 1.8, 2.2, 2.8)
 TAYLOR_T = (0.04, 0.02, 0.01)
 
 
-def random_star_curve(n, rng, amplitude=0.15, **kwargs):
+def random_star_curve(n, rng, amplitude=0.15):
     """Random smooth star-shaped curve: unit radius plus a few low-order
     harmonics with coefficients in [-amplitude, amplitude].  The radius
     stays positive, so the curve is simple by construction."""
@@ -36,7 +36,7 @@ def random_star_curve(n, rng, amplitude=0.15, **kwargs):
                            + rng.uniform(-1, 1) * np.sin(2 * th)
                            + rng.uniform(-1, 1) * np.cos(3 * th))
     nodes = r[:, None] * np.column_stack([np.cos(th), np.sin(th)])
-    return DiscreteCurve(nodes, **kwargs)
+    return DiscreteCurve(nodes)
 
 
 def low_frequency_field(n, rng):
@@ -147,7 +147,7 @@ def _mso_general_agreement(seed):
     worst = 0.0
     for s in range(20):
         rng = np.random.default_rng(seed + 100 + s)
-        c = random_star_curve(16000, rng, require_simple=False)
+        c = random_star_curve(16000, rng)
         polar = evaluate_mso(c, 2.0, angles="stretched")
         fan = evaluate_general(c, f)
         worst = max(worst, abs(polar - fan) / abs(fan))

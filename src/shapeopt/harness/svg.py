@@ -5,6 +5,8 @@ a blue-to-red ramp over the sequence (first curve blue, last red).  The
 y axis is flipped so the plane's orientation matches the picture.
 """
 
+import numpy as np
+
 
 def _ramp(i, count):
     frac = i / (count - 1) if count > 1 else 1.0
@@ -13,9 +15,9 @@ def _ramp(i, count):
 
 
 def _polyline(nodes, color):
-    pts = " ".join(f"{float(x)!r},{float(-y)!r}" for x, y in nodes)
-    first = nodes[0]
-    pts += f" {float(first[0])!r},{float(-first[1])!r}"
+    xy = np.column_stack([nodes[:, 0], -nodes[:, 1]])
+    # tolist() yields Python floats, whose repr is the shortest round-trip
+    pts = " ".join(f"{x!r},{y!r}" for x, y in np.vstack([xy, xy[:1]]).tolist())
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="0.012" />')
 

@@ -1,13 +1,15 @@
 """Curve construction, derived geometry, admissibility checks, the
 normal-step retraction, and node serialization."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import circle, figure_eight
 from shapeopt import DiscreteCurve, check_simple, retract, tangential_second_derivative
-from shapeopt.curve import as_field, signed_area
+from shapeopt.curve import _segments_intersect, as_field, signed_area
 from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate
 from shapeopt.harness import reference_ellipse
 
@@ -70,6 +72,114 @@ def test_check_simple():
     assert check_simple(c.nodes)
     assert not check_simple(figure_eight())
     assert not check_simple(c.nodes[::-1])  # clockwise fails the orientation clause
+
+
+def _segments_intersect_oracle(nodes):
+    """All-pairs reference for curve._segments_intersect."""
+    n = len(nodes)
+    a = nodes
+    b = np.roll(nodes, -1, axis=0)
+    d = b - a
+    for i in range(n - 2):
+        # adjacent segments share an endpoint and are skipped
+        js = np.arange(i + 2, n if i > 0 else n - 1)
+        r = a[js] - a[i]
+        dj = d[js]
+        den = d[i, 0] * dj[:, 1] - d[i, 1] * dj[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (r[:, 0] * dj[:, 1] - r[:, 1] * dj[:, 0]) / den
+            u = (r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]) / den
+        hit = (np.abs(den) > 1e-15) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        if hit.any():
+            return True
+    return False
+
+
+def _polygon_family(kind, n, rng):
+    if kind == "random_walk":
+        return np.cumsum(rng.standard_normal((n, 2)), axis=0) / np.sqrt(n)
+    th = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.8, 0.8, n)) / n
+    if kind == "noisy_star":
+        r = 1.0 + rng.uniform(0.0, 0.4) * rng.standard_normal(n)
+    elif kind == "high_frequency_star":
+        k = rng.integers(n // 4, n // 2 + 1)
+        r = 1.0 + rng.uniform(0.05, 0.6) * np.sin(k * th + rng.uniform(0, 2 * np.pi))
+    else:
+        r = 1.0 + 0.3 * rng.standard_normal(n)
+    nodes = np.abs(r)[:, None] * np.column_stack([np.cos(th), np.sin(th)])
+    if kind == "grid_snapped":
+        # collinear, touching and vertex-on-segment configurations
+        nodes = np.round(8.0 * nodes) / 8.0
+        keep = np.any(nodes != np.roll(nodes, 1, axis=0), axis=1)
+        nodes = nodes[keep]
+    return nodes
+
+
+def test_segments_intersect_matches_all_pairs_oracle():
+    rng = np.random.default_rng(20120307)
+    kinds = ("noisy_star", "high_frequency_star", "grid_snapped", "random_walk")
+    outcomes = {kind: set() for kind in kinds}
+    tested = 0
+    for s in range(640):
+        kind = kinds[s % 4]
+        n = int(np.exp(rng.uniform(np.log(8), np.log(401))))
+        nodes = _polygon_family(kind, n, rng)
+        if len(nodes) < 8:
+            continue
+        expected = _segments_intersect_oracle(nodes)
+        assert _segments_intersect(nodes) is expected, (s, kind, len(nodes))
+        outcomes[kind].add(expected)
+        tested += 1
+    assert tested >= 600
+    for kind in kinds:
+        assert outcomes[kind] == {True, False}, kind
+
+
+def test_segments_intersect_vertex_on_segment_is_not_a_crossing():
+    # the notch vertex (2, 0) lies exactly on the non-adjacent bottom edge
+    nodes = np.array([[0, 0], [4, 0], [4, 4], [3, 4], [2, 0], [1, 4], [0, 4], [0, 2]],
+                     dtype=float)
+    assert not _segments_intersect_oracle(nodes)
+    assert not _segments_intersect(nodes)
+    assert check_simple(nodes)
+
+
+def test_segments_intersect_collinear_overlap_is_not_a_crossing():
+    # edge (3, 0)-(1, 0) runs back along the bottom edge (0, 0)-(4, 0): den == 0
+    nodes = np.array([[0, 0], [4, 0], [4, 2], [3, 2], [3, 0], [1, 0], [1, 2], [0, 2]],
+                     dtype=float)
+    assert not _segments_intersect_oracle(nodes)
+    assert not _segments_intersect(nodes)
+
+
+def test_segments_intersect_minimal_polygon():
+    assert not _segments_intersect(circle(8).nodes)
+    assert _segments_intersect(figure_eight(8))
+    assert _segments_intersect_oracle(figure_eight(8))
+
+
+def _zigzag_comb(m, close_across):
+    """m nodes zigzagging up between x = 0 and x = 0.01, so every zigzag
+    segment overlaps every other in x.  Closed either around the outside
+    (simple) or by one edge straight back across the zigzag."""
+    k = np.arange(m)
+    nodes = np.column_stack([0.01 * (k % 2), k / m])
+    if close_across:
+        return nodes
+    top = (m - 1) / m
+    return np.vstack([nodes, [[0.02, top], [0.02, -1.0 / m], [0.0, -1.0 / m]]])
+
+
+def test_segments_intersect_comb_is_chunked():
+    tracemalloc.start()
+    try:
+        assert not _segments_intersect(_zigzag_comb(4000, close_across=False))
+        assert _segments_intersect(_zigzag_comb(4000, close_across=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # ~8e6 x-overlapping pairs; materialized at once they would need >500 MB
+    assert peak < 64e6
 
 
 def test_signed_area_circle():

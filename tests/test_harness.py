@@ -12,7 +12,7 @@ from conftest import circle
 from shapeopt import ExperimentSpec, initial_shape, reference_ellipse, run_table1
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
-from shapeopt.harness.svg import render_curves
+from shapeopt.harness.svg import _polyline, render_curves
 
 
 def polyline_count(path):
@@ -88,6 +88,14 @@ def test_render_curves(tmp_path):
     root = ET.parse(out).getroot()
     assert root.get("viewBox") == "-1.2 -1.2 2.4 2.4"
     assert polyline_count(out) == 2
+
+
+def test_polyline_points_format():
+    # y is negated, so a node with y == 0.0 prints -0.0; the first node closes the loop
+    nodes = np.array([[1.0, 0.0], [0.1, 0.3], [-0.5, -1e-17], [0.0, -0.25]])
+    assert _polyline(nodes, "rgb(0,0,255)") == (
+        '<polyline points="1.0,-0.0 0.1,-0.3 -0.5,1e-17 0.0,0.25 1.0,-0.0" '
+        'fill="none" stroke="rgb(0,0,255)" stroke-width="0.012" />')
 
 
 def test_cli_run_newton(tmp_path, capsys):
