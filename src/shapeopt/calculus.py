@@ -14,17 +14,21 @@ The Riemannian form obtained by differentiating the gradient covariantly,
 needs no extension data and is symmetric exactly: the discrete integrand
 depends on the two fields only through the pointwise product alpha*beta.
 
-At a curve where psi vanishes on the boundary the form collapses to
-multiplication by nu = dpsi_dn, which for the quadratic objective is the
-explicit field nu = 2 (x1 n1 + mu^2 x2 n2); ``hessian_at_solution`` builds
-that operator along any iterate, and ``solve_hessian`` inverts either
-representation to produce Newton steps.
+The same product structure makes the form diagonal in the nodal basis,
+so ``HessianOperator`` holds it as one diagonal field.  At a curve where
+psi vanishes on the boundary the form collapses to multiplication by
+nu = dpsi_dn, which for the quadratic objective is the explicit field
+nu = 2 (x1 n1 + mu^2 x2 n2); ``hessian_at_solution`` builds that operator
+along any iterate, and ``solve_hessian`` divides by the diagonal field to
+produce Newton steps.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import as_field, retract, tangential_second_derivative
-from .errors import ShapeOptError, SingularHessian
+from .errors import SingularHessian
 from .functional import boundary_kernel, evaluate_general
 from .metric import as_params, inner, metric_weight, riesz_gradient
 
@@ -92,46 +96,71 @@ def riemannian_hessian_form(c, A, psi_kernels, alpha, beta):
     return float(np.sum((coeff * prod - second) * geo.weights))
 
 
+@dataclass(frozen=True, eq=False)
 class HessianOperator:
-    """A solvable representation of the shape Hessian at a curve.
+    """The shape Hessian at a curve as a diagonal field in the nodal basis.
 
-    kind "multiplication": pointwise scaling by a field nu, valid where
+    A Newton step solves d * delta = mass * rhs pointwise, where mass
+    pairs the right-hand side with the nodal basis.  ``multiplication``
+    holds pointwise scaling by a field nu (d = nu, mass = 1), valid where
     the boundary kernel psi vanishes (stationary shapes, and a useful
-    surrogate along the way).  kind "general-form": the full bilinear
-    form, held as curve + metric parameter + (psi, dpsi_dn) kernels and
-    assembled into a matrix on demand.
+    surrogate along the way).  ``general_form`` holds the diagonal of the
+    full covariant form with the metric mass weights.  Both constructors
+    raise SingularHessian when the field cannot be inverted.
     """
-
-    MULTIPLICATION = "multiplication"
-    GENERAL_FORM = "general-form"
-
-    def __init__(self, kind, curve, nu=None, params=None, psi_kernels=None):
-        self.kind = kind
-        self.curve = curve
-        self.nu = nu
-        self.params = params
-        self.psi_kernels = psi_kernels
-        self._matrix = None
+    curve: object
+    d: np.ndarray
+    mass: object = 1.0
 
     @classmethod
     def multiplication(cls, curve, nu):
         nu = as_field(curve, nu, "nu")
-        return cls(cls.MULTIPLICATION, curve, nu=nu)
+        small = np.min(np.abs(nu))
+        if small <= 1e-12:
+            raise SingularHessian(f"multiplication factor has min |nu| = {small:.3e}")
+        return cls(curve, nu)
 
     @classmethod
     def general_form(cls, curve, params, psi_kernels):
+        """Diagonal of the covariant Hessian form in the nodal basis.
+
+        For nodal indicator fields e_j the pointwise product e_j * e_k
+        vanishes unless j = k, and the discrete form acts on fields only
+        through that product, so the form is diagonal:
+
+            d_j = coeff_j w_j - (S^T E)_j,   E_i = (psi A kappa w)_i,
+
+        with S the second-difference stencil of tangential_second_derivative
+        and coeff the pointwise factor of riemannian_hessian_form.  The
+        mass is the metric weight (1 + A kappa^2) w.  max|d| / min|d| is
+        the condition number of the diagonal; above 1e12, or with a
+        non-finite entry, the form counts as singular.
+        """
+        params = as_params(params)
+        A = params.A
         g = as_field(curve, psi_kernels[0], "psi")
         dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
-        return cls(cls.GENERAL_FORM, curve, params=as_params(params),
-                   psi_kernels=(g, dpsi_dn))
+        geo = curve.geometry
+        kappa, w = geo.curvature, geo.weights
+        coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
 
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            if self.kind != self.GENERAL_FORM:
-                raise ShapeOptError("matrix assembly applies to the general form only")
-            self._matrix = _assemble_general_form(self)
-        return self._matrix
+        # transpose of the second-difference stencil applied to E
+        fwd = np.roll(curve.nodes, -1, axis=0) - curve.nodes
+        dp = np.sqrt(np.sum(fwd * fwd, axis=1))
+        dm = np.roll(dp, 1)
+        cm = 2.0 / (dm * (dm + dp))
+        c0 = -2.0 / (dm * dp)
+        cp = 2.0 / (dp * (dm + dp))
+        E = g * A * kappa * w
+        st_e = np.roll(E * cm, -1) + E * c0 + np.roll(E * cp, 1)
+        d = coeff * w - st_e
+
+        size = np.abs(d)
+        with np.errstate(all="ignore"):
+            ratio = size.max() / size.min()
+        if not ratio <= 1e12:  # also true for a zero or non-finite entry
+            raise SingularHessian(f"general-form diagonal has max|d|/min|d| = {ratio:.3e}")
+        return cls(curve, d, metric_weight(curve, params) * w)
 
 
 def hessian_at_solution(c, mu):
@@ -148,80 +177,17 @@ def hessian_at_solution(c, mu):
     return HessianOperator.multiplication(c, nu)
 
 
-def _assemble_general_form(H):
-    """Matrix of the covariant Hessian form in the nodal basis.
-
-    For nodal indicator fields e_j the pointwise product e_j * e_k
-    vanishes unless j = k, and the discrete form acts on fields only
-    through that product, so the matrix is diagonal:
-
-        M_jj = coeff_j w_j - (S^T E)_j,   E_i = (psi A kappa w)_i,
-
-    with S the second-difference stencil of tangential_second_derivative
-    and coeff the pointwise factor of riemannian_hessian_form.  A few
-    entries are cross-checked against the quadrature form itself, and the
-    result is symmetrized with the pre-averaging asymmetry asserted.
-    """
-    c = H.curve
-    A = H.params.A
-    g, dpsi_dn = H.psi_kernels
-    geo = c.geometry
-    kappa, w = geo.curvature, geo.weights
-    coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
-
-    # transpose of the second-difference stencil applied to E
-    dp = np.linalg.norm(np.roll(c.nodes, -1, axis=0) - c.nodes, axis=1)
-    dm = np.roll(dp, 1)
-    cm = 2.0 / (dm * (dm + dp))
-    c0 = -2.0 / (dm * dp)
-    cp = 2.0 / (dp * (dm + dp))
-    E = g * A * kappa * w
-    st_e = np.roll(E * cm, -1) + E * c0 + np.roll(E * cp, 1)
-
-    M = np.diag(coeff * w - st_e)
-
-    n = c.n_nodes
-    scale = 1.0 + float(np.max(np.abs(M)))
-    basis = np.eye(n)
-    for j, k in ((0, 0), (0, 1), (1, 0), (n // 2, n // 2), (n // 2, n // 2 + 1), (2, n - 1)):
-        ref = riemannian_hessian_form(c, H.params, H.psi_kernels, basis[j], basis[k])
-        if abs(M[j, k] - ref) > 1e-10 * scale:
-            raise ShapeOptError(
-                f"general-form assembly disagrees with the quadrature form at "
-                f"({j}, {k}): {M[j, k]!r} vs {ref!r}")
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > 1e-12 * scale:
-        raise ShapeOptError(f"general-form matrix asymmetry {asym:.3e} exceeds tolerance")
-    return 0.5 * (M + M.T)
-
-
-def solve_hessian(H, rhs, A=None):
+def solve_hessian(H, rhs):
     """Solve H delta = rhs for a Newton step.
 
-    rhs is a tangent field (typically the Riesz gradient).  For the
-    multiplication kind the solve is pointwise division by nu.  For the
+    rhs is a tangent field (typically the Riesz gradient).  The operator
+    is a diagonal field, so the solve is pointwise: delta = mass * rhs / d.
+    For a multiplication operator that is division by nu; for the
     general form, rhs is first paired with the nodal basis through the
-    metric (mass weights (1 + A kappa^2) w), then the dense symmetric
-    system is solved; A defaults to the operator's own metric parameter.
-    Raises SingularHessian when nu has a (near-)zero entry or the
-    assembled matrix is (near-)singular.
+    metric mass weights (1 + A kappa^2) w.
     """
     rhs = as_field(H.curve, rhs, "rhs")
-    if H.kind == HessianOperator.MULTIPLICATION:
-        small = np.min(np.abs(H.nu))
-        if small <= 1e-12:
-            raise SingularHessian(f"multiplication factor has min |nu| = {small:.3e}")
-        return rhs / H.nu
-    params = H.params if A is None else as_params(A)
-    M = H.matrix
-    b = metric_weight(H.curve, params) * H.curve.geometry.weights * rhs
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularHessian(f"general-form matrix condition number {cond:.3e}")
-    try:
-        return np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian(str(exc)) from exc
+    return H.mass * rhs / H.d
 
 
 def taylor_remainder_probe(f, c, A, h, t_list):

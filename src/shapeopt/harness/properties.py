@@ -89,7 +89,7 @@ def _multiplication_consistency(seed):
     c = reference_ellipse(100, 2.0)
     f = VolumeFunctional.quadratic_mso(2.0)
     kernels = boundary_kernel(c, f)
-    nu = hessian_at_solution(c, 2.0).nu
+    nu = hessian_at_solution(c, 2.0).d
     w = c.geometry.weights
     rng = np.random.default_rng(seed + 500)
     worst = 0.0

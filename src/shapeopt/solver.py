@@ -18,7 +18,8 @@ import numpy as np
 from .calculus import HessianOperator, hessian_at_solution, solve_hessian
 from .curve import as_field, retract
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
-                     NotStarShaped, ShapeDegenerate, ShapeOptError)
+                     NotStarShaped, ProjectionFailed, ShapeDegenerate,
+                     ShapeOptError)
 from .functional import (boundary_kernel, distance_bar, distance_tilde,
                          mso_step_objective)
 from .metric import as_params, norm, riesz_gradient
@@ -127,9 +128,9 @@ def step_direction(c, f, config):
             H = hessian_at_solution(c, f.mu)
         else:
             H = HessianOperator.multiplication(c, dpsi_dn)
-        return -solve_hessian(H, grad, params)
-    H = HessianOperator.general_form(c, params, (g, dpsi_dn))
-    return -solve_hessian(H, grad, params)
+    else:
+        H = HessianOperator.general_form(c, params, (g, dpsi_dn))
+    return -solve_hessian(H, grad)
 
 
 def _decrease_function(c, f, direction):
@@ -225,7 +226,10 @@ def _iterate_distance(c, f, reference):
     if getattr(f, "is_quadratic_mso", False):
         return distance_bar(c, f.mu)
     if reference is not None:
-        return distance_tilde(c, reference)
+        try:
+            return distance_tilde(c, reference)
+        except ProjectionFailed:
+            return None  # monitoring only: the solve goes on unmonitored
     return None
 
 
@@ -236,10 +240,12 @@ def optimize(c0, f, config, reference=None):
     starting curve included).  The monitored distance is the radial
     surrogate against the known optimal ellipse for the quadratic family,
     the normal-offset surrogate against ``reference`` when one is given,
-    and absent otherwise.  Stopping: distance < config.stop_distance when
-    a distance is monitored, step norm < stop_distance otherwise, or
-    max_iterations.  Solver errors are re-raised with the partial record
-    list attached as ``exc.records``.
+    and absent otherwise; a row whose curve the reference's normal lines
+    cannot represent records distance None and the run goes on.
+    Stopping: distance < config.stop_distance when a distance is
+    monitored, step norm < stop_distance otherwise, or max_iterations.
+    Solver errors are re-raised with the partial record list attached as
+    ``exc.records``.
     """
     records = []
     c = c0

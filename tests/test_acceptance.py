@@ -113,7 +113,7 @@ def test_criterion_06_multiplication_operator_consistency():
     and the factor nu spans [2, 4] within 1e-3 for mu=2."""
     c = reference_ellipse(100, 2.0)
     kernels = boundary_kernel(c, F2)
-    nu = hessian_at_solution(c, 2.0).nu
+    nu = hessian_at_solution(c, 2.0).d
     w = c.geometry.weights
     rng = np.random.default_rng(600)
     for _ in range(50):

@@ -1,6 +1,8 @@
 """Covariant derivative, the two Hessian representations, Newton solves,
 and the cubic-remainder probe of the quadratic model."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -70,16 +72,16 @@ def test_multiplication_factor_on_optimal_ellipse():
     # 2 mu on the short one
     c = reference_ellipse(100, 2.0)
     op = hessian_at_solution(c, 2.0)
-    assert op.kind == HessianOperator.MULTIPLICATION
-    assert abs(op.nu[0] - 2.0) < 1e-12
-    assert abs(op.nu[25] - 4.0) < 1e-12
-    assert np.all(op.nu > 2.0 - 1e-3) and np.all(op.nu < 4.0 + 1e-3)
+    assert op.mass == 1.0
+    assert abs(op.d[0] - 2.0) < 1e-12
+    assert abs(op.d[25] - 4.0) < 1e-12
+    assert np.all(op.d > 2.0 - 1e-3) and np.all(op.d < 4.0 + 1e-3)
 
 
 def test_riemannian_form_is_multiplication_at_solution():
     c = reference_ellipse(100, 2.0)
     pk = kernels(c, 2.0)
-    nu = hessian_at_solution(c, 2.0).nu
+    nu = hessian_at_solution(c, 2.0).d
     w = c.geometry.weights
     rng = np.random.default_rng(22)
     for _ in range(10):
@@ -115,12 +117,59 @@ def test_general_form_matches_multiplication_at_solution():
         assert np.max(np.abs(a - b)) < 1e-6 * np.max(np.abs(b))
 
 
-def test_general_form_matrix_symmetric_and_cached():
-    c = reference_ellipse(100, 2.0)
-    op = HessianOperator.general_form(c, 0.5, kernels(c, 2.0))
-    M = op.matrix
-    assert op.matrix is M
-    npt.assert_array_equal(M, M.T)
+def test_general_form_diagonal_matches_quadrature_form():
+    # the diagonal field is the form on basis pairs (e_j, e_j), and the
+    # form vanishes on off-diagonal pairs, including the wrap-around ones
+    for seed, A in ((31, 0.0), (32, 0.5), (33, 1.0)):
+        rng = np.random.default_rng(seed)
+        c = random_star_curve(40, rng)
+        pk = kernels(c, 2.0)
+        op = HessianOperator.general_form(c, A, pk)
+        basis = np.eye(40)
+        for j in range(40):
+            ref = riemannian_hessian_form(c, A, pk, basis[j], basis[j])
+            assert abs(op.d[j] - ref) <= 1e-10 * abs(ref)
+        for j, k in [(j, j + 1) for j in range(39)] + [(0, 39), (2, 39)]:
+            assert riemannian_hessian_form(c, A, pk, basis[j], basis[k]) == 0.0
+
+
+def test_solve_general_form_matches_dense_solve():
+    # the dense solve of the diagonal system stays the oracle, bit for bit
+    rng = np.random.default_rng(34)
+    for A in (0.0, 0.5, 1.0):
+        c = random_star_curve(60, rng)
+        op = HessianOperator.general_form(c, A, kernels(c, 2.0))
+        for rhs in rng.standard_normal((3, 60)):
+            npt.assert_array_equal(solve_hessian(op, rhs),
+                                   np.linalg.solve(np.diag(op.d), op.mass * rhs))
+
+
+def test_solve_general_form_singular():
+    c = circle(64)
+    dpsi_dn = np.ones(64)
+    dpsi_dn[10] = 0.0
+    with pytest.raises(SingularHessian):
+        HessianOperator.general_form(c, 0.5, (np.zeros(64), dpsi_dn))
+    # with psi = 0 the diagonal is dpsi_dn w, so its spread is dpsi_dn's
+    dpsi_dn[10] = 1e-13
+    with pytest.raises(SingularHessian):
+        HessianOperator.general_form(c, 0.5, (np.zeros(64), dpsi_dn))
+    dpsi_dn[10] = 1e-11
+    HessianOperator.general_form(c, 0.5, (np.zeros(64), dpsi_dn))
+
+
+def test_general_form_solve_memory_is_linear():
+    # a dense N x N operator at N = 4000 would take > 100 MB
+    c = random_star_curve(4000, np.random.default_rng(35))
+    pk = kernels(c, 2.0)
+    rhs = np.ones(4000)
+    tracemalloc.start()
+    try:
+        solve_hessian(HessianOperator.general_form(c, 0.5, pk), rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_taylor_probe_zero_step():

@@ -10,10 +10,11 @@ from shapeopt import (NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                       STEEPEST_DESCENT, ExactLineSearch, FixedStep,
                       IterationRecord, SolverConfig, VolumeFunctional,
                       convergence_diagnostics, line_search_exact, norm,
-                      optimize, riesz_gradient, step_direction)
+                      optimize, retract, riesz_gradient, step_direction)
 from shapeopt.errors import InsufficientData, LineSearchFailed, ShapeOptError
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import initial_shape, reference_ellipse
+from shapeopt.harness.properties import low_frequency_field
 
 F2 = VolumeFunctional.quadratic_mso(2.0)
 
@@ -136,6 +137,31 @@ def test_optimize_with_reference_curve():
     records = optimize(circle(100), area, cfg, reference=circle(100))
     assert records[0].distance == 0.0
     assert len(records) == 1  # starts on the reference, stops at once
+
+
+def test_optimize_general_form_newton_from_warm_starts():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.02, 0.1) * low_frequency_field(100, rng)
+        records = optimize(retract(reference_ellipse(100, 2.0), h), F2,
+                           SolverConfig(method=NEWTON_GENERAL_FORM))
+        assert records[-1].distance < 1e-7, seed
+        assert len(records) - 1 <= 5, seed
+
+
+def test_optimize_survives_monitoring_failure():
+    # the pinched start is too far from the ellipse for its normal lines
+    # to represent it, so row 0 goes unmonitored and the solve carries on
+    f = VolumeFunctional.custom(lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
+                                lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
+    for method in (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE):
+        records = optimize(initial_shape(100), f,
+                           SolverConfig(method=method, max_iterations=3),
+                           reference=reference_ellipse(100, 2.0))
+        assert len(records) == 4, method
+        assert records[0].distance is None, method
+        assert all(r.distance > 0.0 for r in records[1:]), method
+        assert records[0].quadratic_ratio is None, method
 
 
 def test_optimize_attaches_partial_records_on_failure():
