@@ -232,8 +232,10 @@ def mso_step_objective(nodes, step, mu):
         P_t = P0 + dP
         dot = x * (x + t * sx) + y * (y + t * sy)
         dang_node = np.arctan2(t * cross0, dot)
-        ddang = np.roll(dang_node, -1) - dang_node
-        term = dang0 * (np.roll(dP, -1) + dP) + ddang * (np.roll(P_t, -1) + P_t)
-        return float(np.sum(term) / (2.0 * mu))
+        # concatenate is np.roll(a, -1) without its per-call overhead
+        ddang = np.concatenate((dang_node[1:], dang_node[:1])) - dang_node
+        term = (dang0 * (np.concatenate((dP[1:], dP[:1])) + dP)
+                + ddang * (np.concatenate((P_t[1:], P_t[:1])) + P_t))
+        return float(term.sum() / (2.0 * mu))
 
     return delta_phi

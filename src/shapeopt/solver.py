@@ -7,7 +7,11 @@ the two Hessian representations in ``calculus``.  The exact line search
 brackets by doubling and refines by golden section; for the quadratic
 objective family it minimizes an exactly differenced objective, so step
 lengths remain meaningful even when the objective decrease is far below
-the rounding noise of the objective value itself.
+the rounding noise of the objective value itself.  With a step grid set
+(the default), golden section stops as soon as both ends of its bracket
+round to the same grid point and that point decreases the objective:
+the snapped step is then decided, and it is the one the full-precision
+search would return.
 """
 
 from dataclasses import dataclass
@@ -36,12 +40,15 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 class ExactLineSearch:
     """Bracketing plus golden-section minimization along the step.
 
-    bracket_max bounds the probed step parameter; tolerance is the final
-    bracket width in t.  step_resolution, when set, snaps the minimizer
-    to that grid before it is applied (skipped if snapping would destroy
-    the decrease).  The default 0.01 grid suppresses sub-noise variation
-    of the step parameter and matches the granularity of the recorded
-    reference trajectories the regression tests compare against.
+    bracket_max bounds the probed step parameter.  step_resolution, when
+    set, snaps the minimizer to that grid before it is applied (skipped
+    if snapping would destroy the decrease), and the search stops once
+    the bracket has decided the snapped step.  tolerance is the final
+    bracket width in t; it governs only searches that run unsnapped
+    (step_resolution None) or whose snapped step was rejected.  The
+    default 0.01 grid suppresses sub-noise variation of the step
+    parameter and matches the granularity of the recorded reference
+    trajectories the regression tests compare against.
     """
     bracket_max: float = 2.0
     tolerance: float = 1e-10
@@ -163,7 +170,18 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     if even that fails to decrease), refines with golden section to the
     requested bracket width, then snaps to the step_resolution grid when
     that preserves the decrease.  Raises LineSearchFailed when no probed
-    step above the tolerance decreases the objective.  For the quadratic
+    step above the tolerance decreases the objective.
+
+    With step_resolution set, golden section stops early: once both
+    bracket ends round to the same grid index k, every later bracket and
+    its midpoint t_star round to k too (the brackets are nested and
+    rounding is monotone), so k * step_resolution is tried at once and
+    returned if it decreases the objective.  If it does not, the search
+    runs on to the tolerance exactly as without the early stop.  The
+    result is the same float as the full search's, with one exception:
+    an accepted early snap skips the final check that phi(t_star) < 0,
+    so a search whose collapsed bracket midpoint fails to decrease
+    returns the snapped step instead of raising.  For the quadratic
     family the probes themselves skip admissibility checks (the loop
     validates the accepted step when retracting); bracket_max should be
     kept small enough that probed polygons stay star-shaped.
@@ -193,7 +211,15 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
+    snap_open = bool(step_resolution)
     while hi - lo > tolerance:
+        if snap_open:
+            k = round(lo / step_resolution)
+            if round(hi / step_resolution) == k:
+                snap_open = False  # k is decided; try it once
+                t_snap = k * step_resolution
+                if 0.0 < t_snap <= bracket_max and phi(t_snap) < 0.0:
+                    return float(t_snap)
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)

@@ -283,3 +283,9 @@ def test_json_roundtrip_exact(tmp_path):
     c.to_json(path)
     back = DiscreteCurve.from_json(path)
     npt.assert_array_equal(back.nodes, c.nodes)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the absolute |den| > 1e-15 "
+                   "test drops every crossing pair of a curve this small")
+def test_segments_intersect_is_scale_invariant():
+    assert _segments_intersect(figure_eight() * 1e-8)

@@ -135,3 +135,41 @@ def test_step_objective_matches_direct_difference():
     for t in (0.3, 0.05):
         direct = evaluate_mso(retract(c, h, t), 2.0) - evaluate_mso(c, 2.0)
         assert abs(delta(t) - direct) < 1e-12 * abs(direct)
+
+
+def _mso_step_objective_roll(nodes, step, mu):
+    """mso_step_objective with its probe written with np.roll."""
+    x, y = nodes[:, 0], nodes[:, 1]
+    sx, sy = step[:, 0], step[:, 1]
+    ang0 = np.arctan2(y, x)
+    dang0 = (np.roll(ang0, -1) - ang0 + np.pi) % (2.0 * np.pi) - np.pi
+    rho2_0 = x ** 2 + mu ** 2 * y ** 2
+    P0 = rho2_0 ** 2 / 4.0 - rho2_0 / 2.0
+    lin = 2.0 * (x * sx + mu ** 2 * y * sy)
+    quad = sx ** 2 + mu ** 2 * sy ** 2
+    cross0 = x * sy - y * sx
+
+    def delta_phi(t):
+        u = t * lin + t * t * quad
+        v = rho2_0 + 0.5 * u - 1.0
+        dP = u * v / 2.0
+        P_t = P0 + dP
+        dot = x * (x + t * sx) + y * (y + t * sy)
+        dang_node = np.arctan2(t * cross0, dot)
+        ddang = np.roll(dang_node, -1) - dang_node
+        term = dang0 * (np.roll(dP, -1) + dP) + ddang * (np.roll(P_t, -1) + P_t)
+        return float(np.sum(term) / (2.0 * mu))
+
+    return delta_phi
+
+
+def test_step_objective_matches_roll_form_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (100, 1600):
+        c = initial_shape(n)
+        h = 0.1 * np.cos(2.0 * c.params) + 0.02 * rng.standard_normal(n)
+        step = h[:, None] * c.geometry.normal
+        delta = mso_step_objective(c.nodes, step, 2.0)
+        reference = _mso_step_objective_roll(c.nodes, step, 2.0)
+        for t in rng.uniform(0.0, 2.0, 100):
+            assert delta(t) == reference(t), (n, t)

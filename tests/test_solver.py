@@ -6,17 +6,107 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import (NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
-                      STEEPEST_DESCENT, ExactLineSearch, FixedStep,
-                      IterationRecord, SolverConfig, VolumeFunctional,
-                      convergence_diagnostics, line_search_exact, norm,
-                      optimize, retract, riesz_gradient, step_direction)
+import shapeopt.solver as solver
+from shapeopt import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
+                      STEEPEST_DESCENT, ExactLineSearch, ExperimentSpec,
+                      FixedStep, IterationRecord, SolverConfig,
+                      VolumeFunctional, convergence_diagnostics,
+                      line_search_exact, norm, optimize, retract,
+                      riesz_gradient, step_direction)
+from shapeopt.curve import as_field
 from shapeopt.errors import InsufficientData, LineSearchFailed, ShapeOptError
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import initial_shape, reference_ellipse
 from shapeopt.harness.properties import low_frequency_field
+from shapeopt.solver import GOLDEN, _decrease_function
 
 F2 = VolumeFunctional.quadratic_mso(2.0)
+# psi = x^2 + 4y^2 - 1, the quadratic family's mu=2 ellipse through the
+# generic (fan quadrature) path
+ELLIPSE_PSI = VolumeFunctional.custom(
+    lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
+    lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
+
+# step_scale of every step of the N=100 Table-1 runs
+TABLE1_STEP_SCALES = {
+    STEEPEST_DESCENT: [0.5, 0.32, 0.36, 0.33, 0.34, 0.34, 0.33, 0.34, 0.33,
+                       0.34, 0.33, 0.35000000000000003, 0.32,
+                       0.35000000000000003, 0.32, 0.35000000000000003],
+    NEWTON_MULTIPLICATIVE: [0.63, 0.98, 1.0, 1.0],
+}
+
+
+def _warm_starts(n, count):
+    """The optimal mu=2 ellipse retracted by seeded low-frequency fields."""
+    starts = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.02, 0.1) * low_frequency_field(n, rng)
+        starts.append(retract(reference_ellipse(n, 2.0), h))
+    return starts
+
+
+def _table1_run(method):
+    return optimize(initial_shape(100), F2,
+                    SolverConfig(method=method,
+                                 stop_distance=ExperimentSpec().stop_distance))
+
+
+def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
+                              step_resolution=0.01):
+    """line_search_exact without the early stop: golden section always
+    runs to the tolerance before the snap."""
+    direction = as_field(c, direction, "direction")
+    if not np.any(direction):
+        raise LineSearchFailed("zero direction")
+    phi = _decrease_function(c, f, direction)
+
+    t0, f0 = 1e-3, phi(1e-3)
+    while f0 >= 0.0 and t0 > tolerance:
+        t0 *= 0.5
+        f0 = phi(t0)
+    if f0 >= 0.0 or not np.isfinite(f0):
+        raise LineSearchFailed(
+            f"no decrease along the direction for any t >= {tolerance:g}")
+
+    lo, a, fa = 0.0, t0, f0
+    b = min(2.0 * t0, bracket_max)
+    fb = phi(b)
+    while fb < fa and b < bracket_max:
+        lo, a, fa = a, b, fb
+        b = min(2.0 * b, bracket_max)
+        fb = phi(b)
+    hi = b
+
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = phi(x1), phi(x2)
+    while hi - lo > tolerance:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = phi(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = phi(x2)
+    t_star = 0.5 * (lo + hi)
+    if phi(t_star) >= 0.0:
+        raise LineSearchFailed("bracket collapsed without decrease")
+
+    if step_resolution:
+        t_snap = round(t_star / step_resolution) * step_resolution
+        if 0.0 < t_snap <= bracket_max and phi(t_snap) < 0.0:
+            return float(t_snap)
+    return float(t_star)
+
+
+def _outcome(search, *args, **kwargs):
+    """The returned step as exact hex, or the raised error's type and message."""
+    try:
+        return search(*args, **kwargs).hex()
+    except ShapeOptError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_config_validation():
@@ -84,6 +174,74 @@ def test_line_search_rejects_ascent_direction():
         line_search_exact(c0, F2, np.zeros(100))
 
 
+
+def test_line_search_matches_full_search_oracle():
+    for n in (100, 400):
+        for c in [initial_shape(n)] + _warm_starts(n, 8):
+            for A in (0.0, 0.5):
+                for method in METHODS:
+                    d = step_direction(c, F2, SolverConfig(method=method, A=A))
+                    for res in (0.01, None):
+                        expected = _outcome(_line_search_exact_oracle, c, F2, d,
+                                            step_resolution=res)
+                        got = _outcome(line_search_exact, c, F2, d, step_resolution=res)
+                        assert got == expected, (n, A, method, res)
+
+
+def test_line_search_matches_oracle_on_custom_functional():
+    for c in [initial_shape(100)] + _warm_starts(100, 1):
+        for A in (0.0, 0.5):
+            for method in METHODS:
+                d = step_direction(c, ELLIPSE_PSI, SolverConfig(method=method, A=A))
+                assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d)
+                        == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d)), (A, method)
+
+
+def test_line_search_rejected_snap_runs_to_tolerance():
+    # the minimizer lies below 0.005, so the bracket decides the snap to 0,
+    # which is rejected; the search then runs on to the tolerance
+    c0 = initial_shape(100)
+    d = 1000.0 * step_direction(c0, F2, SolverConfig(method=STEEPEST_DESCENT))
+    t = line_search_exact(c0, F2, d)
+    assert 0.0 < t < 0.005
+    assert t.hex() == _line_search_exact_oracle(c0, F2, d).hex()
+
+
+def test_line_search_rejected_grid_step_returns_bracket_midpoint(monkeypatch):
+    # every probe past t = 0.0152 is inadmissible (+inf), so the decided
+    # snap 0.02 of the minimizer 0.0151 is rejected and golden section goes on
+    def cliff(c, f, direction):
+        return lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf
+
+    monkeypatch.setattr(solver, "_decrease_function", cliff)
+    t = line_search_exact(initial_shape(100), F2, np.ones(100))
+    assert abs(t - 0.0151) < 1e-8
+
+
+def test_line_search_probe_count(monkeypatch):
+    # a deterministic count: the early stop averages 24.05 probes per
+    # search on these runs, the full golden section 61.05
+    probes = 0
+    original = solver.mso_step_objective
+
+    def counted(*args):
+        phi = original(*args)
+
+        def probe(t):
+            nonlocal probes
+            probes += 1
+            return phi(t)
+        return probe
+
+    monkeypatch.setattr(solver, "mso_step_objective", counted)
+    searches = sum(len(_table1_run(method)) - 1 for method in TABLE1_STEP_SCALES)
+    assert probes / searches <= 30
+
+
+def test_table1_step_scales_are_pinned():
+    for method, expected in TABLE1_STEP_SCALES.items():
+        assert [r.step_scale for r in _table1_run(method)[:-1]] == expected, method
+
 def test_optimize_monotone_descent_and_record_shape():
     records = optimize(initial_shape(100), F2, SolverConfig(method=STEEPEST_DESCENT))
     assert [r.index for r in records] == list(range(len(records)))
@@ -140,11 +298,8 @@ def test_optimize_with_reference_curve():
 
 
 def test_optimize_general_form_newton_from_warm_starts():
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        h = rng.uniform(0.02, 0.1) * low_frequency_field(100, rng)
-        records = optimize(retract(reference_ellipse(100, 2.0), h), F2,
-                           SolverConfig(method=NEWTON_GENERAL_FORM))
+    for seed, c0 in enumerate(_warm_starts(100, 6)):
+        records = optimize(c0, F2, SolverConfig(method=NEWTON_GENERAL_FORM))
         assert records[-1].distance < 1e-7, seed
         assert len(records) - 1 <= 5, seed
 
@@ -152,10 +307,8 @@ def test_optimize_general_form_newton_from_warm_starts():
 def test_optimize_survives_monitoring_failure():
     # the pinched start is too far from the ellipse for its normal lines
     # to represent it, so row 0 goes unmonitored and the solve carries on
-    f = VolumeFunctional.custom(lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
-                                lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
     for method in (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE):
-        records = optimize(initial_shape(100), f,
+        records = optimize(initial_shape(100), ELLIPSE_PSI,
                            SolverConfig(method=method, max_iterations=3),
                            reference=reference_ellipse(100, 2.0))
         assert len(records) == 4, method
