@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import as_field, retract, tangential_second_derivative
+from .curve import (as_field, retract, row_norm, shift_next, shift_prev,
+                    tangential_second_derivative)
 from .errors import SingularHessian
 from .functional import boundary_kernel, evaluate_general
 from .metric import as_params, inner, metric_weight, riesz_gradient
@@ -145,14 +146,13 @@ class HessianOperator:
         coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
 
         # transpose of the second-difference stencil applied to E
-        fwd = np.roll(curve.nodes, -1, axis=0) - curve.nodes
-        dp = np.sqrt(np.sum(fwd * fwd, axis=1))
-        dm = np.roll(dp, 1)
+        dp = row_norm(shift_next(curve.nodes) - curve.nodes)
+        dm = shift_prev(dp)
         cm = 2.0 / (dm * (dm + dp))
         c0 = -2.0 / (dm * dp)
         cp = 2.0 / (dp * (dm + dp))
         E = g * A * kappa * w
-        st_e = np.roll(E * cm, -1) + E * c0 + np.roll(E * cp, 1)
+        st_e = shift_next(E * cm) + E * c0 + shift_prev(E * cp)
         d = coeff * w - st_e
 
         size = np.abs(d)

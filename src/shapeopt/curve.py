@@ -31,10 +31,29 @@ def as_field(c, values, name="field"):
     return arr
 
 
+def shift_next(a):
+    """Row i of the result is row i+1 of a, periodically.  Equal to numpy's
+    roll(a, -1, axis=0), without roll's per-call overhead."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def shift_prev(a):
+    """Row i of the result is row i-1 of a, periodically.  Equal to numpy's
+    roll(a, 1, axis=0)."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def row_norm(v):
+    """Euclidean length of each row of an (N, 2) array.  The same bits as
+    numpy's linalg.norm(v, axis=1), which computes sqrt(add.reduce(v*v,
+    axis=1)), and a two-term reduce is exactly v0*v0 + v1*v1."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+
+
 def signed_area(nodes):
     """Shoelace area of the closed polygon; positive for counterclockwise."""
     x, y = nodes[:, 0], nodes[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = shift_next(x), shift_next(y)
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
@@ -69,7 +88,7 @@ def _segments_intersect(nodes):
     """
     n = len(nodes)
     x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = shift_next(x), shift_next(y)
     dx, dy = xn - x, yn - y
 
     eps = np.finfo(float).eps
@@ -184,8 +203,7 @@ class DiscreteCurve:
             raise DegenerateCurve(f"need at least {MIN_NODES} nodes, got {n}")
         if not np.all(np.isfinite(nodes)):
             raise DegenerateCurve("nodes contain non-finite coordinates")
-        seg = np.linalg.norm(np.roll(nodes, -1, axis=0) - nodes, axis=1)
-        if np.any(seg == 0.0):
+        if np.any(row_norm(shift_next(nodes) - nodes) == 0.0):
             raise DegenerateCurve("consecutive nodes coincide")
 
         if params is None:
@@ -231,8 +249,7 @@ class DiscreteCurve:
         decimal that round-trips, so reading the file back reproduces the
         coordinates exactly."""
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for x, y in self.nodes:
-                fh.write(f"{float(x)!r},{float(y)!r}\n")
+            fh.write("".join(f"{x!r},{y!r}\n" for x, y in self.nodes.tolist()))
 
     @classmethod
     def from_csv(cls, path, **kwargs):
@@ -248,7 +265,7 @@ class DiscreteCurve:
 
     def to_json(self, path):
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump({"nodes": [[float(x), float(y)] for x, y in self.nodes]}, fh)
+            json.dump({"nodes": self.nodes.tolist()}, fh)
             fh.write("\n")
 
     @classmethod
@@ -261,33 +278,33 @@ class DiscreteCurve:
 def _param_gaps(params):
     """Forward parameter gaps d+ with periodic wrap, and backward gaps d-."""
     dp = np.diff(np.append(params, params[0] + 2 * np.pi))
-    return dp, np.roll(dp, 1)
+    return dp, shift_prev(dp)
 
 
 def _compute_geometry(c):
     nodes = c.nodes
-    fwd = np.roll(nodes, -1, axis=0) - nodes
-    bwd = nodes - np.roll(nodes, 1, axis=0)
-    central = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    norms = np.linalg.norm(central, axis=1)
+    fp = shift_next(nodes)
+    fm = shift_prev(nodes)
+    central = fp - fm
+    norms = row_norm(central)
     if np.any(norms == 0.0):
         raise DegenerateCurve("central difference stencil produced a zero tangent")
     tangent = central / norms[:, None]
     # rotate by -90 degrees: outward for counterclockwise orientation
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-    weights = 0.5 * (np.linalg.norm(fwd, axis=1) + np.linalg.norm(bwd, axis=1))
+    # the backward chord at node i is the forward chord at node i-1
+    chord = row_norm(fp - nodes)
+    weights = 0.5 * (chord + shift_prev(chord))
 
     # curvature kappa = (x'y'' - y'x'') / |(x', y')|^3 with three-point
     # stencils in the parameter; the nonuniform weights reduce to the
     # classical central differences on the equidistant grid
     dp, dm = _param_gaps(c.params)
-    fp = np.roll(nodes, -1, axis=0)
-    fm = np.roll(nodes, 1, axis=0)
     den = (dm * dp * (dm + dp))[:, None]
     d1 = (dm[:, None] ** 2 * fp - dp[:, None] ** 2 * fm
           + ((dp ** 2 - dm ** 2))[:, None] * nodes) / den
     d2 = 2.0 * (dm[:, None] * fp + dp[:, None] * fm - (dm + dp)[:, None] * nodes) / den
-    speed = np.linalg.norm(d1, axis=1)
+    speed = row_norm(d1)
     if np.any(speed == 0.0):
         raise DegenerateCurve("zero speed in curvature stencil")
     curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed ** 3
@@ -309,8 +326,9 @@ def retract(c, h, t=1.0):
     h = as_field(c, h, "h")
     geo = c.geometry
     nodes = c.nodes + float(t) * h[:, None] * geo.normal
-    chord = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    if np.any(np.sum(chord * geo.tangent, axis=1) <= 0.0):
+    chord = shift_next(nodes) - shift_prev(nodes)
+    tan = geo.tangent
+    if np.any(chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0):
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
     if not check_simple(nodes):
         raise ShapeDegenerate("retracted polygon self-intersects")
@@ -328,8 +346,8 @@ def tangential_second_derivative(c, u):
     Exact for fields quadratic in arc length; second order on smooth data.
     """
     u = as_field(c, u, "u")
-    dp = np.linalg.norm(np.roll(c.nodes, -1, axis=0) - c.nodes, axis=1)
-    dm = np.roll(dp, 1)
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
+    dp = row_norm(shift_next(c.nodes) - c.nodes)
+    dm = shift_prev(dp)
+    up = shift_next(u)
+    um = shift_prev(u)
     return 2.0 * (dm * up + dp * um - (dm + dp) * u) / (dm * dp * (dm + dp))

@@ -26,6 +26,7 @@ coincide for mu = 1 and at any curve whose stretched image is a circle.
 
 import numpy as np
 
+from .curve import shift_next
 from .errors import NotStarShaped, ProjectionFailed
 
 
@@ -85,7 +86,7 @@ def _wrapped_angle_steps(nodes, where):
     require the node angles to be strictly monotone modulo 2*pi.
     """
     ang = np.arctan2(nodes[:, 1], nodes[:, 0])
-    dang = np.roll(ang, -1) - ang
+    dang = shift_next(ang) - ang
     dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
     if np.any(dang <= 0.0):
         raise NotStarShaped(f"{where}: node angles are not monotone around the origin")
@@ -114,7 +115,7 @@ def evaluate_mso(c, mu, angles="nodes"):
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "evaluate_mso")
     P = rho2 ** 2 / 4.0 - rho2 / 2.0
-    return float(np.sum(dang * (np.roll(P, -1) + P)) / (2.0 * mu))
+    return float(np.sum(dang * (shift_next(P) + P)) / (2.0 * mu))
 
 
 def evaluate_general(c, f):
@@ -128,7 +129,7 @@ def evaluate_general(c, f):
     psi = f.psi if isinstance(f, VolumeFunctional) else f
     z = nodes.mean(axis=0)
     a = nodes
-    b = np.roll(nodes, -1, axis=0)
+    b = shift_next(nodes)
     area2 = (a[:, 0] - z[0]) * (b[:, 1] - z[1]) - (a[:, 1] - z[1]) * (b[:, 0] - z[0])
     vals = psi((a + b) / 2.0) + psi((b + z) / 2.0) + psi((z + a) / 2.0)
     return float(np.sum(area2 * vals) / 6.0)
@@ -158,7 +159,7 @@ def distance_bar(c, mu, angles="nodes"):
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "distance_bar")
     q = np.abs(np.sqrt(rho2) - 1.0)
-    return float(np.sum(dang * (np.roll(q, -1) + q)) / (2.0 * mu))
+    return float(np.sum(dang * (shift_next(q) + q)) / (2.0 * mu))
 
 
 def distance_tilde(c, reference, window=2.0):
@@ -175,7 +176,7 @@ def distance_tilde(c, reference, window=2.0):
     ref_nodes = reference.nodes
     geo = reference.geometry
     a = c.nodes
-    d = np.roll(a, -1, axis=0) - a
+    d = shift_next(a) - a
     offsets = np.empty(reference.n_nodes)
     misses = 0
     for i, (p, n) in enumerate(zip(ref_nodes, geo.normal)):
@@ -211,13 +212,17 @@ def mso_step_objective(nodes, step, mu):
     noise of evaluate_mso remain resolvable.  ``nodes`` and ``step`` are
     raw (N, 2) arrays; the caller guarantees the probed polygons stay
     star-shaped.
+
+    The returned closure reuses buffers allocated here, so a probe makes
+    no array allocation; each call still depends on t alone.
     """
     nodes = np.asarray(nodes, dtype=float)
     step = np.asarray(step, dtype=float)
-    x, y = nodes[:, 0], nodes[:, 1]
-    sx, sy = step[:, 0], step[:, 1]
+    # contiguous copies of the columns: the probe's ufuncs run faster on them
+    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
+    sx, sy = step[:, 0].copy(), step[:, 1].copy()
     ang0 = np.arctan2(y, x)
-    dang0 = (np.roll(ang0, -1) - ang0 + np.pi) % (2.0 * np.pi) - np.pi
+    dang0 = (shift_next(ang0) - ang0 + np.pi) % (2.0 * np.pi) - np.pi
     rho2_0 = x ** 2 + mu ** 2 * y ** 2
     P0 = rho2_0 ** 2 / 4.0 - rho2_0 / 2.0
     # rho2(t) = rho2_0 + t*lin + t^2*quad in the stretched plane
@@ -225,17 +230,40 @@ def mso_step_objective(nodes, step, mu):
     quad = sx ** 2 + mu ** 2 * sy ** 2
     cross0 = x * sy - y * sx
 
+    n = len(x)
+    u, v, term = np.empty(n), np.empty(n), np.empty(n)
+    # one extra slot holds element 0 again, so [1:] is the periodic next
+    dP_ext, P_ext, ang_ext = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    dP, P_t, dang_node = dP_ext[:n], P_ext[:n], ang_ext[:n]
+
     def delta_phi(t):
-        u = t * lin + t * t * quad
-        v = rho2_0 + 0.5 * u - 1.0
-        dP = u * v / 2.0                       # P(rho2_t) - P(rho2_0) exactly
-        P_t = P0 + dP
-        dot = x * (x + t * sx) + y * (y + t * sy)
-        dang_node = np.arctan2(t * cross0, dot)
-        # concatenate is np.roll(a, -1) without its per-call overhead
-        ddang = np.concatenate((dang_node[1:], dang_node[:1])) - dang_node
-        term = (dang0 * (np.concatenate((dP[1:], dP[:1])) + dP)
-                + ddang * (np.concatenate((P_t[1:], P_t[:1])) + P_t))
+        # each line is one operation of the expression in its comment,
+        # in the order numpy evaluates that expression
+        np.multiply(t, lin, out=u)
+        np.multiply(t * t, quad, out=v)
+        np.add(u, v, out=u)                    # u = t*lin + t*t*quad
+        np.multiply(0.5, u, out=v)
+        np.add(rho2_0, v, out=v)
+        np.subtract(v, 1.0, out=v)             # v = rho2_0 + 0.5*u - 1
+        np.multiply(u, v, out=dP)
+        np.divide(dP, 2.0, out=dP)             # P(rho2_t) - P(rho2_0) exactly
+        np.add(P0, dP, out=P_t)                # P_t = P0 + dP
+        np.multiply(t, sx, out=u)
+        np.add(x, u, out=u)
+        np.multiply(x, u, out=u)
+        np.multiply(t, sy, out=v)
+        np.add(y, v, out=v)
+        np.multiply(y, v, out=v)
+        np.add(u, v, out=u)                    # dot = x*(x + t*sx) + y*(y + t*sy)
+        np.multiply(t, cross0, out=v)
+        np.arctan2(v, u, out=dang_node)
+        dP_ext[n], P_ext[n], ang_ext[n] = dP[0], P_t[0], dang_node[0]
+        np.add(dP_ext[1:], dP, out=term)
+        np.multiply(dang0, term, out=term)     # dang0*(next(dP) + dP)
+        np.subtract(ang_ext[1:], dang_node, out=u)
+        np.add(P_ext[1:], P_t, out=v)
+        np.multiply(u, v, out=u)               # ddang*(next(P_t) + P_t)
+        np.add(term, u, out=term)
         return float(term.sum() / (2.0 * mu))
 
     return delta_phi

@@ -114,6 +114,7 @@ def cmd_run(args):
         partial = getattr(exc, "records", [])
         if partial:
             _write_csv(out / f"run_{slug}.csv", partial)
+            render_curves([r.nodes for r in partial], out / f"iterates_{slug}.svg")
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
     _write_csv(out / f"run_{slug}.csv", records)

@@ -1,6 +1,7 @@
 """Curve construction, derived geometry, admissibility checks, the
 normal-step retraction, and node serialization."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,14 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle, figure_eight
-from shapeopt import DiscreteCurve, check_simple, retract, tangential_second_derivative
-from shapeopt.curve import _segments_intersect, as_field, signed_area
-from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate
+from shapeopt import (CurveGeometry, DiscreteCurve, HessianOperator, VolumeFunctional,
+                      boundary_kernel, check_simple, retract, tangential_second_derivative)
+from shapeopt.curve import (_param_gaps, _segments_intersect, as_field, row_norm,
+                            shift_next, shift_prev, signed_area)
+from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate, SingularHessian
 from shapeopt.harness import reference_ellipse
+from shapeopt.harness.properties import random_star_curve
+from shapeopt.metric import as_params, metric_weight
 
 
 def test_constructor_rejects_bad_shape():
@@ -249,6 +254,170 @@ def test_tangential_second_derivative_oracles():
     assert err3 < 300.0 / 200 ** 2
 
 
+def test_shift_helpers_match_roll():
+    rng = np.random.default_rng(3)
+    for shape in ((8,), (1601,), (8, 2), (1600, 2)):
+        a = rng.standard_normal(shape)
+        assert np.array_equal(shift_next(a), np.roll(a, -1, axis=0))
+        assert np.array_equal(shift_prev(a), np.roll(a, 1, axis=0))
+    strided = rng.standard_normal((50, 2))[:, 1]
+    assert np.array_equal(shift_next(strided), np.roll(strided, -1))
+    assert np.array_equal(shift_prev(strided), np.roll(strided, 1))
+
+
+def test_row_norm_matches_linalg_norm():
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, (2000, 2))
+    extremes = np.array([[1e-200, 1e-200], [1e-200, 1.0], [1e200, 1e200], [1e200, -1e-200],
+                         [np.inf, 1.0], [-np.inf, np.inf], [np.inf, np.nan],
+                         [0.0, -0.0], [3.0, 4.0], [5e-324, 5e-324]])
+    v = np.vstack([v, extremes])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert np.array_equal(row_norm(v), np.linalg.norm(v, axis=1), equal_nan=True)
+
+
+# The roll-based forms below are the geometry, stencil and general-form
+# diagonal as first written; the shift helpers must reproduce them bit for bit.
+
+def _compute_geometry_roll(c):
+    nodes = c.nodes
+    fwd = np.roll(nodes, -1, axis=0) - nodes
+    bwd = nodes - np.roll(nodes, 1, axis=0)
+    central = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
+    norms = np.linalg.norm(central, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateCurve("central difference stencil produced a zero tangent")
+    tangent = central / norms[:, None]
+    # rotate by -90 degrees: outward for counterclockwise orientation
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    weights = 0.5 * (np.linalg.norm(fwd, axis=1) + np.linalg.norm(bwd, axis=1))
+
+    dp, dm = _param_gaps(c.params)
+    fp = np.roll(nodes, -1, axis=0)
+    fm = np.roll(nodes, 1, axis=0)
+    den = (dm * dp * (dm + dp))[:, None]
+    d1 = (dm[:, None] ** 2 * fp - dp[:, None] ** 2 * fm
+          + ((dp ** 2 - dm ** 2))[:, None] * nodes) / den
+    d2 = 2.0 * (dm[:, None] * fp + dp[:, None] * fm - (dm + dp)[:, None] * nodes) / den
+    speed = np.linalg.norm(d1, axis=1)
+    if np.any(speed == 0.0):
+        raise DegenerateCurve("zero speed in curvature stencil")
+    curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed ** 3
+    return CurveGeometry(tangent, normal, curvature, weights)
+
+
+def _tangential_second_derivative_roll(c, u):
+    u = as_field(c, u, "u")
+    dp = np.linalg.norm(np.roll(c.nodes, -1, axis=0) - c.nodes, axis=1)
+    dm = np.roll(dp, 1)
+    up = np.roll(u, -1)
+    um = np.roll(u, 1)
+    return 2.0 * (dm * up + dp * um - (dm + dp) * u) / (dm * dp * (dm + dp))
+
+
+def _general_form_roll(curve, params, psi_kernels):
+    """(d, mass) of HessianOperator.general_form, without its singularity test."""
+    params = as_params(params)
+    A = params.A
+    g = as_field(curve, psi_kernels[0], "psi")
+    dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
+    geo = curve.geometry
+    kappa, w = geo.curvature, geo.weights
+    coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
+    fwd = np.roll(curve.nodes, -1, axis=0) - curve.nodes
+    dp = np.sqrt(np.sum(fwd * fwd, axis=1))
+    dm = np.roll(dp, 1)
+    cm = 2.0 / (dm * (dm + dp))
+    c0 = -2.0 / (dm * dp)
+    cp = 2.0 / (dp * (dm + dp))
+    E = g * A * kappa * w
+    st_e = np.roll(E * cm, -1) + E * c0 + np.roll(E * cp, 1)
+    return coeff * w - st_e, metric_weight(curve, params) * w
+
+
+def _retract_roll(c, h, t=1.0):
+    h = as_field(c, h, "h")
+    geo = c.geometry
+    nodes = c.nodes + float(t) * h[:, None] * geo.normal
+    chord = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
+    if np.any(np.sum(chord * geo.tangent, axis=1) <= 0.0):
+        raise ShapeDegenerate("retraction reversed the local orientation of the curve")
+    if not check_simple(nodes):
+        raise ShapeDegenerate("retracted polygon self-intersects")
+    return nodes
+
+
+def _oracle_curves(rng):
+    """Seeded star curves: equidistant, with non-uniform parameters, and
+    the same nodes handed over clockwise so that __init__ reverses them."""
+    for n in (8, 9, 16, 101, 400, 1600):
+        c = random_star_curve(n, rng, amplitude=0.3)
+        gaps = rng.uniform(0.5, 1.5, n)
+        params = 2.0 * np.pi * (np.cumsum(gaps) - gaps[0]) / gaps.sum()
+        yield c
+        yield DiscreteCurve(c.nodes, params=params)
+        clockwise = c.nodes[::-1]
+        assert signed_area(clockwise) < 0.0
+        yield DiscreteCurve(clockwise, params=params)
+
+
+def test_geometry_matches_roll_form_bit_for_bit():
+    rng = np.random.default_rng(29)
+    f = VolumeFunctional.quadratic_mso(2.0)
+    count = 0
+    for c in _oracle_curves(rng):
+        geo, ref = c.geometry, _compute_geometry_roll(c)
+        for name in ("tangent", "normal", "curvature", "weights"):
+            assert np.array_equal(getattr(geo, name), getattr(ref, name)), (c.n_nodes, name)
+        u = rng.standard_normal(c.n_nodes)
+        assert np.array_equal(tangential_second_derivative(c, u),
+                              _tangential_second_derivative_roll(c, u))
+        kernels = boundary_kernel(c, f)
+        for A in (0.0, 0.5, 1.0):
+            d, mass = _general_form_roll(c, A, kernels)
+            try:
+                H = HessianOperator.general_form(c, A, kernels)
+            except SingularHessian:
+                assert not np.abs(d).max() / np.abs(d).min() <= 1e12
+                continue
+            assert np.array_equal(H.d, d) and np.array_equal(H.mass, mass)
+            count += 1
+    assert count >= 40
+
+
+def test_retract_matches_roll_form_tangent_test():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for c in _oracle_curves(rng):
+        n = c.n_nodes
+        for scale in (0.01, 0.3, 2.0):
+            h = scale * rng.standard_normal(n)
+            try:
+                expected = _retract_roll(c, h, 0.7)
+            except ShapeDegenerate as exc:
+                with pytest.raises(ShapeDegenerate) as info:
+                    retract(c, h, 0.7)
+                assert str(info.value) == str(exc)
+                verdicts.append(str(exc))
+                continue
+            moved = retract(c, h, 0.7)
+            assert np.array_equal(moved.nodes, expected)
+            verdicts.append("accepted")
+    assert verdicts.count("accepted") >= 10
+    assert verdicts.count("retraction reversed the local orientation of the curve") >= 10
+
+    # pulling both neighbours of node 1 onto it leaves a chord of exactly
+    # zero there, which counts as reversed
+    c = DiscreteCurve([(-1, 0), (0, 0), (1, 0), (0, 2), (-1, 2), (-2, 2), (-3, 2),
+                       (-1.5, 1.5), (0, 1)])
+    h = np.zeros(9)
+    h[[0, 2]] = -1.0
+    with pytest.raises(ShapeDegenerate, match="reversed"):
+        _retract_roll(c, h)
+    with pytest.raises(ShapeDegenerate, match="reversed"):
+        retract(c, h)
+
+
 def test_retract_moves_along_normals():
     c = circle(100)
     grown = retract(c, np.full(100, 0.5))
@@ -275,6 +444,31 @@ def test_csv_roundtrip_exact(tmp_path):
     c.to_csv(path)
     back = DiscreteCurve.from_csv(path)
     npt.assert_array_equal(back.nodes, c.nodes)
+
+
+def _curve_csv_rowloop(nodes):
+    return "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in nodes)
+
+
+def _curve_json_rowloop(nodes):
+    return json.dumps({"nodes": [[float(x), float(y)] for x, y in nodes]}) + "\n"
+
+
+def test_serialization_bytes_match_row_loop(tmp_path):
+    rng = np.random.default_rng(37)
+    curves = [random_star_curve(n, rng) for n in (8, 100, 1600)]
+    odd = circle(16).nodes.copy()
+    odd[0] = [1.0, -0.0]
+    odd[4] = [1e-17, 1.0]
+    odd[8] = [-1.0, 1e-17]
+    curves.append(DiscreteCurve(odd))
+    for c in curves:
+        c.to_csv(tmp_path / "c.csv")
+        c.to_json(tmp_path / "c.json")
+        assert (tmp_path / "c.csv").read_bytes() == _curve_csv_rowloop(c.nodes).encode()
+        assert (tmp_path / "c.json").read_bytes() == _curve_json_rowloop(c.nodes).encode()
+    assert b"-0.0" in (tmp_path / "c.csv").read_bytes()
+    assert b"1e-17" in (tmp_path / "c.json").read_bytes()
 
 
 def test_json_roundtrip_exact(tmp_path):

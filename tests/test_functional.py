@@ -173,3 +173,36 @@ def test_step_objective_matches_roll_form_bit_for_bit():
         reference = _mso_step_objective_roll(c.nodes, step, 2.0)
         for t in rng.uniform(0.0, 2.0, 100):
             assert delta(t) == reference(t), (n, t)
+
+
+def _probe_setup(n, seed):
+    c = initial_shape(n)
+    rng = np.random.default_rng(seed)
+    h = 0.1 * np.cos(2.0 * c.params) + 0.02 * rng.standard_normal(n)
+    return c, h[:, None] * c.geometry.normal, rng
+
+
+def test_step_objective_probe_does_not_depend_on_earlier_probes():
+    c, step, rng = _probe_setup(400, 13)
+    ts = rng.uniform(0.0, 2.0, 51)
+    for t in ts[:5]:
+        first = mso_step_objective(c.nodes, step, 2.0)(t)
+        phi = mso_step_objective(c.nodes, step, 2.0)
+        for other in rng.permutation(ts[ts != t]):
+            phi(other)
+        later = phi(t)
+        assert type(later) is float
+        assert later == first, t
+
+
+def test_step_objective_closures_do_not_share_buffers():
+    c, step, rng = _probe_setup(400, 19)
+    other_step = step * rng.uniform(0.5, 1.5, (400, 1))
+    ts = rng.uniform(0.0, 2.0, 40)
+    alone_a = [mso_step_objective(c.nodes, step, 2.0)(t) for t in ts]
+    alone_b = [mso_step_objective(c.nodes, other_step, 2.0)(t) for t in ts[::-1]]
+    phi_a = mso_step_objective(c.nodes, step, 2.0)
+    phi_b = mso_step_objective(c.nodes, other_step, 2.0)
+    for k, t in enumerate(ts):
+        assert phi_a(t) == alone_a[k]
+        assert phi_b(ts[::-1][k]) == alone_b[k]

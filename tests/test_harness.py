@@ -9,7 +9,10 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import ExperimentSpec, initial_shape, reference_ellipse, run_table1
+from shapeopt import (ExperimentSpec, IterationRecord, initial_shape,
+                      reference_ellipse, run_table1)
+from shapeopt.errors import LineSearchFailed
+from shapeopt.harness import cli
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
 from shapeopt.harness.svg import _polyline, render_curves
@@ -105,6 +108,22 @@ def test_cli_run_newton(tmp_path, capsys):
     assert summary["final_distance"] < 1e-7
     assert (tmp_path / "run_newton.csv").exists()
     assert (tmp_path / "iterates_newton.svg").exists()
+
+
+def test_cli_run_writes_partial_outputs_on_solver_error(tmp_path, monkeypatch, capsys):
+    def failing_optimize(c0, f, config):
+        exc = LineSearchFailed("no decrease")
+        exc.records = [IterationRecord(index=k, objective=float(k), nodes=(1.0 + k) * c0.nodes)
+                       for k in range(2)]
+        raise exc
+
+    monkeypatch.setattr(cli, "optimize", failing_optimize)
+    code = main(["run", "--method", "newton-general", "--nodes", "40", "--out", str(tmp_path)])
+    assert code == 2
+    assert "no decrease" in capsys.readouterr().err
+    rows = (tmp_path / "run_newton-general.csv").read_text().splitlines()
+    assert len(rows) == 3  # header plus the two partial records
+    assert polyline_count(tmp_path / "iterates_newton-general.svg") == 2
 
 
 def test_cli_table1(tmp_path, capsys):
