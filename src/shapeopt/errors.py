@@ -1,8 +1,8 @@
 """Exception hierarchy for shapeopt.
 
 Every error raised by the library derives from ShapeOptError so callers can
-catch the whole family at an API boundary.  Solver-loop errors carry the
-partial iteration history in a ``records`` attribute when available.
+catch the whole family at an API boundary.  Once a run has started,
+``solver.optimize`` returns such an error as its last record's ``stop``.
 """
 
 

@@ -7,7 +7,8 @@
 
 A JSON config file mirroring ExperimentSpec may supply defaults via
 --config; explicit flags override it.  Exit codes: 0 success, 1 property
-suite failure, 2 solver error, 3 bad input.
+suite failure, 2 a run stopped on a solver error (outputs still written),
+3 bad input.
 """
 
 import argparse
@@ -19,10 +20,9 @@ from ..curve import DiscreteCurve
 from ..errors import ShapeOptError
 from ..functional import VolumeFunctional
 from ..solver import (NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
-                      STEEPEST_DESCENT, SolverConfig, convergence_diagnostics,
-                      optimize)
-from .experiment import (METHOD_SLUGS, ExperimentSpec, _write_csv,
-                         initial_shape, run_table1)
+                      STEEPEST_DESCENT, STOP_REASONS, SolverConfig)
+from .experiment import (METHOD_SLUGS, ExperimentSpec, initial_shape,
+                         run_table1, solve_and_write)
 from .properties import run_property_suite
 from .svg import render_curves
 
@@ -57,8 +57,9 @@ def _add_spec_flags(p):
                    help="JSON file with ExperimentSpec fields; flags override")
 
 
-def _build_spec(args):
-    values = {}
+def _build_spec(args, **defaults):
+    """ExperimentSpec from defaults, then the --config file, then flags."""
+    values = dict(defaults)
     if args.config is not None:
         with open(args.config, "r", encoding="ascii") as fh:
             raw = json.load(fh)
@@ -74,63 +75,55 @@ def _build_spec(args):
                 raise ValueError(f"unknown method {exc.args[0]!r} in config; "
                                  f"expected among {sorted(CLI_METHODS)}") from exc
     overrides = {"mu": args.mu, "N": args.nodes, "A": args.metric_a,
-                 "seed": args.seed, "output_dir": args.out}
+                 "seed": args.seed, "output_dir": args.out,
+                 # only `run` has --stop-distance
+                 "stop_distance": getattr(args, "stop_distance", None)}
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
     return ExperimentSpec(**values)
 
 
+def _exit_code(stops):
+    return EXIT_OK if all(stop in STOP_REASONS for stop in stops) else EXIT_SOLVER_ERROR
+
+
 def cmd_table1(args):
-    spec = _build_spec(args)
-    try:
-        report = run_table1(spec)
-    except ShapeOptError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
+    report = run_table1(_build_spec(args))
     for slug, data in report["methods"].items():
-        rows = len(data["rows"])
         final = data["rows"][-1]
-        print(f"{slug}: {rows - 1} iterations, final f = {final['f']:.6f}, "
-              f"final distance = {final['dbar']:.3e}")
+        print(f"{slug}: {final['k']} iterations, final f = {final['f']:.6f}, "
+              f"final distance = {final['dbar']:.3e}, stop = {data['stop']}")
         print(f"  {data['csv']}\n  {data['svg']}")
     print(f"comparison: {report['table_text']}, {report['table_json']}")
-    return EXIT_OK
+    return _exit_code(data["stop"] for data in report["methods"].values())
 
 
 def cmd_run(args):
-    spec = _build_spec(args)
+    spec = _build_spec(args, stop_distance=1e-7)
     method = CLI_METHODS[args.method]
     slug = METHOD_SLUGS[method]
-    stop = 1e-7 if args.stop_distance is None else args.stop_distance
-    config = SolverConfig(method=method, A=spec.A,
-                          max_iterations=args.max_iterations, stop_distance=stop)
+    config = SolverConfig(method=method, A=spec.A, max_iterations=args.max_iterations,
+                          stop_distance=spec.stop_distance)
     f = VolumeFunctional.quadratic_mso(spec.mu)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        records = optimize(initial_shape(spec.N), f, config)
-    except ShapeOptError as exc:
-        partial = getattr(exc, "records", [])
-        if partial:
-            _write_csv(out / f"run_{slug}.csv", partial)
-            render_curves([r.nodes for r in partial], out / f"iterates_{slug}.svg")
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
-    _write_csv(out / f"run_{slug}.csv", records)
-    render_curves([r.nodes for r in records], out / f"iterates_{slug}.svg")
+    csv_path = out / f"run_{slug}.csv"
+    svg_path = out / f"iterates_{slug}.svg"
+    records, diagnostics = solve_and_write(initial_shape(spec.N), f, config,
+                                           csv_path, svg_path)
     summary = {
         "method": slug,
         "iterations": len(records) - 1,
         "final_objective": records[-1].objective,
         "final_distance": records[-1].distance,
-        "csv": str(out / f"run_{slug}.csv"),
-        "svg": str(out / f"iterates_{slug}.svg"),
+        "stop": records[-1].stop,
+        "csv": str(csv_path),
+        "svg": str(svg_path),
+        "diagnostics": diagnostics,
     }
-    if len(records) >= 3:
-        summary["diagnostics"] = convergence_diagnostics(records)
     print(json.dumps(summary, indent=1))
-    return EXIT_OK
+    return _exit_code([records[-1].stop])
 
 
 def cmd_verify(args):

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from ..curve import DiscreteCurve
-from ..errors import InsufficientData, ShapeOptError
 from ..functional import VolumeFunctional
 from ..solver import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                       STEEPEST_DESCENT, SolverConfig, convergence_diagnostics,
@@ -24,7 +23,12 @@ METHOD_SLUGS = {
     NEWTON_GENERAL_FORM: "newton-general",
 }
 
-CSV_HEADER = "k,f,dbar,alpha,step_norm,contraction_ratio,quadratic_ratio"
+# (column, IterationRecord attribute) of the per-iteration CSV and JSON rows
+COLUMNS = (("k", "index"), ("f", "objective"), ("dbar", "distance"),
+           ("alpha", "step_scale"), ("step_norm", "step_norm"),
+           ("contraction_ratio", "contraction_ratio"),
+           ("quadratic_ratio", "quadratic_ratio"))
+CSV_HEADER = ",".join(column for column, _ in COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -87,18 +91,21 @@ def _write_csv(path, records):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            row = (r.index, r.objective, r.distance, r.step_scale, r.step_norm,
-                   r.contraction_ratio, r.quadratic_ratio)
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(getattr(r, attr)) for _, attr in COLUMNS) + "\n")
 
 
 def _rows_json(records):
-    return [
-        {"k": r.index, "f": r.objective, "dbar": r.distance, "alpha": r.step_scale,
-         "step_norm": r.step_norm, "contraction_ratio": r.contraction_ratio,
-         "quadratic_ratio": r.quadratic_ratio}
-        for r in records
-    ]
+    return [{column: getattr(r, attr) for column, attr in COLUMNS} for r in records]
+
+
+def solve_and_write(c0, f, config, csv_path, svg_path):
+    """Optimize from c0, write the CSV and the SVG of the iterates, and
+    return (records, diagnostics), diagnostics None below three records."""
+    records = optimize(c0, f, config)
+    _write_csv(csv_path, records)
+    render_curves([r.nodes for r in records], svg_path)
+    diagnostics = convergence_diagnostics(records) if len(records) >= 3 else None
+    return records, diagnostics
 
 
 def _comparison_text(per_method):
@@ -131,10 +138,11 @@ def run_table1(spec):
     Per method: <out>/table1_<slug>.csv (one row per visited curve) and
     <out>/iterates_<slug>.svg (all iterates, blue start to red finish).
     Across methods: table1.txt (side-by-side) and table1.json (full
-    precision rows plus late-phase diagnostics).  Outputs are byte-stable
-    for a fixed spec.  On a solver error the partial trajectory is
-    flushed before the error propagates.  Returns a report dict with the
-    records, diagnostics, and output paths.
+    precision rows, late-phase diagnostics and each run's stop reason).
+    Outputs are byte-stable for a fixed spec.  A run that a solver error
+    ends still writes every artifact, and its stop names the error.
+    Returns a report dict with the records, stop reasons, diagnostics,
+    and output paths.
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,25 +154,13 @@ def run_table1(spec):
         slug = METHOD_SLUGS[method]
         config = SolverConfig(method=method, A=spec.A,
                               stop_distance=spec.stop_distance)
-        try:
-            records = optimize(c0, f, config)
-        except ShapeOptError as exc:
-            partial = getattr(exc, "records", [])
-            if partial:
-                _write_csv(out / f"table1_{slug}.csv", partial)
-                render_curves([r.nodes for r in partial], out / f"iterates_{slug}.svg")
-            raise
         csv_path = out / f"table1_{slug}.csv"
         svg_path = out / f"iterates_{slug}.svg"
-        _write_csv(csv_path, records)
-        render_curves([r.nodes for r in records], svg_path)
-        try:
-            diagnostics = convergence_diagnostics(records)
-        except InsufficientData:
-            diagnostics = None
+        records, diagnostics = solve_and_write(c0, f, config, csv_path, svg_path)
         per_method[slug] = records
         report["methods"][slug] = {
             "rows": _rows_json(records),
+            "stop": records[-1].stop,
             "diagnostics": diagnostics,
             "csv": str(csv_path),
             "svg": str(svg_path),

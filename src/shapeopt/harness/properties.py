@@ -221,12 +221,14 @@ def _solver_checks():
                               "<", 1e-5))
     early = [r.objective for r in finals["sd"][:11]]
     entries.append(_entry("sd_monotone_min_early_decrease",
-                          min(a - b for a, b in zip(early, early[1:])), ">", 0.0))
+                          min((a - b for a, b in zip(early, early[1:])), default=-np.inf),
+                          ">", 0.0))
     ratios = [r.contraction_ratio for r in finals["newton"]
               if r.contraction_ratio is not None]
     tail = ratios[-3:]
     entries.append(_entry("newton_contraction_monotone_max_diff",
-                          max(b - a for a, b in zip(tail, tail[1:])), "<", 0.0))
+                          max((b - a for a, b in zip(tail, tail[1:])), default=np.inf),
+                          "<", 0.0))
     return entries
 
 

@@ -19,7 +19,7 @@ from statistics import median
 
 import numpy as np
 
-from .calculus import HessianOperator, hessian_at_solution, solve_hessian
+from .calculus import HessianOperator, solve_hessian
 from .curve import as_field, retract
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      NotStarShaped, ProjectionFailed, ShapeDegenerate,
@@ -32,6 +32,7 @@ STEEPEST_DESCENT = "steepest-descent"
 NEWTON_MULTIPLICATIVE = "newton-multiplicative"
 NEWTON_GENERAL_FORM = "newton-general-form"
 METHODS = (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE, NEWTON_GENERAL_FORM)
+STOP_REASONS = ("distance", "step", "max_iterations")
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,6 +89,7 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.stop_distance > 0.0:
             raise ValueError("stop_distance must be positive")
+        as_params(self.A)  # rejects a negative or non-finite A now, not at first use
         if self.line_search is not None and not isinstance(
                 self.line_search, (ExactLineSearch, FixedStep)):
             raise ValueError("line_search must be ExactLineSearch, FixedStep, or None")
@@ -102,10 +104,13 @@ class IterationRecord:
     """One row of an optimization run.
 
     distance is present when a distance surrogate is available (see
-    ``optimize``); step fields are absent on the final row.
+    ``optimize``); step fields are absent on the final row unless an
+    error ended the run after the step was chosen.
     contraction_ratio on row k is |step_{k+1}| / |step_k| and
     quadratic_ratio is distance_{k+1} / distance_k**2, both filled in
-    retroactively once the next iterate exists.
+    retroactively once the next iterate exists.  stop is set on the last
+    row only: one of STOP_REASONS, or "<ClassName>: <message>" of the
+    error that ended the run.
     """
     index: int
     objective: float
@@ -115,6 +120,7 @@ class IterationRecord:
     step_norm: float = None
     contraction_ratio: float = None
     quadratic_ratio: float = None
+    stop: str = None
 
 
 def step_direction(c, f, config):
@@ -131,10 +137,7 @@ def step_direction(c, f, config):
     if config.method == STEEPEST_DESCENT:
         return -grad
     if config.method == NEWTON_MULTIPLICATIVE:
-        if f.is_quadratic_mso:
-            H = hessian_at_solution(c, f.mu)
-        else:
-            H = HessianOperator.multiplication(c, dpsi_dn)
+        H = HessianOperator.multiplication(c, dpsi_dn)
     else:
         H = HessianOperator.general_form(c, params, (g, dpsi_dn))
     return -solve_hessian(H, grad)
@@ -147,7 +150,7 @@ def _decrease_function(c, f, direction):
     other functionals evaluate the fan quadrature on the moved polygon,
     with inadmissible probes scored +inf so brackets shrink below them.
     """
-    if getattr(f, "is_quadratic_mso", False):
+    if f.is_quadratic_mso:
         step_vec = direction[:, None] * c.geometry.normal
         return mso_step_objective(c.nodes, step_vec, f.mu)
     f0 = f.evaluate(c)
@@ -249,7 +252,7 @@ def _choose_step(c, f, direction, line_search):
 
 
 def _iterate_distance(c, f, reference):
-    if getattr(f, "is_quadratic_mso", False):
+    if f.is_quadratic_mso:
         return distance_bar(c, f.mu)
     if reference is not None:
         try:
@@ -269,14 +272,15 @@ def optimize(c0, f, config, reference=None):
     and absent otherwise; a row whose curve the reference's normal lines
     cannot represent records distance None and the run goes on.
     Stopping: distance < config.stop_distance when a distance is
-    monitored, step norm < stop_distance otherwise, or max_iterations.
-    Solver errors are re-raised with the partial record list attached as
-    ``exc.records``.
+    monitored, step norm < stop_distance otherwise, max_iterations, or a
+    ShapeOptError after the starting record, which ends the run on the
+    row it interrupted.  The last record's ``stop`` names the reason; a
+    start that cannot be recorded raises.
     """
     records = []
     c = c0
     params = config.metric
-    stop_on_step = False
+    stop = None
     try:
         for k in range(config.max_iterations + 1):
             rec = IterationRecord(index=k, objective=f.evaluate(c),
@@ -284,8 +288,10 @@ def optimize(c0, f, config, reference=None):
                                   distance=_iterate_distance(c, f, reference))
             records.append(rec)
             if rec.distance is not None and rec.distance < config.stop_distance:
-                break
-            if stop_on_step or k == config.max_iterations:
+                stop = "distance"
+            elif stop is None and k == config.max_iterations:
+                stop = "max_iterations"
+            if stop is not None:
                 break
             direction = step_direction(c, f, config)
             t = _choose_step(c, f, direction, config.line_search)
@@ -295,14 +301,16 @@ def optimize(c0, f, config, reference=None):
                 records[k - 1].contraction_ratio = rec.step_norm / records[k - 1].step_norm
             c = retract(c, direction, t)
             if rec.distance is None and rec.step_norm < config.stop_distance:
-                stop_on_step = True
-        for prev, nxt in zip(records, records[1:]):
-            if prev.distance and nxt.distance is not None:
-                prev.quadratic_ratio = nxt.distance / prev.distance ** 2
-        return records
+                stop = "step"  # on the next row, unless its distance stops first
     except ShapeOptError as exc:
-        exc.records = records
-        raise
+        if not records:
+            raise  # the start itself is inadmissible
+        stop = f"{type(exc).__name__}: {exc}"
+    for prev, nxt in zip(records, records[1:]):
+        if prev.distance and nxt.distance is not None:
+            prev.quadratic_ratio = nxt.distance / prev.distance ** 2
+    records[-1].stop = stop
+    return records
 
 
 def convergence_diagnostics(records):

@@ -11,8 +11,7 @@ import pytest
 from conftest import circle
 from shapeopt import (ExperimentSpec, IterationRecord, initial_shape,
                       reference_ellipse, run_table1)
-from shapeopt.errors import LineSearchFailed
-from shapeopt.harness import cli
+from shapeopt.harness import properties
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
 from shapeopt.harness.svg import _polyline, render_curves
@@ -110,26 +109,30 @@ def test_cli_run_newton(tmp_path, capsys):
     assert (tmp_path / "iterates_newton.svg").exists()
 
 
-def test_cli_run_writes_partial_outputs_on_solver_error(tmp_path, monkeypatch, capsys):
-    def failing_optimize(c0, f, config):
-        exc = LineSearchFailed("no decrease")
-        exc.records = [IterationRecord(index=k, objective=float(k), nodes=(1.0 + k) * c0.nodes)
-                       for k in range(2)]
-        raise exc
-
-    monkeypatch.setattr(cli, "optimize", failing_optimize)
-    code = main(["run", "--method", "newton-general", "--nodes", "40", "--out", str(tmp_path)])
+def test_cli_run_writes_partial_outputs_on_solver_error(tmp_path, capsys):
+    # at mu=3 the second Newton step leaves the admissible set
+    code = main(["run", "--method", "newton", "--mu", "3", "--out", str(tmp_path)])
     assert code == 2
-    assert "no decrease" in capsys.readouterr().err
-    rows = (tmp_path / "run_newton-general.csv").read_text().splitlines()
+    assert json.loads(capsys.readouterr().out)["stop"].startswith("ShapeDegenerate: ")
+    rows = (tmp_path / "run_newton.csv").read_text().splitlines()
     assert len(rows) == 3  # header plus the two partial records
-    assert polyline_count(tmp_path / "iterates_newton-general.svg") == 2
+    assert polyline_count(tmp_path / "iterates_newton.svg") == 2
 
 
 def test_cli_table1(tmp_path, capsys):
-    assert main(["table1", "--out", str(tmp_path)]) == 0
+    assert main(["table1", "--out", str(tmp_path / "mu2")]) == 0
     assert "newton" in capsys.readouterr().out
-    assert (tmp_path / "table1.txt").exists()
+    table = json.loads((tmp_path / "mu2" / "table1.json").read_text())
+    assert [m["stop"] for m in table["methods"].values()] == ["distance", "distance"]
+    # both methods fail at mu=3; every artifact is still written
+    assert main(["table1", "--mu", "3", "--out", str(tmp_path / "mu3")]) == 2
+    capsys.readouterr()
+    table = json.loads((tmp_path / "mu3" / "table1.json").read_text())
+    assert all(m["stop"].startswith("ShapeDegenerate: ")
+               for m in table["methods"].values())
+    for name in ("table1.txt", "table1_sd.csv", "table1_newton.csv",
+                 "iterates_sd.svg", "iterates_newton.svg"):
+        assert (tmp_path / "mu3" / name).exists(), name
 
 
 def test_cli_verify(tmp_path, capsys):
@@ -138,6 +141,17 @@ def test_cli_verify(tmp_path, capsys):
     assert "FAIL" not in out
     report = json.loads((tmp_path / "properties.json").read_text())
     assert report["passed"] is True
+
+
+def test_property_solver_checks_report_a_failed_solve(monkeypatch):
+    def failed_solve(c0, f, config):
+        return [IterationRecord(index=0, objective=f.evaluate(c0), nodes=c0.nodes,
+                                stop="LineSearchFailed: no decrease")]
+
+    monkeypatch.setattr(properties, "optimize", failed_solve)
+    entries = properties._solver_checks()
+    assert len(entries) == 4
+    assert not any(e["passed"] for e in entries)
 
 
 def test_cli_render_roundtrip(tmp_path):
@@ -157,6 +171,19 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     rows = (tmp_path / "run_newton.csv").read_text().splitlines()
     assert summary["iterations"] + 2 == len(rows)  # header plus one row per curve
+
+
+def test_cli_run_stop_distance_precedence(tmp_path, capsys):
+    def iterations(*argv):
+        assert main(["run", "--method", "sd", "--out", str(tmp_path), *argv]) == 0
+        return json.loads(capsys.readouterr().out)["iterations"]
+
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"stop_distance": 0.01}))
+    from_config = iterations("--config", str(cfg))
+    assert from_config == iterations("--stop-distance", "0.01") == 4
+    assert iterations("--config", str(cfg), "--stop-distance", "0.1") < from_config
+    assert iterations() > from_config  # default 1e-7
 
 
 def test_cli_bad_inputs(tmp_path, capsys):

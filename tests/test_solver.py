@@ -8,16 +8,18 @@ import pytest
 from conftest import circle
 import shapeopt.solver as solver
 from shapeopt import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
-                      STEEPEST_DESCENT, ExactLineSearch, ExperimentSpec,
+                      STEEPEST_DESCENT, DiscreteCurve, ExactLineSearch,
+                      ExperimentSpec, HessianOperator,
                       FixedStep, IterationRecord, SolverConfig,
                       VolumeFunctional, convergence_diagnostics,
-                      line_search_exact, norm, optimize, retract,
-                      riesz_gradient, step_direction)
+                      hessian_at_solution, line_search_exact, norm,
+                      optimize, retract, riesz_gradient, step_direction)
 from shapeopt.curve import as_field
-from shapeopt.errors import InsufficientData, LineSearchFailed, ShapeOptError
+from shapeopt.errors import (InsufficientData, LineSearchFailed, NotStarShaped,
+                             ShapeOptError)
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import initial_shape, reference_ellipse
-from shapeopt.harness.properties import low_frequency_field
+from shapeopt.harness.properties import low_frequency_field, random_star_curve
 from shapeopt.solver import GOLDEN, _decrease_function
 
 F2 = VolumeFunctional.quadratic_mso(2.0)
@@ -117,6 +119,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(stop_distance=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(A=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(A=np.nan)
+    with pytest.raises(ValueError):
         ExactLineSearch(bracket_max=-1.0)
     with pytest.raises(ValueError):
         ExactLineSearch(tolerance=3.0)  # above bracket_max
@@ -148,6 +154,23 @@ def test_newton_direction_on_inflated_circle():
     f1 = VolumeFunctional.quadratic_mso(1.0)
     d = step_direction(c, f1, SolverConfig(method=NEWTON_MULTIPLICATIVE))
     npt.assert_allclose(d, -0.44 / 2.4, atol=1e-3)
+
+
+def test_multiplicative_newton_operator_is_hessian_at_solution():
+    # for the quadratic family dpsi_dn = 2 x n1 + 2 mu^2 y n2 equals
+    # hessian_at_solution's 2 (x n1 + mu^2 y n2) bit for bit
+    curves = [r.nodes for method in TABLE1_STEP_SCALES for r in _table1_run(method)]
+    for n in (100, 400):
+        rng = np.random.default_rng(n)
+        curves += [initial_shape(n).nodes, random_star_curve(n, rng).nodes]
+        curves += [c.nodes for c in _warm_starts(n, 2)]
+    for mu in (1.0, 1.3, 2.0, 3.0):
+        f = VolumeFunctional.quadratic_mso(mu)
+        for nodes in curves:
+            c = DiscreteCurve(nodes, require_simple=False)
+            _, dpsi_dn = boundary_kernel(c, f)
+            npt.assert_array_equal(HessianOperator.multiplication(c, dpsi_dn).d,
+                                   hessian_at_solution(c, mu).d)
 
 
 def test_all_directions_vanish_at_solution():
@@ -249,6 +272,8 @@ def test_optimize_monotone_descent_and_record_shape():
     assert all(b < a for a, b in zip(objectives, objectives[1:]))
     assert records[-1].distance < 1e-7
     assert records[-1].step_scale is None and records[-1].step_norm is None
+    assert records[-1].stop == "distance"
+    assert all(r.stop is None for r in records[:-1])
     for prev, nxt in zip(records[:-2], records[1:-1]):
         assert abs(prev.contraction_ratio - nxt.step_norm / prev.step_norm) < 1e-15
         assert abs(prev.quadratic_ratio - nxt.distance / prev.distance ** 2) < 1e-12
@@ -265,6 +290,16 @@ def test_optimize_respects_iteration_cap():
     records = optimize(initial_shape(100), F2,
                        SolverConfig(method=STEEPEST_DESCENT, max_iterations=3))
     assert len(records) == 4
+    assert records[-1].stop == "max_iterations"
+
+
+def test_optimize_stops_on_step_without_distance():
+    area = VolumeFunctional.custom(lambda pts: np.ones(len(pts)),
+                                   lambda pts: np.zeros_like(pts))
+    cfg = SolverConfig(method=STEEPEST_DESCENT, line_search=FixedStep(1e-9))
+    records = optimize(circle(100), area, cfg)
+    assert records[0].step_norm < cfg.stop_distance
+    assert [r.stop for r in records] == [None, "step"]
 
 
 def test_optimize_fixed_step():
@@ -317,12 +352,17 @@ def test_optimize_survives_monitoring_failure():
         assert records[0].quadratic_ratio is None, method
 
 
-def test_optimize_attaches_partial_records_on_failure():
+def test_optimize_returns_partial_records_on_failure():
+    c0 = initial_shape(100)
     cfg = SolverConfig(method=STEEPEST_DESCENT, line_search=FixedStep(50.0))
-    with pytest.raises(ShapeOptError) as info:
-        optimize(initial_shape(100), F2, cfg)
-    assert len(info.value.records) >= 1
-    assert info.value.records[0].objective == pytest.approx(F2.evaluate(initial_shape(100)))
+    records = optimize(c0, F2, cfg)  # the step of row 0 cannot be retracted
+    assert len(records) == 1
+    assert records[0].objective == pytest.approx(F2.evaluate(c0))
+    assert records[0].step_scale == 50.0
+    assert records[0].stop.startswith("ShapeDegenerate: ")
+    # an inadmissible start is an error of the input, not a stop
+    with pytest.raises(NotStarShaped):
+        optimize(DiscreteCurve(circle(100).nodes + 5.0), F2, cfg)
 
 
 def test_diagnostics_require_three_records():
