@@ -49,8 +49,8 @@ class VolumeFunctional:
     def quadratic_mso(cls, mu):
         """psi(x) = x1^2 + mu^2 x2^2 - 1 with its exact gradient."""
         mu = float(mu)
-        if not mu >= 1.0:
-            raise ValueError(f"mu must be >= 1, got {mu}")
+        if not (mu >= 1.0 and np.isfinite(mu * mu)):
+            raise ValueError(f"mu must be >= 1 with a finite mu^2, got {mu}")
 
         def psi(p):
             p = np.asarray(p, dtype=float)

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..curve import DiscreteCurve
 from ..functional import VolumeFunctional
+from ..metric import as_params
 from ..solver import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                       STEEPEST_DESCENT, SolverConfig, convergence_diagnostics,
                       optimize)
@@ -50,12 +51,10 @@ class ExperimentSpec:
     stop_distance: float = 5e-9
 
     def __post_init__(self):
-        if not self.mu >= 1.0:
-            raise ValueError("mu must be >= 1")
+        VolumeFunctional.quadratic_mso(self.mu)  # rejects mu < 1 or a non-finite mu^2
         if self.N < 8:
             raise ValueError("N must be >= 8")
-        if not self.A >= 0.0:
-            raise ValueError("A must be >= 0")
+        as_params(self.A)  # rejects a negative or non-finite A
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected among {METHODS}")

@@ -1,8 +1,10 @@
 """Static SVG emitter for curve iterates.
 
-One closed polyline per curve inside a fixed [-1.2, 1.2]^2 viewBox, with
-a blue-to-red ramp over the sequence (first curve blue, last red).  The
-y axis is flipped so the plane's orientation matches the picture.
+One closed polyline per curve, blue-to-red over the sequence, y flipped so
+the plane's orientation matches the picture.  Points are integers in units
+of 1e-5 of the plane (np.rint of 1e5 x): a drawing at 1e-5 resolution in
+the viewBox "-120000 -120000 240000 240000", which is [-1.2, 1.2]^2.  The
+exact nodes live in the CSV and JSON outputs.
 """
 
 import numpy as np
@@ -15,24 +17,22 @@ def _ramp(i, count):
 
 
 def _polyline(nodes, color):
-    xy = np.column_stack([nodes[:, 0], -nodes[:, 1]])
-    # tolist() yields Python floats, whose repr is the shortest round-trip
-    pts = " ".join(f"{x!r},{y!r}" for x, y in np.vstack([xy, xy[:1]]).tolist())
-    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="0.012" />')
+    q = np.rint(np.column_stack([nodes[:, 0], -nodes[:, 1]]) * 100000.0)
+    # %d of a Python float prints its integral value, never "-0", and cannot overflow
+    pts = ("%d,%d " * (len(q) + 1))[:-1] % tuple(np.vstack([q, q[:1]]).ravel().tolist())
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1200" />'
 
 
 def render_curves(node_arrays, path):
     """Write the curves (a sequence of (N, 2) node arrays) to an SVG file
-    and return the path."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.2 -1.2 2.4 2.4">',
-    ]
-    count = len(node_arrays)
+    and return the path; ValueError if a node is not finite."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" '
+             'viewBox="-120000 -120000 240000 240000">']
     for i, nodes in enumerate(node_arrays):
-        lines.append(_polyline(nodes, _ramp(i, count)))
-    lines.append("</svg>")
+        if not np.isfinite(nodes).all():
+            raise ValueError(f"curve {i} has a node that is not finite")
+        lines.append(_polyline(nodes, _ramp(i, len(node_arrays))))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n</svg>\n")
     return path

@@ -25,12 +25,14 @@ def polyline_count(path):
 def test_spec_validation():
     spec = ExperimentSpec()
     assert (spec.mu, spec.N, spec.A) == (2.0, 100, 0.0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(mu=0.5)
+    for mu in (0.5, float("nan"), float("inf"), 1e300):  # 1e300**2 overflows
+        with pytest.raises(ValueError):
+            ExperimentSpec(mu=mu)
     with pytest.raises(ValueError):
         ExperimentSpec(N=4)
-    with pytest.raises(ValueError):
-        ExperimentSpec(A=-1.0)
+    for A in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentSpec(A=A)
     with pytest.raises(ValueError):
         ExperimentSpec(methods=("downhill-simplex",))
     with pytest.raises(ValueError):
@@ -88,16 +90,43 @@ def test_render_curves(tmp_path):
     out = tmp_path / "fig.svg"
     render_curves([circle(50).nodes, circle(50, 0.5).nodes], out)
     root = ET.parse(out).getroot()
-    assert root.get("viewBox") == "-1.2 -1.2 2.4 2.4"
+    assert root.get("viewBox") == "-120000 -120000 240000 240000"
     assert polyline_count(out) == 2
 
 
+def test_render_curves_rejects_non_finite_nodes(tmp_path):
+    bad = circle(20).nodes.copy()
+    bad[3, 1] = np.nan
+    out = tmp_path / "fig.svg"
+    with pytest.raises(ValueError, match="curve 1 "):
+        render_curves([circle(20).nodes, bad], out)
+    assert not out.exists()
+
+
 def test_polyline_points_format():
-    # y is negated, so a node with y == 0.0 prints -0.0; the first node closes the loop
+    # points are integers in units of 1e-5 with y negated; a node with y == 0.0
+    # prints 0, never -0; the first node closes the loop
     nodes = np.array([[1.0, 0.0], [0.1, 0.3], [-0.5, -1e-17], [0.0, -0.25]])
     assert _polyline(nodes, "rgb(0,0,255)") == (
-        '<polyline points="1.0,-0.0 0.1,-0.3 -0.5,1e-17 0.0,0.25 1.0,-0.0" '
-        'fill="none" stroke="rgb(0,0,255)" stroke-width="0.012" />')
+        '<polyline points="100000,0 10000,-30000 -50000,0 0,25000 100000,0" '
+        'fill="none" stroke="rgb(0,0,255)" stroke-width="1200" />')
+
+
+def test_run_table1_svg_points_are_scaled_integers(tmp_path):
+    report = run_table1(ExperimentSpec(output_dir=str(tmp_path)))
+    for slug, records in report["records"].items():
+        root = ET.parse(tmp_path / f"iterates_{slug}.svg").getroot()
+        assert root.get("viewBox") == "-120000 -120000 240000 240000"
+        polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert len(polylines) == len(records) == len(report["methods"][slug]["rows"])
+        for el, record in zip(polylines, records):
+            tokens = el.get("points").replace(",", " ").split()
+            assert all(t.lstrip("-").isdigit() for t in tokens), slug
+            assert not any(t.startswith("-0") for t in tokens), slug
+            points = np.array([int(t) for t in tokens], dtype=float).reshape(-1, 2)
+            assert (points[-1] == points[0]).all()
+            expected = np.column_stack([record.nodes[:, 0], -record.nodes[:, 1]])
+            assert np.abs(points[:-1] / 1e5 - expected).max() <= 0.5e-5 + 1e-9
 
 
 def test_cli_run_newton(tmp_path, capsys):
@@ -193,7 +222,10 @@ def test_cli_bad_inputs(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--method", "simplex", "--out", str(tmp_path)])
     assert info.value.code == 3
-    assert main(["table1", "--mu", "0.5", "--out", str(tmp_path)]) == 3
+    for argv in (["--mu", "0.5"], ["--mu", "inf"], ["--mu", "1e300"],
+                 ["--metric-a", "inf"]):
+        assert main(["table1", *argv, "--out", str(tmp_path)]) == 3, argv
+    assert main(["run", "--method", "sd", "--mu", "1e300", "--out", str(tmp_path)]) == 3
     assert main(["render", "--input", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.svg")]) == 3
     capsys.readouterr()
