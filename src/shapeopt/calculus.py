@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (as_field, retract, row_norm, shift_next, shift_prev,
+from .curve import (as_field, retract, shift_next, shift_prev,
                     tangential_second_derivative)
 from .errors import SingularHessian
 from .functional import boundary_kernel, evaluate_general
@@ -146,7 +146,7 @@ class HessianOperator:
         coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
 
         # transpose of the second-difference stencil applied to E
-        dp = row_norm(shift_next(curve.nodes) - curve.nodes)
+        dp = curve.chords
         dm = shift_prev(dp)
         cm = 2.0 / (dm * (dm + dp))
         c0 = -2.0 / (dm * dp)

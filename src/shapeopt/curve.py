@@ -5,8 +5,17 @@ of the shape manifold are normal fields: one scalar per node, the field
 h = alpha * n.  Normal fields are passed around as plain 1-D float arrays;
 ``as_field`` validates them at operation boundaries.
 
-Derived geometry (unit tangent, outward unit normal, curvature, node
-quadrature weights) is computed once per curve and cached on first use.
+A curve is immutable, and what the solvers derive from its nodes is
+computed once per curve and kept on it, read-only:
+
+- ``chords``: the forward chord lengths |node_{i+1} - node_i|, computed by
+  the constructor's coincident-node check;
+- ``geometry``: unit tangent, outward unit normal, curvature and node
+  quadrature weights, computed on first use;
+- the polar pieces of ``functional.evaluate_mso`` and
+  ``functional.distance_bar`` (angle steps and stretched squared radii),
+  one entry per (mu, angles) on first successful use, so the objective
+  and the distance of one iterate share them.
 """
 
 import json
@@ -192,6 +201,9 @@ class DiscreteCurve:
     require_simple : when True (default) a self-intersecting polygon is
         rejected with ShapeDegenerate.  Pass False to build a
         non-admissible polygon on purpose, e.g. to feed check_simple.
+
+    ``nodes``, ``params`` and ``chords`` (the (N,) forward chord lengths)
+    are read-only arrays.
     """
 
     def __init__(self, nodes, params=None, require_simple=True):
@@ -201,10 +213,8 @@ class DiscreteCurve:
         n = nodes.shape[0]
         if n < MIN_NODES:
             raise DegenerateCurve(f"need at least {MIN_NODES} nodes, got {n}")
-        if not np.all(np.isfinite(nodes)):
-            raise DegenerateCurve("nodes contain non-finite coordinates")
-        if np.any(row_norm(shift_next(nodes) - nodes) == 0.0):
-            raise DegenerateCurve("consecutive nodes coincide")
+        _check_finite(nodes)
+        chords = _chords(nodes)
 
         if params is None:
             params = 2.0 * np.pi * np.arange(n) / n
@@ -222,15 +232,32 @@ class DiscreteCurve:
             nodes = nodes[order]
             gaps = np.diff(np.append(params, params[0] + 2 * np.pi))
             params = params[0] + np.concatenate([[0.0], np.cumsum(gaps[::-1][:-1])])
+            # chord i of the reversed polygon is chord N-1-i of the input
+            chords = chords[::-1].copy()
 
         if require_simple and not check_simple(nodes):
             raise ShapeDegenerate("polygon self-intersects")
+        self._set(nodes, params, chords)
 
-        nodes.setflags(write=False)
-        params.setflags(write=False)
+    @classmethod
+    def _admitted(cls, nodes, params):
+        """Curve on fresh finite nodes that have passed check_simple, and so
+        are counterclockwise, with the validated read-only params of the
+        curve they were moved from.  Only the coincident-node check runs."""
+        c = cls.__new__(cls)
+        c._set(nodes, params, _chords(nodes))
+        return c
+
+    def _set(self, nodes, params, chords):
+        for arr in (nodes, params, chords):
+            arr.setflags(write=False)
         self.nodes = nodes
         self.params = params
+        self.chords = chords
         self._geometry = None
+        # (mu, angles) -> read-only (angle steps, stretched rho^2); filled
+        # by functional._polar_pieces
+        self._polar = {}
 
     @property
     def n_nodes(self):
@@ -275,6 +302,20 @@ class DiscreteCurve:
         return cls(np.array(data["nodes"], dtype=float), **kwargs)
 
 
+def _check_finite(nodes):
+    if not np.all(np.isfinite(nodes)):
+        raise DegenerateCurve("nodes contain non-finite coordinates")
+
+
+def _chords(nodes):
+    """Forward chord lengths |node_{i+1} - node_i|; DegenerateCurve when
+    two consecutive nodes coincide."""
+    chords = row_norm(shift_next(nodes) - nodes)
+    if np.any(chords == 0.0):
+        raise DegenerateCurve("consecutive nodes coincide")
+    return chords
+
+
 def _param_gaps(params):
     """Forward parameter gaps d+ with periodic wrap, and backward gaps d-."""
     dp = np.diff(np.append(params, params[0] + 2 * np.pi))
@@ -282,32 +323,38 @@ def _param_gaps(params):
 
 
 def _compute_geometry(c):
+    # contiguous x and y columns: the same elementwise arithmetic as on the
+    # (N, 2) rows, so the same bits, with faster ufunc loops
     nodes = c.nodes
-    fp = shift_next(nodes)
-    fm = shift_prev(nodes)
-    central = fp - fm
-    norms = row_norm(central)
+    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
+    xp, yp = shift_next(x), shift_next(y)
+    xm, ym = shift_prev(x), shift_prev(y)
+    cx, cy = xp - xm, yp - ym
+    norms = np.sqrt(cx * cx + cy * cy)
     if np.any(norms == 0.0):
         raise DegenerateCurve("central difference stencil produced a zero tangent")
-    tangent = central / norms[:, None]
+    tx, ty = cx / norms, cy / norms
+    tangent = np.column_stack([tx, ty])
     # rotate by -90 degrees: outward for counterclockwise orientation
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    normal = np.column_stack([ty, -tx])
     # the backward chord at node i is the forward chord at node i-1
-    chord = row_norm(fp - nodes)
-    weights = 0.5 * (chord + shift_prev(chord))
+    weights = 0.5 * (c.chords + shift_prev(c.chords))
 
     # curvature kappa = (x'y'' - y'x'') / |(x', y')|^3 with three-point
     # stencils in the parameter; the nonuniform weights reduce to the
     # classical central differences on the equidistant grid
     dp, dm = _param_gaps(c.params)
-    den = (dm * dp * (dm + dp))[:, None]
-    d1 = (dm[:, None] ** 2 * fp - dp[:, None] ** 2 * fm
-          + ((dp ** 2 - dm ** 2))[:, None] * nodes) / den
-    d2 = 2.0 * (dm[:, None] * fp + dp[:, None] * fm - (dm + dp)[:, None] * nodes) / den
-    speed = row_norm(d1)
+    den = dm * dp * (dm + dp)
+    cp, cm, c0 = dm ** 2, dp ** 2, dp ** 2 - dm ** 2
+    d1x = (cp * xp - cm * xm + c0 * x) / den
+    d1y = (cp * yp - cm * ym + c0 * y) / den
+    s = dm + dp
+    d2x = 2.0 * (dm * xp + dp * xm - s * x) / den
+    d2y = 2.0 * (dm * yp + dp * ym - s * y) / den
+    speed = np.sqrt(d1x * d1x + d1y * d1y)
     if np.any(speed == 0.0):
         raise DegenerateCurve("zero speed in curvature stencil")
-    curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed ** 3
+    curvature = (d1x * d2y - d1y * d2x) / speed ** 3
     return CurveGeometry(tangent, normal, curvature, weights)
 
 
@@ -322,6 +369,8 @@ def retract(c, h, t=1.0):
     curve through itself and out the other side (for example a unit
     circle moved inward by 1.5), which end simple and counterclockwise
     again and so would slip past a pure self-intersection check.
+    DegenerateCurve is raised when a moved node is not finite or two
+    consecutive moved nodes coincide.
     """
     h = as_field(c, h, "h")
     geo = c.geometry
@@ -330,9 +379,10 @@ def retract(c, h, t=1.0):
     tan = geo.tangent
     if np.any(chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0):
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
+    _check_finite(nodes)
     if not check_simple(nodes):
         raise ShapeDegenerate("retracted polygon self-intersects")
-    return DiscreteCurve(nodes, params=c.params, require_simple=False)
+    return DiscreteCurve._admitted(nodes, c.params)
 
 
 def tangential_second_derivative(c, u):
@@ -346,7 +396,7 @@ def tangential_second_derivative(c, u):
     Exact for fields quadratic in arc length; second order on smooth data.
     """
     u = as_field(c, u, "u")
-    dp = row_norm(shift_next(c.nodes) - c.nodes)
+    dp = c.chords
     dm = shift_prev(dp)
     up = shift_next(u)
     um = shift_prev(u)

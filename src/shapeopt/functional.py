@@ -96,11 +96,21 @@ def _wrapped_angle_steps(nodes, where):
 
 
 def _polar_pieces(c, mu, angles, where):
-    nodes = c.nodes
-    base = nodes if angles == "nodes" else np.column_stack([nodes[:, 0], mu * nodes[:, 1]])
-    dang = _wrapped_angle_steps(base, where)
-    rho2 = nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2
-    return dang, rho2
+    """Angle steps and stretched squared radii of c, kept on the curve per
+    (mu, angles) so that evaluate_mso and distance_bar of one iterate
+    compute them once.  A NotStarShaped is not kept: each call that fails
+    raises again, naming its own caller ``where``."""
+    key = (mu, angles)
+    pieces = c._polar.get(key)
+    if pieces is None:
+        nodes = c.nodes
+        base = nodes if angles == "nodes" else np.column_stack([nodes[:, 0], mu * nodes[:, 1]])
+        dang = _wrapped_angle_steps(base, where)
+        rho2 = nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2
+        dang.setflags(write=False)
+        rho2.setflags(write=False)
+        pieces = c._polar[key] = (dang, rho2)
+    return pieces
 
 
 def evaluate_mso(c, mu, angles="nodes"):

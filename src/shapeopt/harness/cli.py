@@ -57,6 +57,14 @@ def _add_spec_flags(p):
                    help="JSON file with ExperimentSpec fields; flags override")
 
 
+# (JSON types, description) of each ExperimentSpec field a config file may
+# set; a bool is neither a number nor an integer here
+_NUMBER = ((int, float), "a number")
+_INTEGER = (int, "an integer")
+CONFIG_FIELDS = {"mu": _NUMBER, "N": _INTEGER, "A": _NUMBER, "seed": _INTEGER,
+                 "output_dir": (str, "a string"), "stop_distance": _NUMBER}
+
+
 def _build_spec(args, **defaults):
     """ExperimentSpec from defaults, then the --config file, then flags."""
     values = dict(defaults)
@@ -65,9 +73,12 @@ def _build_spec(args, **defaults):
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        for key in ("mu", "N", "A", "seed", "output_dir", "stop_distance"):
+        for key, (kind, description) in CONFIG_FIELDS.items():
             if key in raw:
-                values[key] = raw[key]
+                value = raw[key]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"config {key} must be {description}, got {value!r}")
+                values[key] = value
         if "methods" in raw:
             try:
                 values["methods"] = tuple(CLI_METHODS[m] for m in raw["methods"])

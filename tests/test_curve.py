@@ -14,6 +14,7 @@ from shapeopt import (CurveGeometry, DiscreteCurve, HessianOperator, VolumeFunct
 from shapeopt.curve import (_param_gaps, _segments_intersect, as_field, row_norm,
                             shift_next, shift_prev, signed_area)
 from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate, SingularHessian
+from shapeopt.functional import distance_bar, evaluate_mso
 from shapeopt.harness import reference_ellipse
 from shapeopt.harness.properties import random_star_curve
 from shapeopt.metric import as_params, metric_weight
@@ -436,6 +437,63 @@ def test_retract_rejects_folding_step():
     theta = circle(100).params
     with pytest.raises(ShapeDegenerate):
         retract(circle(100), 5.0 * np.sin(7.0 * theta), 1.0)
+
+
+def test_stored_chords_match_recomputation():
+    rng = np.random.default_rng(43)
+    for c in _oracle_curves(rng):
+        assert np.array_equal(c.chords, row_norm(shift_next(c.nodes) - c.nodes)), c.n_nodes
+        assert c.chords.flags.c_contiguous
+
+
+def test_stored_and_cached_arrays_are_read_only():
+    c = circle(16)
+    evaluate_mso(c, 2.0)
+    arrays = [c.nodes, c.params, c.chords, *c._polar[(2.0, "nodes")]]
+    moved = retract(c, np.full(16, 0.1))
+    distance_bar(moved, 2.0)
+    arrays += [moved.nodes, moved.params, moved.chords, *moved._polar[(2.0, "nodes")]]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+
+
+def test_retracted_curve_starts_empty_and_matches_a_fresh_curve():
+    rng = np.random.default_rng(47)
+    for c in _oracle_curves(rng):
+        evaluate_mso(c, 2.0)  # the parent's polar cache is filled first
+        moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
+        assert moved._geometry is None and moved._polar == {}
+        assert moved.params is c.params
+        fresh = DiscreteCurve(moved.nodes, params=c.params)
+        assert np.array_equal(moved.nodes, fresh.nodes)
+        assert np.array_equal(moved.params, fresh.params)
+        assert np.array_equal(moved.chords, fresh.chords)
+        for name in ("tangent", "normal", "curvature", "weights"):
+            assert np.array_equal(getattr(moved.geometry, name),
+                                  getattr(fresh.geometry, name)), name
+        for mu in (2.0, 3.0):
+            assert evaluate_mso(moved, mu) == evaluate_mso(fresh, mu)
+            assert distance_bar(moved, mu) == distance_bar(fresh, mu)
+
+
+def test_retract_rejects_coincident_and_overflowing_nodes():
+    # node 2's normal is exactly (1, -0), so h = -1 moves it onto node 1; the
+    # moved polygon passes the tangent test and check_simple
+    c = DiscreteCurve([(-1, 0), (0, 0), (1, 0), (0, 2), (-1, 2), (-2, 2), (-3, 2),
+                       (-1.5, 1.5), (0, 1)])
+    h = np.zeros(9)
+    h[2] = -1.0
+    with pytest.raises(DegenerateCurve, match="consecutive nodes coincide"):
+        retract(c, h)
+    # one node or every node moved to inf; check_simple never sees them
+    c = circle(32)
+    one = np.zeros(32)
+    one[3] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in (one, np.full(32, 1e308)):
+            with pytest.raises(DegenerateCurve, match="non-finite"):
+                retract(c, h, 10.0)
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -7,12 +7,13 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import VolumeFunctional, retract
+from shapeopt import DiscreteCurve, VolumeFunctional, retract
 from shapeopt.errors import NotStarShaped, ProjectionFailed
 from shapeopt.functional import (boundary_kernel, distance_bar, distance_tilde,
                                  evaluate_general, evaluate_mso,
                                  mso_step_objective)
 from shapeopt.harness import initial_shape, reference_ellipse
+from shapeopt.harness.properties import random_star_curve
 
 AREA = VolumeFunctional.custom(lambda pts: np.ones(len(pts)))
 
@@ -49,6 +50,54 @@ def test_mso_on_initial_shape():
 def test_mso_rejects_curve_away_from_origin():
     with pytest.raises(NotStarShaped):
         evaluate_mso(circle(64, 0.3, center=(2.0, 0.0)), 1.0)
+
+
+# The polar formulas as written before the pieces were kept on the curve;
+# the cached evaluate_mso and distance_bar must reproduce them bit for bit.
+
+def _polar_pieces_uncached(c, mu, angles):
+    nodes = c.nodes
+    base = nodes if angles == "nodes" else np.column_stack([nodes[:, 0], mu * nodes[:, 1]])
+    ang = np.arctan2(base[:, 1], base[:, 0])
+    dang = (np.roll(ang, -1) - ang + np.pi) % (2.0 * np.pi) - np.pi
+    return dang, nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2
+
+
+def _evaluate_mso_uncached(c, mu, angles):
+    dang, rho2 = _polar_pieces_uncached(c, mu, angles)
+    P = rho2 ** 2 / 4.0 - rho2 / 2.0
+    return float(np.sum(dang * (np.roll(P, -1) + P)) / (2.0 * mu))
+
+
+def _distance_bar_uncached(c, mu, angles):
+    dang, rho2 = _polar_pieces_uncached(c, mu, angles)
+    q = np.abs(np.sqrt(rho2) - 1.0)
+    return float(np.sum(dang * (np.roll(q, -1) + q)) / (2.0 * mu))
+
+
+def test_polar_pieces_cache_matches_uncached_formulas():
+    rng = np.random.default_rng(53)
+    combos = [(mu, angles) for mu in (2.0, 3.0) for angles in ("nodes", "stretched")]
+    for n in (8, 101, 1600):
+        nodes = random_star_curve(n, rng, amplitude=0.3).nodes
+        for order in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
+            c = DiscreteCurve(nodes)
+            for mu, angles in combos:
+                for fn in order + order:
+                    oracle = (_evaluate_mso_uncached if fn is evaluate_mso
+                              else _distance_bar_uncached)
+                    assert fn(c, mu, angles) == oracle(c, mu, angles), (n, fn, mu, angles)
+            assert sorted(c._polar) == sorted(combos)
+
+
+def test_polar_pieces_failures_are_not_cached():
+    nodes = circle(64, 0.3, center=(2.0, 0.0)).nodes
+    for first, second in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
+        c = DiscreteCurve(nodes)
+        for fn in (first, first, second):
+            with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: "):
+                fn(c, 2.0)
+        assert c._polar == {}
 
 
 def test_evaluate_dispatches_by_family():

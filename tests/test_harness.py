@@ -14,6 +14,7 @@ from shapeopt import (ExperimentSpec, IterationRecord, initial_shape,
 from shapeopt.harness import properties
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
+from shapeopt.harness.properties import random_star_curve
 from shapeopt.harness.svg import _polyline, render_curves
 
 
@@ -110,6 +111,49 @@ def test_polyline_points_format():
     assert _polyline(nodes, "rgb(0,0,255)") == (
         '<polyline points="100000,0 10000,-30000 -50000,0 0,25000 100000,0" '
         'fill="none" stroke="rgb(0,0,255)" stroke-width="1200" />')
+
+
+def _polyline_float_format(nodes, color):
+    # the points as formatted before the int64 cast: %d of the rounded floats
+    q = np.rint(np.column_stack([nodes[:, 0], -nodes[:, 1]]) * 100000.0)
+    pts = ("%d,%d " * (len(q) + 1))[:-1] % tuple(np.vstack([q, q[:1]]).ravel().tolist())
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1200" />'
+
+
+def _largest_drawable():
+    # the largest coordinate whose scaled, rounded value stays below 2**63
+    x = 2.0 ** 63 / 1e5
+    while np.rint(x * 1e5) >= 2.0 ** 63:
+        x = np.nextafter(x, 0.0)
+    return float(x)
+
+
+def test_polyline_matches_float_format():
+    rng = np.random.default_rng(59)
+    top = _largest_drawable()
+    curves = [random_star_curve(n, rng).nodes for n in (8, 100, 1600)]
+    curves.append(np.array([[-0.0, -0.0], [0.0, 1e-17], [-4e-6, 6e-6], [-5e-6, 5e-6],
+                            [1.5e-5, -2.5e-5], [-1e-300, 1.0]]))
+    curves.append(np.array([[top, -top], [-top, top], [9.2e13, -9e13],
+                            [np.nextafter(top, 0.0), 1e13]]))
+    for nodes in curves:
+        assert _polyline(nodes, "red") == _polyline_float_format(nodes, "red")
+    too_far = np.nextafter(top, np.inf)
+    for bad in (too_far, -too_far):
+        with pytest.raises(ValueError, match="not finite or beyond"):
+            _polyline(np.array([[0.0, 1.0], [bad, 0.0], [0.0, 0.0]]), "red")
+
+
+def test_render_curves_int64_range(tmp_path):
+    far = circle(20).nodes.copy()
+    far[3] = [9e13, -9e13]
+    out = tmp_path / "fig.svg"
+    render_curves([circle(20).nodes, far], out)
+    assert "9000000000000000000,9000000000000000000" in out.read_text()
+    far[3] = [1e14, 0.0]
+    with pytest.raises(ValueError, match="curve 1 "):
+        render_curves([circle(20).nodes, far], tmp_path / "far.svg")
+    assert not (tmp_path / "far.svg").exists()
 
 
 def test_run_table1_svg_points_are_scaled_integers(tmp_path):
@@ -228,4 +272,20 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["run", "--method", "sd", "--mu", "1e300", "--out", str(tmp_path)]) == 3
     assert main(["render", "--input", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.svg")]) == 3
+    far = circle(20).nodes.copy()
+    far[3] = [1e14, 0.0]
+    np.savetxt(tmp_path / "far.csv", far, delimiter=",")
+    assert main(["render", "--input", str(tmp_path / "far.csv"),
+                 "--out", str(tmp_path / "far.svg")]) == 3
+    assert not (tmp_path / "far.svg").exists()
+    cfg = tmp_path / "bad.json"
+    for bad in ({"mu": "2", "A": "0"}, {"mu": "2"}, {"A": "0"}, {"mu": True},
+                {"stop_distance": "1e-3"}, {"N": "100"}, {"N": 100.0}, {"N": True},
+                {"seed": "1"}, {"seed": 1.5}, {"seed": False}, {"output_dir": 3},
+                {"output_dir": None}):
+        cfg.write_text(json.dumps(bad))
+        for command in ("table1", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3, bad
+    assert main(["run", "--method", "sd", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "table1.json").exists()
     capsys.readouterr()
