@@ -12,6 +12,10 @@ computed once per curve and kept on it, read-only:
   the constructor's coincident-node check;
 - ``geometry``: unit tangent, outward unit normal, curvature and node
   quadrature weights, computed on first use;
+- ``angle_steps``: the wrapped polar angle steps between consecutive
+  nodes about the origin, computed on first use; ``check_simple``,
+  ``functional.evaluate_mso``/``distance_bar`` (node-angle convention) and
+  the set-up of ``functional.mso_step_objective`` all read this one array;
 - the polar pieces of ``functional.evaluate_mso`` and
   ``functional.distance_bar`` (angle steps and stretched squared radii),
   one entry per (mu, angles) on first successful use, so the objective
@@ -64,6 +68,34 @@ def signed_area(nodes):
     x, y = nodes[:, 0], nodes[:, 1]
     xn, yn = shift_next(x), shift_next(y)
     return 0.5 * float(np.sum(x * yn - xn * y))
+
+
+def _wrapped_angle_steps(nodes):
+    """Polar angle increments about the origin between consecutive nodes,
+    wrapped into [-pi, pi): the arctan2 angle of each node, its forward
+    difference, then (d + pi) mod 2*pi - pi."""
+    ang = np.arctan2(nodes[:, 1], nodes[:, 0])
+    dang = shift_next(ang) - ang
+    return (dang + np.pi) % (2.0 * np.pi) - np.pi
+
+
+# the star certificate of check_simple: every wrapped angle step in
+# (_STEP_MARGIN, pi - _STEP_MARGIN) and every squared node radius in
+# [_RADIUS2_MIN, _RADIUS2_MAX]
+_STEP_MARGIN = 1e-12
+_RADIUS2_MIN, _RADIUS2_MAX = 1e-290, 1e290
+
+
+def _star_certified(nodes, dang):
+    """True when the angle steps dang of nodes certify the polygon as
+    simple and counterclockwise; see check_simple.  Every comparison is
+    written so that a nan makes it False."""
+    if not (abs(dang.sum() - 2.0 * np.pi) <= 1e-9
+            and dang.min() > _STEP_MARGIN and dang.max() < np.pi - _STEP_MARGIN):
+        return False
+    x, y = nodes[:, 0], nodes[:, 1]
+    r2 = x * x + y * y
+    return bool(r2.min() >= _RADIUS2_MIN and r2.max() <= _RADIUS2_MAX)
 
 
 # candidate pairs tested per chunk; bounds the broad phase's memory when
@@ -152,16 +184,56 @@ def check_simple(curve_or_nodes):
     Orientation is part of the test because a curve update that flips the
     winding has passed through a degenerate state even when the final
     polygon does not self-cross (for example a circle pushed inward
-    through its own center).  Accepts a DiscreteCurve or a raw (N, 2)
-    node array.
+    through its own center).  Accepts a DiscreteCurve, whose
+    ``angle_steps`` it computes or reuses, or a raw (N, 2) node array,
+    which is inadmissible when any coordinate is not finite.
 
-    Cost is O(N log N) plus the candidate pairs of the bounding-box
-    sweep in ``_segments_intersect``; a polygon whose segments all
-    overlap each other falls back to O(N^2) time in bounded chunks.
+    Star certificate, O(N).  Let the wrapped angle steps d_i about the
+    origin all lie in (m, pi - m) with margin m = 1e-12 and sum to 2*pi
+    within 1e-9, and let no node lie at the origin.  Then the true
+    counterclockwise angle from node i to node i+1 lies in (0, pi) and
+    the true angles sum to exactly 2*pi, so the rays through the nodes
+    cut the plane into N convex sectors, one per edge, that meet only
+    along their boundary rays.  Edge i lies in its own sector and misses
+    the origin, non-adjacent sectors share only the origin, and adjacent
+    edges meet their common ray only at their common node: the polygon
+    is simple, and counterclockwise since it winds once around the
+    origin.  The margin covers the rounding of the computed steps: a
+    node angle from arctan2 is within a few ulps of pi of the true one,
+    and the difference, the wrap (d + pi) mod 2*pi - pi and the rounded
+    constants pi and 2*pi add a few ulps of 2*pi each, so every
+    computed step is within 1e-14 of the true one.  A computed step in
+    (m, pi - m) therefore places the true one in (0, pi), far from the
+    wrap's jump at +-pi, and the sums of the computed and the true steps
+    differ by at most 1e-9 + N*1e-14, far less than the 2*pi between
+    windings.  "No node at the origin" is taken as every squared node
+    radius in [1e-290, 1e290]: then each shoelace term of signed_area,
+    |p_i||p_{i+1}| sin(d_i) with sin(d_i) > 1e-12, computes positive and
+    finite, so a certified polygon also has a positive computed area.
+    It is accepted without computing that area or running
+    ``_segments_intersect``, which the tests check agrees on certified
+    polygons down to steps at the margin and nodes near the origin.
+
+    Every other polygon runs the general test: signed_area (reusing the
+    orientation area that the DiscreteCurve constructor computed, when
+    it kept the node order) and the bounding-box sweep of
+    ``_segments_intersect``, O(N log N) plus the candidate pairs; a
+    polygon whose segments all overlap each other falls back to O(N^2)
+    time in bounded chunks.
     """
-    nodes = curve_or_nodes.nodes if isinstance(curve_or_nodes, DiscreteCurve) \
-        else np.asarray(curve_or_nodes, dtype=float)
-    if signed_area(nodes) <= 0.0:
+    if isinstance(curve_or_nodes, DiscreteCurve):
+        nodes, dang = curve_or_nodes.nodes, curve_or_nodes.angle_steps
+        area = curve_or_nodes._area
+    else:
+        nodes = np.asarray(curve_or_nodes, dtype=float)
+        if not np.all(np.isfinite(nodes)):
+            return False
+        dang, area = _wrapped_angle_steps(nodes), None
+    if _star_certified(nodes, dang):
+        return True
+    if area is None:
+        area = signed_area(nodes)
+    if area <= 0.0:
         return False
     return not _segments_intersect(nodes)
 
@@ -202,8 +274,8 @@ class DiscreteCurve:
         rejected with ShapeDegenerate.  Pass False to build a
         non-admissible polygon on purpose, e.g. to feed check_simple.
 
-    ``nodes``, ``params`` and ``chords`` (the (N,) forward chord lengths)
-    are read-only arrays.
+    ``nodes``, ``params``, ``chords`` (the (N,) forward chord lengths) and
+    ``angle_steps`` are read-only arrays.
     """
 
     def __init__(self, nodes, params=None, require_simple=True):
@@ -225,7 +297,8 @@ class DiscreteCurve:
             if np.any(np.diff(params) <= 0) or params[0] < 0 or params[-1] >= 2 * np.pi:
                 raise DegenerateCurve("params must be strictly increasing in [0, 2*pi)")
 
-        if signed_area(nodes) < 0.0:
+        area = signed_area(nodes)
+        if area < 0.0:
             # reverse traversal so orientation is counterclockwise; keep the
             # first node first and mirror the parameter gaps
             order = np.concatenate([[0], np.arange(n - 1, 0, -1)])
@@ -234,30 +307,39 @@ class DiscreteCurve:
             params = params[0] + np.concatenate([[0.0], np.cumsum(gaps[::-1][:-1])])
             # chord i of the reversed polygon is chord N-1-i of the input
             chords = chords[::-1].copy()
+            # the reversed polygon sums its shoelace terms in another order
+            area = None
 
-        if require_simple and not check_simple(nodes):
+        self._set(nodes, params, area)
+        self._set_chords(chords)
+        if require_simple and not check_simple(self):
             raise ShapeDegenerate("polygon self-intersects")
-        self._set(nodes, params, chords)
 
     @classmethod
-    def _admitted(cls, nodes, params):
-        """Curve on fresh finite nodes that have passed check_simple, and so
-        are counterclockwise, with the validated read-only params of the
-        curve they were moved from.  Only the coincident-node check runs."""
+    def _unchecked(cls, nodes, params):
+        """Curve on fresh finite nodes with the validated read-only params
+        of the curve they were moved from, and no chords yet: the caller
+        runs check_simple on it, then sets the chords with _set_chords."""
         c = cls.__new__(cls)
-        c._set(nodes, params, _chords(nodes))
+        c._set(nodes, params)
         return c
 
-    def _set(self, nodes, params, chords):
-        for arr in (nodes, params, chords):
+    def _set(self, nodes, params, area=None):
+        for arr in (nodes, params):
             arr.setflags(write=False)
         self.nodes = nodes
         self.params = params
-        self.chords = chords
+        # signed_area(nodes) when the constructor has it, for check_simple
+        self._area = area
+        self._angle_steps = None
         self._geometry = None
         # (mu, angles) -> read-only (angle steps, stretched rho^2); filled
         # by functional._polar_pieces
         self._polar = {}
+
+    def _set_chords(self, chords):
+        chords.setflags(write=False)
+        self.chords = chords
 
     @property
     def n_nodes(self):
@@ -268,6 +350,16 @@ class DiscreteCurve:
         if self._geometry is None:
             self._geometry = _compute_geometry(self)
         return self._geometry
+
+    @property
+    def angle_steps(self):
+        """(N,) read-only wrapped polar angle steps about the origin from
+        node i to node i+1, computed on first use."""
+        if self._angle_steps is None:
+            dang = _wrapped_angle_steps(self.nodes)
+            dang.setflags(write=False)
+            self._angle_steps = dang
+        return self._angle_steps
 
     # -- serialization ----------------------------------------------------
 
@@ -380,9 +472,11 @@ def retract(c, h, t=1.0):
     if np.any(chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0):
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
     _check_finite(nodes)
-    if not check_simple(nodes):
+    moved = DiscreteCurve._unchecked(nodes, c.params)
+    if not check_simple(moved):
         raise ShapeDegenerate("retracted polygon self-intersects")
-    return DiscreteCurve._admitted(nodes, c.params)
+    moved._set_chords(_chords(nodes))
+    return moved
 
 
 def tangential_second_derivative(c, u):

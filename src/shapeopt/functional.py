@@ -26,7 +26,7 @@ coincide for mu = 1 and at any curve whose stretched image is a circle.
 
 import numpy as np
 
-from .curve import shift_next
+from .curve import DiscreteCurve, _wrapped_angle_steps, shift_next
 from .errors import NotStarShaped, ProjectionFailed
 
 
@@ -78,36 +78,33 @@ class VolumeFunctional:
         return evaluate_general(c, self)
 
 
-def _wrapped_angle_steps(nodes, where):
-    """Angle increments between consecutive nodes, wrapped into (-pi, pi].
-
-    Raises NotStarShaped when an increment is non-positive or the
-    increments fail to wind once around the origin: the polar quadratures
-    require the node angles to be strictly monotone modulo 2*pi.
-    """
-    ang = np.arctan2(nodes[:, 1], nodes[:, 0])
-    dang = shift_next(ang) - ang
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
+def _require_star(dang, where):
+    """Raise NotStarShaped unless the wrapped angle steps dang are all
+    positive and wind once around the origin: the polar quadratures
+    require the node angles to be strictly monotone modulo 2*pi."""
     if np.any(dang <= 0.0):
         raise NotStarShaped(f"{where}: node angles are not monotone around the origin")
     if abs(dang.sum() - 2.0 * np.pi) > 1e-9:
         raise NotStarShaped(f"{where}: node angles do not wind once around the origin")
-    return dang
 
 
 def _polar_pieces(c, mu, angles, where):
     """Angle steps and stretched squared radii of c, kept on the curve per
     (mu, angles) so that evaluate_mso and distance_bar of one iterate
-    compute them once.  A NotStarShaped is not kept: each call that fails
+    compute them once; the node-angle steps are the curve's own
+    ``angle_steps``.  A NotStarShaped is not kept: each call that fails
     raises again, naming its own caller ``where``."""
     key = (mu, angles)
     pieces = c._polar.get(key)
     if pieces is None:
         nodes = c.nodes
-        base = nodes if angles == "nodes" else np.column_stack([nodes[:, 0], mu * nodes[:, 1]])
-        dang = _wrapped_angle_steps(base, where)
+        if angles == "nodes":
+            dang = c.angle_steps
+        else:
+            dang = _wrapped_angle_steps(np.column_stack([nodes[:, 0], mu * nodes[:, 1]]))
+            dang.setflags(write=False)
+        _require_star(dang, where)
         rho2 = nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2
-        dang.setflags(write=False)
         rho2.setflags(write=False)
         pieces = c._polar[key] = (dang, rho2)
     return pieces
@@ -212,27 +209,30 @@ def distance_tilde(c, reference, window=2.0):
     return float(np.sum(np.abs(offsets) * geo.weights))
 
 
-def mso_step_objective(nodes, step, mu):
+def mso_step_objective(curve_or_nodes, step, mu):
     """Exact decrease function t -> f(nodes + t*step) - f(nodes) for the
     quadratic family, in the default node-angle convention.
 
     Built for line searches near optimality: the difference is assembled
     from per-node increments (radial and angular) instead of subtracting
     two nearly equal objective values, so minima far below the rounding
-    noise of evaluate_mso remain resolvable.  ``nodes`` and ``step`` are
-    raw (N, 2) arrays; the caller guarantees the probed polygons stay
-    star-shaped.
+    noise of evaluate_mso remain resolvable.  ``curve_or_nodes`` is a
+    DiscreteCurve, whose ``angle_steps`` are reused, or a raw (N, 2) node
+    array; ``step`` is a raw (N, 2) array.  The caller guarantees the
+    probed polygons stay star-shaped.
 
     The returned closure reuses buffers allocated here, so a probe makes
     no array allocation; each call still depends on t alone.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    if isinstance(curve_or_nodes, DiscreteCurve):
+        nodes, dang0 = curve_or_nodes.nodes, curve_or_nodes.angle_steps
+    else:
+        nodes = np.asarray(curve_or_nodes, dtype=float)
+        dang0 = _wrapped_angle_steps(nodes)
     step = np.asarray(step, dtype=float)
     # contiguous copies of the columns: the probe's ufuncs run faster on them
     x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
     sx, sy = step[:, 0].copy(), step[:, 1].copy()
-    ang0 = np.arctan2(y, x)
-    dang0 = (shift_next(ang0) - ang0 + np.pi) % (2.0 * np.pi) - np.pi
     rho2_0 = x ** 2 + mu ** 2 * y ** 2
     P0 = rho2_0 ** 2 / 4.0 - rho2_0 / 2.0
     # rho2(t) = rho2_0 + t*lin + t^2*quad in the stretched plane

@@ -152,7 +152,7 @@ def _decrease_function(c, f, direction):
     """
     if f.is_quadratic_mso:
         step_vec = direction[:, None] * c.geometry.normal
-        return mso_step_objective(c.nodes, step_vec, f.mu)
+        return mso_step_objective(c, step_vec, f.mu)
     f0 = f.evaluate(c)
 
     def phi(t):

@@ -6,7 +6,8 @@ and line-search parameters.  Criteria 5-10 are seeded property checks of
 the numerical claims behind the solver: Hessian symmetry, consistency of
 the multiplication-operator representation at the solution, gradient and
 Taylor-remainder correctness, the quadratic convergence certificate, and
-discretization order.
+discretization order.  The last test pins the mesh independence of the
+iteration counts from N = 100 to 6400.
 """
 
 import time
@@ -187,3 +188,13 @@ def test_criterion_10_discretization_order():
         )
     for e100, e200 in zip(err[100], err[200]):
         assert e100 / e200 >= 3.5
+
+
+@pytest.mark.parametrize("n", (100, 400, 1600, 6400))
+def test_iteration_counts_are_mesh_independent(n):
+    """The Riemannian prediction of the paper: the iteration count of both
+    methods from the packaged start does not grow with the node count."""
+    for method, iterations in ((STEEPEST_DESCENT, 14), (NEWTON_MULTIPLICATIVE, 4)):
+        records = optimize(initial_shape(n), F2,
+                           SolverConfig(method=method, stop_distance=1e-7))
+        assert (len(records) - 1, records[-1].stop) == (iterations, "distance"), (n, method)

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle, figure_eight
+import shapeopt.curve as curve
 from shapeopt import (CurveGeometry, DiscreteCurve, HessianOperator, VolumeFunctional,
                       boundary_kernel, check_simple, retract, tangential_second_derivative)
 from shapeopt.curve import (_param_gaps, _segments_intersect, as_field, row_norm,
@@ -186,6 +187,187 @@ def test_segments_intersect_comb_is_chunked():
         tracemalloc.stop()
     # ~8e6 x-overlapping pairs; materialized at once they would need >500 MB
     assert peak < 64e6
+
+
+def _check_simple_oracle(nodes):
+    """check_simple as the shoelace sign and the all-pairs crossing loop."""
+    return bool(signed_area(nodes) > 0.0 and not _segments_intersect_oracle(nodes))
+
+
+def _wrapped_angle_steps_roll(nodes):
+    """The node-angle steps with the arithmetic of the polar quadratures,
+    written with np.roll."""
+    ang = np.arctan2(nodes[:, 1], nodes[:, 0])
+    return (np.roll(ang, -1) - ang + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _adversarial_star(rng):
+    """Seeded polygon whose node angles increase around the origin, with
+    one kind of near-degeneracy that the star certificate must weigh:
+    steps at and below its margin, a step within rounding of pi, nodes
+    near or at the origin, or near-collinear node triples.  Some steps are
+    flipped negative, so part of the family is not star-shaped."""
+    n = int(rng.integers(8, 121))
+    kind = rng.integers(5)
+    steps = rng.uniform(0.2, 1.0, n)
+    fixed = np.zeros(n, dtype=bool)
+    if kind == 0:
+        k = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+        steps[k] = 10.0 ** rng.uniform(-13.0, -9.0, len(k)) * rng.choice([-1.0, 1.0], len(k))
+        fixed[k] = True
+    elif kind == 1:
+        k = int(rng.integers(n))
+        steps[k] = np.pi + 10.0 ** rng.uniform(-15.0, -9.0) * rng.choice([-1.0, 1.0])
+        fixed[k] = True
+    free = 2.0 * np.pi - steps[fixed].sum()
+    steps[~fixed] *= free / steps[~fixed].sum()
+    theta = rng.uniform(-np.pi, np.pi) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    r = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
+    if kind == 2:
+        k = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+        r[k] = 10.0 ** rng.uniform(-9.0, -3.0, len(k))
+    nodes = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    if kind == 3:
+        nodes[rng.integers(n)] = 0.0
+    elif kind == 4:
+        # node i on the chord of its neighbours, moved off it by a hair
+        for i in rng.choice(n, int(rng.integers(1, 4)), replace=False):
+            a, b = nodes[i - 1], nodes[(i + 1) % n]
+            mid = 0.5 * (a + b)
+            nodes[i] = mid * (1.0 + 10.0 ** rng.uniform(-15.0, -9.0) * rng.choice([-1.0, 1.0]))
+    return nodes * 10.0 ** rng.choice([-8.0, 0.0, 6.0])
+
+
+def test_check_simple_matches_area_and_all_pairs_oracle():
+    rng = np.random.default_rng(20120307)
+    kinds = ("noisy_star", "high_frequency_star", "grid_snapped", "random_walk")
+    polygons = []
+    for s in range(640):
+        kind = kinds[s % 4]
+        n = int(np.exp(rng.uniform(np.log(8), np.log(401))))
+        nodes = _polygon_family(kind, n, rng)
+        if len(nodes) >= 8:
+            polygons.append(nodes)
+    # the certified ones again at the extreme scales; the others run the
+    # general test, whose scale dependence is the xfail below
+    certified = [p for p in polygons if curve._star_certified(p, curve._wrapped_angle_steps(p))]
+    scaled = [p * scale for p in certified for scale in (1e-8, 1e6)]
+    rng = np.random.default_rng(1203)
+    adversarial = [_adversarial_star(rng) for _ in range(400)]
+    for family, cases in (("oracle", polygons), ("scaled", scaled), ("adversarial", adversarial)):
+        for i, nodes in enumerate(cases):
+            assert check_simple(nodes) is _check_simple_oracle(nodes), (family, i)
+    assert len(certified) >= 40
+    assert sum(curve._star_certified(p, curve._wrapped_angle_steps(p)) for p in scaled) \
+        == len(scaled)
+    assert sum(curve._star_certified(p, curve._wrapped_angle_steps(p))
+               for p in adversarial) >= 150
+
+
+def test_star_certificate_margin_and_origin():
+    nodes = circle(32).nodes
+    dang = curve._wrapped_angle_steps(nodes)
+    assert curve._star_certified(nodes, dang)
+    for step, certified in ((2e-12, True), (np.pi - 2e-12, True), (1e-12, False),
+                            (np.pi - 1e-12, False), (0.0, False), (-1e-3, False),
+                            (np.nan, False)):
+        moved = dang * ((2.0 * np.pi - step) / (2.0 * np.pi - dang[5]))
+        moved[5] = step
+        assert curve._star_certified(nodes, moved) is certified, step
+    short = dang.copy()
+    short[0] -= 2e-9
+    assert not curve._star_certified(nodes, short)
+    for value in (0.0, 1e-146, 1e146, np.nan, np.inf):
+        moved = nodes.copy()
+        moved[4] *= value / np.hypot(*moved[4])
+        assert not curve._star_certified(moved, dang), value
+
+
+def test_certified_polygon_skips_the_general_test(monkeypatch):
+    c = circle(64)
+
+    def general(nodes):
+        raise AssertionError("general test ran on a certified polygon")
+
+    monkeypatch.setattr(curve, "signed_area", general)
+    monkeypatch.setattr(curve, "_segments_intersect", general)
+    assert check_simple(c) and check_simple(c.nodes)
+    retract(c, np.full(64, 0.1))
+
+
+def test_check_simple_rejects_non_finite_raw_nodes():
+    c = circle(32)
+    diagonal = 4  # node 4 lies on the diagonal, where inf keeps its angle
+    for value in (np.nan, np.inf, -np.inf):
+        for k in range(2):
+            nodes = np.array(c.nodes)
+            nodes[diagonal, k] = value
+            assert check_simple(nodes) is False, (value, k)
+    nodes = np.array(c.nodes)
+    nodes[diagonal] = np.inf
+    assert curve._star_certified(nodes, curve._wrapped_angle_steps(nodes)) is False
+    with np.errstate(over="ignore"):
+        assert check_simple(c.nodes * 1e308 * 10) is False
+
+
+def test_angle_steps_are_shared_and_read_only():
+    rng = np.random.default_rng(53)
+    for c in _oracle_curves(rng):
+        # the constructor's check_simple computed them
+        assert c._angle_steps is not None
+        assert np.array_equal(c.angle_steps, curve._wrapped_angle_steps(c.nodes))
+        assert np.array_equal(c.angle_steps, _wrapped_angle_steps_roll(c.nodes))
+        with pytest.raises(ValueError):
+            c.angle_steps[0] = 1.0
+        evaluate_mso(c, 2.0)
+        assert c._polar[(2.0, "nodes")][0] is c.angle_steps
+        moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
+        assert moved._angle_steps is not None
+        fresh = DiscreteCurve(moved.nodes, params=c.params)
+        assert np.array_equal(moved.angle_steps, fresh.angle_steps)
+    unchecked = DiscreteCurve(figure_eight(), require_simple=False)
+    assert unchecked._angle_steps is None
+    assert np.array_equal(unchecked.angle_steps, _wrapped_angle_steps_roll(unchecked.nodes))
+
+
+def test_constructor_computes_signed_area_once(monkeypatch):
+    calls = []
+    original = curve.signed_area
+
+    def counted(nodes):
+        calls.append(len(nodes))
+        return original(nodes)
+
+    monkeypatch.setattr(curve, "signed_area", counted)
+    # not certified (a node at the origin), so the general test runs
+    notch = np.array([[0, 0], [4, 0], [4, 4], [3, 4], [2, 0], [1, 4], [0, 4], [0, 2]],
+                     dtype=float)
+    DiscreteCurve(notch)
+    assert len(calls) == 1
+    # a clockwise input is reversed, and the reversed polygon's area is new
+    calls.clear()
+    DiscreteCurve(notch[::-1])
+    assert len(calls) == 2
+    # out along the x axis and back: no proper crossing, area exactly 0
+    calls.clear()
+    flat = np.column_stack([[0, 1, 2, 3, 4, 3.5, 2.5, 1.5, 0.5], np.zeros(9)])
+    assert original(flat) == 0.0 and not _segments_intersect(flat)
+    with pytest.raises(ShapeDegenerate):
+        DiscreteCurve(flat)
+    assert len(calls) == 1
+
+
+def test_retract_checks_crossings_before_coincident_nodes():
+    # h[2] = -1 moves node 2 onto node 1, which leaves the edge (0,0)-(0,2);
+    # h[8] moves node 8 across that edge, so the step also self-intersects
+    c = DiscreteCurve([(-1, 0), (0, 0), (1, 0), (0, 2), (-1, 2), (-2, 2), (-3, 2),
+                       (-1.5, 1.5), (0, 1)])
+    h = np.zeros(9)
+    h[2], h[8] = -1.0, -0.5
+    nodes = c.nodes + h[:, None] * c.geometry.normal
+    assert np.array_equal(nodes[1], nodes[2]) and nodes[8, 0] > 0.0
+    with pytest.raises(ShapeDegenerate, match="self-intersects"):
+        retract(c, h)
 
 
 def test_signed_area_circle():

@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import DiscreteCurve, VolumeFunctional, retract
+import shapeopt.functional as functional
+from shapeopt import DiscreteCurve, VolumeFunctional, check_simple, retract
 from shapeopt.errors import NotStarShaped, ProjectionFailed
 from shapeopt.functional import (boundary_kernel, distance_bar, distance_tilde,
                                  evaluate_general, evaluate_mso,
@@ -222,6 +223,39 @@ def test_step_objective_matches_roll_form_bit_for_bit():
         reference = _mso_step_objective_roll(c.nodes, step, 2.0)
         for t in rng.uniform(0.0, 2.0, 100):
             assert delta(t) == reference(t), (n, t)
+
+
+def test_step_objective_reads_the_curve_angle_steps(monkeypatch):
+    rng = np.random.default_rng(29)
+    curves = [random_star_curve(n, rng, amplitude=0.3) for n in (8, 100, 1600)]
+    for c in curves:
+        h = 0.1 * np.cos(2.0 * c.params) + 0.02 * rng.standard_normal(c.n_nodes)
+        step = h[:, None] * c.geometry.normal
+        from_nodes = mso_step_objective(c.nodes, step, 2.0)
+        from_curve = mso_step_objective(c, step, 2.0)
+        for t in rng.uniform(0.0, 2.0, 50):
+            assert from_curve(t) == from_nodes(t), (c.n_nodes, t)
+    # with a curve the steps are not computed again
+    def recomputed(nodes):
+        raise AssertionError("angle steps recomputed")
+
+    monkeypatch.setattr(functional, "_wrapped_angle_steps", recomputed)
+    for c in curves:
+        mso_step_objective(c, c.geometry.normal, 2.0)
+        assert evaluate_mso(c, 2.0) == _evaluate_mso_uncached(c, 2.0, "nodes")
+
+
+def test_polar_pieces_reject_a_double_winding():
+    # positive angle steps that go twice around the origin
+    theta = 4.0 * np.pi * np.arange(32) / 32
+    spiral = (1.0 + 0.01 * np.arange(32))[:, None] * np.column_stack([np.cos(theta),
+                                                                      np.sin(theta)])
+    c = DiscreteCurve(spiral, require_simple=False)
+    assert np.all(c.angle_steps > 0.0)
+    for fn in (evaluate_mso, distance_bar):
+        with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: node angles do not wind once"):
+            fn(c, 2.0)
+    assert not check_simple(c)
 
 
 def _probe_setup(n, seed):
