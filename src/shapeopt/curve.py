@@ -16,6 +16,9 @@ computed once per curve and kept on it, read-only:
   nodes about the origin, computed on first use; ``check_simple``,
   ``functional.evaluate_mso``/``distance_bar`` (node-angle convention) and
   the set-up of ``functional.mso_step_objective`` all read this one array;
+- ``star_certified``: whether those steps pass the star certificate of
+  ``check_simple``, computed on first use; ``check_simple`` and the polar
+  pieces below read it;
 - the polar pieces of ``functional.evaluate_mso`` and
   ``functional.distance_bar`` (angle steps and stretched squared radii),
   one entry per (mu, angles) on first successful use, so the objective
@@ -222,14 +225,14 @@ def check_simple(curve_or_nodes):
     time in bounded chunks.
     """
     if isinstance(curve_or_nodes, DiscreteCurve):
-        nodes, dang = curve_or_nodes.nodes, curve_or_nodes.angle_steps
-        area = curve_or_nodes._area
+        nodes, area = curve_or_nodes.nodes, curve_or_nodes._area
+        certified = curve_or_nodes.star_certified
     else:
         nodes = np.asarray(curve_or_nodes, dtype=float)
         if not np.all(np.isfinite(nodes)):
             return False
-        dang, area = _wrapped_angle_steps(nodes), None
-    if _star_certified(nodes, dang):
+        certified, area = _star_certified(nodes, _wrapped_angle_steps(nodes)), None
+    if certified:
         return True
     if area is None:
         area = signed_area(nodes)
@@ -275,7 +278,7 @@ class DiscreteCurve:
         non-admissible polygon on purpose, e.g. to feed check_simple.
 
     ``nodes``, ``params``, ``chords`` (the (N,) forward chord lengths) and
-    ``angle_steps`` are read-only arrays.
+    ``angle_steps`` are read-only arrays; ``star_certified`` is a bool.
     """
 
     def __init__(self, nodes, params=None, require_simple=True):
@@ -332,6 +335,7 @@ class DiscreteCurve:
         # signed_area(nodes) when the constructor has it, for check_simple
         self._area = area
         self._angle_steps = None
+        self._star = None
         self._geometry = None
         # (mu, angles) -> read-only (angle steps, stretched rho^2); filled
         # by functional._polar_pieces
@@ -360,6 +364,14 @@ class DiscreteCurve:
             dang.setflags(write=False)
             self._angle_steps = dang
         return self._angle_steps
+
+    @property
+    def star_certified(self):
+        """True when ``angle_steps`` pass the star certificate of
+        check_simple, computed on first use."""
+        if self._star is None:
+            self._star = _star_certified(self.nodes, self.angle_steps)
+        return self._star
 
     # -- serialization ----------------------------------------------------
 
@@ -450,6 +462,12 @@ def _compute_geometry(c):
     return CurveGeometry(tangent, normal, curvature, weights)
 
 
+def _moved_nodes(c, h, t):
+    """Nodes of c moved by t*h_i along the outward normals: the node
+    update of ``retract``, for a validated field h."""
+    return c.nodes + float(t) * h[:, None] * c.geometry.normal
+
+
 def retract(c, h, t=1.0):
     """Move every node of c by t*h_i along its outward normal.
 
@@ -465,10 +483,9 @@ def retract(c, h, t=1.0):
     consecutive moved nodes coincide.
     """
     h = as_field(c, h, "h")
-    geo = c.geometry
-    nodes = c.nodes + float(t) * h[:, None] * geo.normal
+    nodes = _moved_nodes(c, h, t)
     chord = shift_next(nodes) - shift_prev(nodes)
-    tan = geo.tangent
+    tan = c.geometry.tangent
     if np.any(chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0):
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
     _check_finite(nodes)

@@ -92,18 +92,23 @@ def _polar_pieces(c, mu, angles, where):
     """Angle steps and stretched squared radii of c, kept on the curve per
     (mu, angles) so that evaluate_mso and distance_bar of one iterate
     compute them once; the node-angle steps are the curve's own
-    ``angle_steps``.  A NotStarShaped is not kept: each call that fails
-    raises again, naming its own caller ``where``."""
+    ``angle_steps``.  They skip _require_star when the curve is
+    ``star_certified``: the certificate's steps all exceed 1e-12 and sum
+    to 2*pi within 1e-9, which passes both of its tests.  A NotStarShaped
+    is not kept: each call that fails raises again, naming its own caller
+    ``where``."""
     key = (mu, angles)
     pieces = c._polar.get(key)
     if pieces is None:
         nodes = c.nodes
         if angles == "nodes":
             dang = c.angle_steps
+            if not c.star_certified:
+                _require_star(dang, where)
         else:
             dang = _wrapped_angle_steps(np.column_stack([nodes[:, 0], mu * nodes[:, 1]]))
             dang.setflags(write=False)
-        _require_star(dang, where)
+            _require_star(dang, where)
         rho2 = nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2
         rho2.setflags(write=False)
         pieces = c._polar[key] = (dang, rho2)

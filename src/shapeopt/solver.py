@@ -8,10 +8,13 @@ brackets by doubling and refines by golden section; for the quadratic
 objective family it minimizes an exactly differenced objective, so step
 lengths remain meaningful even when the objective decrease is far below
 the rounding noise of the objective value itself.  With a step grid set
-(the default), golden section stops as soon as both ends of its bracket
-round to the same grid point and that point decreases the objective:
-the snapped step is then decided, and it is the one the full-precision
-search would return.
+(the default), a short safeguarded parabolic search that starts at the
+unit step decides the snapped step first, in about 7 probes on the
+packaged runs; golden section stops as soon as both ends of its bracket
+round to the same grid point and that point decreases the objective.
+Either way the snapped step is the one the full-precision search would
+return when the objective is unimodal along the step, and a parabolic
+search that cannot certify its grid point hands over to golden section.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,8 @@ from statistics import median
 import numpy as np
 
 from .calculus import HessianOperator, solve_hessian
-from .curve import as_field, retract
+from .curve import (_moved_nodes, _star_certified, _wrapped_angle_steps,
+                    as_field, retract)
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      NotStarShaped, ProjectionFailed, ShapeDegenerate,
                      ShapeOptError)
@@ -35,19 +39,25 @@ METHODS = (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE, NEWTON_GENERAL_FORM)
 STOP_REASONS = ("distance", "step", "max_iterations")
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# probes the parabolic search for the snapped step may spend before it
+# hands over to bracketing and golden section
+SNAP_PROBES = 12
 
 
 @dataclass(frozen=True)
 class ExactLineSearch:
-    """Bracketing plus golden-section minimization along the step.
+    """Exact minimization along the step: a parabolic search for the
+    snapped step, then bracketing plus golden section.
 
     bracket_max bounds the probed step parameter.  step_resolution, when
     set, snaps the minimizer to that grid before it is applied (skipped
     if snapping would destroy the decrease), and the search stops once
-    the bracket has decided the snapped step.  tolerance is the final
+    its probes have decided the snapped step: by safeguarded parabolic
+    interpolation from the unit step, or else by golden section (see
+    ``line_search_exact``).  tolerance is the final golden-section
     bracket width in t; it governs only searches that run unsnapped
-    (step_resolution None) or whose snapped step was rejected.  The
-    default 0.01 grid suppresses sub-noise variation of the step
+    (step_resolution None) or that the parabolic search handed over.
+    The default 0.01 grid suppresses sub-noise variation of the step
     parameter and matches the granularity of the recorded reference
     trajectories the regression tests compare against.
     """
@@ -169,30 +179,66 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
                       step_resolution=0.01):
     """Step parameter minimizing f along the retracted direction.
 
-    Brackets a descent interval by doubling from t = 1e-3 (halving first
-    if even that fails to decrease), refines with golden section to the
-    requested bracket width, then snaps to the step_resolution grid when
-    that preserves the decrease.  Raises LineSearchFailed when no probed
-    step above the tolerance decreases the objective.
+    Finds a decrease at t0 = 1e-3, halving t0 while it fails to decrease.
+    Then brackets a descent interval by doubling from t0, refines with
+    golden section to the requested bracket width, and snaps to the
+    step_resolution grid h when that preserves the decrease.  Raises
+    LineSearchFailed when no probed step above the tolerance decreases
+    the objective.  phi(t), the decrease at t, is probed at most once
+    per t in one search.
 
-    With step_resolution set, golden section stops early: once both
-    bracket ends round to the same grid index k, every later bracket and
-    its midpoint t_star round to k too (the brackets are nested and
-    rounding is monotone), so k * step_resolution is tried at once and
-    returned if it decreases the objective.  If it does not, the search
-    runs on to the tolerance exactly as without the early stop.  The
-    result is the same float as the full search's, with one exception:
-    an accepted early snap skips the final check that phi(t_star) < 0,
-    so a search whose collapsed bracket midpoint fails to decrease
-    returns the snapped step instead of raising.  For the quadratic
-    family the probes themselves skip admissibility checks (the loop
-    validates the accepted step when retracting); bracket_max should be
-    kept small enough that probed polygons stay star-shaped.
+    With h set, golden section stops early: once both bracket ends round
+    to the same grid index k, every later bracket and its midpoint t_star
+    round to k too (the brackets are nested and rounding is monotone), so
+    k*h is tried at once and returned if it decreases the objective.  If
+    it does not, the search runs on to the tolerance exactly as without
+    the early stop.  That result is the same float as the full search's,
+    with one exception: an accepted early snap skips the final check
+    that phi(t_star) < 0, so a search whose collapsed bracket midpoint
+    fails to decrease returns the snapped step instead of raising.
+
+    With h set, and t0 below bracket_max, a parabolic search runs before
+    the bracketing (``_snap_by_parabolas``): from the unit step it probes
+    until the lowest probe p2 and its probed neighbours p1 < p2 < p3
+    satisfy round((p1 - 2*tolerance)/h) == round((p3 + 2*tolerance)/h)
+    == k, then returns k*h if 0 < k*h <= bracket_max and phi(k*h) < 0.
+    It hands over to the bracketing and golden section above, which run
+    unchanged on the probes already made, when k is 0, the lowest probe
+    is at bracket_max, a probe is nan, the snap fails, the probe budget
+    SNAP_PROBES is spent, or (below) the star check fails.
+
+    The parabolic search returns golden section's float whenever phi is
+    unimodal on [0, bracket_max]: strictly decreasing up to its first
+    minimizer A and non-decreasing after it, +inf included.  Every
+    golden-section bracket then contains A, since its tie rule keeps the
+    left part; and A lies in (p1, p3), since p2 is the leftmost lowest
+    probe and p1 lies left of it and higher.  The last bracket golden
+    section checks is about tolerance/GOLDEN < 2*tolerance wide at most,
+    so it lies inside [p1 - 2*tolerance, p3 + 2*tolerance], which rounds
+    to k as a whole; any bracket it stops at rounds as a whole to the
+    index of a float in both intervals, which is k.  Golden section so
+    decides the same k and tries the same k*h, with the same test.  A
+    handover returns exactly what the search without the parabolic step
+    returns.
+
+    For the quadratic family the probes skip admissibility checks (the
+    loop validates the accepted step when retracting), so bracket_max
+    should be kept small enough that probed polygons stay star-shaped;
+    where they do not, phi stops being unimodal.  The parabolic search's
+    k*h is therefore returned only if the polygon that retract would
+    build at k*h passes the star certificate of check_simple; otherwise
+    the search hands over.
     """
     direction = as_field(c, direction, "direction")
     if not np.any(direction):
         raise LineSearchFailed("zero direction")
-    phi = _decrease_function(c, f, direction)
+    decrease = _decrease_function(c, f, direction)
+    probed = {}
+
+    def phi(t):
+        if t not in probed:
+            probed[t] = decrease(t)
+        return probed[t]
 
     t0, f0 = 1e-3, phi(1e-3)
     while f0 >= 0.0 and t0 > tolerance:
@@ -201,6 +247,13 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     if f0 >= 0.0 or not np.isfinite(f0):
         raise LineSearchFailed(
             f"no decrease along the direction for any t >= {tolerance:g}")
+
+    if step_resolution and t0 < bracket_max:
+        t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
+                                    step_resolution)
+        if t_snap is not None and (not f.is_quadratic_mso
+                                   or _star_certified_at(c, direction, t_snap)):
+            return t_snap
 
     lo, a, fa = 0.0, t0, f0
     b = min(2.0 * t0, bracket_max)
@@ -240,6 +293,89 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
         if 0.0 < t_snap <= bracket_max and phi(t_snap) < 0.0:
             return float(t_snap)
     return float(t_star)
+
+
+def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
+    """The snapped step k * step_resolution decided by safeguarded
+    parabolic interpolation, or None to hand over to bracketing and golden
+    section.  probed maps every t that phi has evaluated to phi(t).
+
+    The unit step is probed first and doubled, up to bracket_max, while
+    it is the lowest probe.  Let p2 be the lowest probe (the leftmost of
+    equal ones) and p1 < p2 < p3 its probed neighbours, with p1 = 0, where
+    phi is 0, when p2 is the smallest probe.  With h = step_resolution,
+    k = round(p2 / h) is decided once [p1 - 2*tolerance, p3 + 2*tolerance]
+    rounds to k as a whole.  Until then each probe is the vertex of the
+    parabola through the three lowest probes (Brent's choice), with these
+    safeguards:
+
+    - a vertex within h of p2 gives way to the far edge of its own grid
+      cell, and one within h/8 of p2 (which confirms p2) to the edge of
+      p2's cell on a side whose neighbour is still outside it; each edge
+      is inset by h/1024 + 2*tolerance.  The bracket so closes on a cell
+      instead of creeping up on the minimizer from one side.
+    - the wider side of p2 is bisected when the vertex is not finite,
+      not strictly inside (p1, p3) or already probed, or when the last
+      two probes have not halved p3 - p1.
+
+    None is returned when the lowest probe is at bracket_max, a probe is
+    nan, k is 0, k*h lies above bracket_max or does not decrease phi, or
+    SNAP_PROBES probes leave k undecided.
+    """
+    h = step_resolution
+    margin = 2.0 * tolerance
+    inset = h / 1024.0 + margin
+    t = min(1.0, bracket_max)
+    phi(t)
+    while t < bracket_max and min(probed, key=probed.get) == max(probed):
+        t = min(2.0 * t, bracket_max)
+        phi(t)
+    widths = [np.inf, np.inf]  # p3 - p1 before each of the last two probes
+    for _ in range(SNAP_PROBES):
+        ts = [0.0] + sorted(probed)
+        fs = [0.0] + [float(probed[t]) for t in ts[1:]]
+        if any(f != f for f in fs):
+            return None
+        j = fs.index(min(fs))
+        if j == len(ts) - 1:
+            return None  # the lowest probe is at bracket_max
+        p1, p2, p3 = ts[j - 1:j + 2]
+        f2 = fs[j]
+        k = round(p2 / h)
+        left_in = round((p1 - margin) / h) == k
+        right_in = round((p3 + margin) / h) == k
+        if left_in and right_in:
+            t_snap = k * h
+            if 0 < k and t_snap <= bracket_max and phi(t_snap) < 0.0:
+                return float(t_snap)
+            return None
+        (w, fw), (v, fv) = sorted(zip(ts, fs), key=lambda p: p[1])[1:3]
+        a, b = p2 - w, p2 - v
+        den = a * (f2 - fv) - b * (f2 - fw)
+        u = p2 - 0.5 * (a * a * (f2 - fv) - b * b * (f2 - fw)) / den if den else np.nan
+        if abs(u - p2) < h:
+            if abs(u - p2) < h / 8.0:
+                ku = k
+                side = 1 if not right_in and (left_in or p3 - p2 >= p2 - p1) else -1
+            else:
+                ku, side = round(u / h), (1 if u > p2 else -1)
+            edge = (ku + 0.5 * side) * h - side * inset
+            if (edge - p2) * side > 0.0 and p1 < edge < p3 and edge not in probed:
+                u = edge
+        elif p3 - p1 > 0.5 * widths[0]:
+            u = np.nan
+        if not p1 < u < p3 or u in probed:
+            u = 0.5 * (p2 + p3) if p3 - p2 >= p2 - p1 else 0.5 * (p1 + p2)
+        widths = [widths[1], p3 - p1]
+        phi(u)
+    return None
+
+
+def _star_certified_at(c, direction, t):
+    """True when the polygon that retract(c, direction, t) would build
+    passes the star certificate of check_simple."""
+    nodes = _moved_nodes(c, direction, t)
+    return _star_certified(nodes, _wrapped_angle_steps(nodes))
 
 
 def _choose_step(c, f, direction, line_search):

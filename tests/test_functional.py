@@ -258,6 +258,30 @@ def test_polar_pieces_reject_a_double_winding():
     assert not check_simple(c)
 
 
+def test_polar_pieces_skip_the_star_test_of_certified_curves(monkeypatch):
+    # the certificate's steps exceed 1e-12 and sum to 2*pi within 1e-9,
+    # which passes both tests of _require_star
+    def again(dang, where):
+        raise AssertionError(f"{where}: star test ran on a certified curve")
+
+    c = initial_shape(100)
+    moved = retract(c, 0.05 * np.cos(2.0 * c.params))
+    assert c.star_certified and moved.star_certified
+    monkeypatch.setattr(functional, "_require_star", again)
+    for curve in (c, moved):
+        assert evaluate_mso(curve, 2.0) == _evaluate_mso_uncached(curve, 2.0, "nodes")
+        assert distance_bar(curve, 2.0) == _distance_bar_uncached(curve, 2.0, "nodes")
+
+
+def test_polar_pieces_reject_an_uncertified_curve_off_the_origin():
+    c = DiscreteCurve(circle(64, 0.3, center=(2.0, 0.0)).nodes, require_simple=False)
+    assert not c.star_certified
+    for fn in (evaluate_mso, distance_bar):
+        with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: node angles are not "
+                                                "monotone around the origin$"):
+            fn(c, 2.0)
+
+
 def _probe_setup(n, seed):
     c = initial_shape(n)
     rng = np.random.default_rng(seed)
