@@ -20,7 +20,7 @@ from .functional import (VolumeFunctional, boundary_kernel, distance_bar,
                          distance_tilde, evaluate_general, evaluate_mso)
 from .harness import (ExperimentSpec, initial_shape, reference_ellipse,
                       run_property_suite, run_table1)
-from .metric import MetricParams, inner, norm, riesz_gradient
+from .metric import inner, norm, riesz_gradient
 from .solver import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                      STEEPEST_DESCENT, ExactLineSearch, FixedStep,
                      IterationRecord, SolverConfig, convergence_diagnostics,
@@ -37,7 +37,6 @@ __all__ = [
     "HessianOperator",
     "IterationRecord",
     "METHODS",
-    "MetricParams",
     "NEWTON_GENERAL_FORM",
     "NEWTON_MULTIPLICATIVE",
     "STEEPEST_DESCENT",

@@ -15,12 +15,16 @@ needs no extension data and is symmetric exactly: the discrete integrand
 depends on the two fields only through the pointwise product alpha*beta.
 
 The same product structure makes the form diagonal in the nodal basis,
-so ``HessianOperator`` holds it as one diagonal field.  At a curve where
-psi vanishes on the boundary the form collapses to multiplication by
-nu = dpsi_dn, which for the quadratic objective is the explicit field
-nu = 2 (x1 n1 + mu^2 x2 n2); ``hessian_at_solution`` builds that operator
-along any iterate, and ``solve_hessian`` divides by the diagonal field to
-produce Newton steps.
+so ``HessianOperator`` holds it as one diagonal field.  A Newton step
+solves hess(delta, .) = -df(.) with df(alpha) = sum g alpha w, and
+``solve_hessian`` does that pointwise against the derivative density g.
+The equation pairs the Hessian with df directly, so no metric enters the
+solve: the metric parameter A shapes the Hessian form only through its
+connection terms, which carry a factor psi and vanish at a stationary
+shape.  There the form collapses to multiplication by nu = dpsi_dn, the
+same for every A, which for the quadratic objective is the explicit field
+nu = 2 (x1 n1 + mu^2 x2 n2); ``hessian_at_solution`` builds that
+operator along any iterate.
 """
 
 from dataclasses import dataclass
@@ -30,8 +34,8 @@ import numpy as np
 from .curve import (as_field, retract, shift_next, shift_prev,
                     tangential_second_derivative)
 from .errors import SingularHessian
-from .functional import boundary_kernel, evaluate_general
-from .metric import as_params, inner, metric_weight, riesz_gradient
+from .functional import VolumeFunctional, boundary_kernel, evaluate_general
+from .metric import check_A, inner
 
 
 def covariant_derivative(c, A, alpha, beta, dbeta_dn):
@@ -47,7 +51,7 @@ def covariant_derivative(c, A, alpha, beta, dbeta_dn):
     caller's to supply; it is the only extension-dependent ingredient,
     and the Hessian forms below are arranged so they never need it.
     """
-    A = as_params(A).A
+    A = check_A(A)
     alpha = as_field(c, alpha, "alpha")
     beta = as_field(c, beta, "beta")
     dbeta_dn = as_field(c, dbeta_dn, "dbeta_dn")
@@ -85,7 +89,7 @@ def riemannian_hessian_form(c, A, psi_kernels, alpha, beta):
     Symmetric in (alpha, beta) to the last bit: the product field
     alpha*beta is formed once and every term acts on it.
     """
-    A = as_params(A).A
+    A = check_A(A)
     g, dpsi_dn = psi_kernels
     alpha = as_field(c, alpha, "alpha")
     beta = as_field(c, beta, "beta")
@@ -101,13 +105,15 @@ def riemannian_hessian_form(c, A, psi_kernels, alpha, beta):
 class HessianOperator:
     """The shape Hessian at a curve as a diagonal field in the nodal basis.
 
-    A Newton step solves d * delta = mass * rhs pointwise, where mass
-    pairs the right-hand side with the nodal basis.  ``multiplication``
-    holds pointwise scaling by a field nu (d = nu, mass = 1), valid where
-    the boundary kernel psi vanishes (stationary shapes, and a useful
-    surrogate along the way).  ``general_form`` holds the diagonal of the
-    full covariant form with the metric mass weights.  Both constructors
-    raise SingularHessian when the field cannot be inverted.
+    A Newton step solves d * delta = -mass * g pointwise, where g is the
+    derivative density and mass is the nodal pairing weight that turns g
+    into df on the nodal basis; neither depends on the metric.
+    ``multiplication`` holds pointwise scaling by a field nu (d = nu,
+    mass = 1), valid where the boundary kernel psi vanishes (stationary
+    shapes, and a useful surrogate along the way).  ``general_form`` holds
+    the diagonal of the full covariant form on the nodal basis, whose
+    pairing weight is the node weight w.  Both constructors raise
+    SingularHessian when the field cannot be inverted.
     """
     curve: object
     d: np.ndarray
@@ -122,7 +128,7 @@ class HessianOperator:
         return cls(curve, nu)
 
     @classmethod
-    def general_form(cls, curve, params, psi_kernels):
+    def general_form(cls, curve, A, psi_kernels):
         """Diagonal of the covariant Hessian form in the nodal basis.
 
         For nodal indicator fields e_j the pointwise product e_j * e_k
@@ -133,12 +139,11 @@ class HessianOperator:
 
         with S the second-difference stencil of tangential_second_derivative
         and coeff the pointwise factor of riemannian_hessian_form.  The
-        mass is the metric weight (1 + A kappa^2) w.  max|d| / min|d| is
-        the condition number of the diagonal; above 1e12, or with a
-        non-finite entry, the form counts as singular.
+        mass is the node weight w, since df(e_j) = g_j w_j.  max|d| /
+        min|d| is the condition number of the diagonal; above 1e12, or
+        with a non-finite entry, the form counts as singular.
         """
-        params = as_params(params)
-        A = params.A
+        A = check_A(A)
         g = as_field(curve, psi_kernels[0], "psi")
         dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
         geo = curve.geometry
@@ -160,34 +165,35 @@ class HessianOperator:
             ratio = size.max() / size.min()
         if not ratio <= 1e12:  # also true for a zero or non-finite entry
             raise SingularHessian(f"general-form diagonal has max|d|/min|d| = {ratio:.3e}")
-        return cls(curve, d, metric_weight(curve, params) * w)
+        return cls(curve, d, w)
 
 
 def hessian_at_solution(c, mu):
     """Multiplication-operator Hessian of the quadratic objective.
 
-    nu_i = 2 (x1 n1 + mu^2 x2 n2) at node i, evaluated with the curve's
-    own normals.  On the optimal ellipse this equals 2 sqrt(s1^2 +
-    mu^4 s2^2) and ranges over [2, 2 mu]; along other iterates it serves
-    as the Newton surrogate that becomes exact in the limit.
+    nu = dpsi_dn = 2 (x1 n1 + mu^2 x2 n2) at node i, the boundary kernel's
+    normal derivative evaluated with the curve's own normals.  On the
+    optimal ellipse this equals 2 sqrt(s1^2 + mu^4 s2^2) and ranges over
+    [2, 2 mu]; along other iterates it serves as the Newton surrogate that
+    becomes exact in the limit.  Raises ValueError for mu < 1, like
+    ``VolumeFunctional.quadratic_mso``.
     """
-    mu = float(mu)
-    n = c.geometry.normal
-    nu = 2.0 * (c.nodes[:, 0] * n[:, 0] + mu ** 2 * c.nodes[:, 1] * n[:, 1])
+    _, nu = boundary_kernel(c, VolumeFunctional.quadratic_mso(mu))
     return HessianOperator.multiplication(c, nu)
 
 
-def solve_hessian(H, rhs):
-    """Solve H delta = rhs for a Newton step.
+def solve_hessian(H, g):
+    """The field delta with hess(delta, .) = df(.), where df(alpha) =
+    sum g alpha w; the Newton step is its negative.
 
-    rhs is a tangent field (typically the Riesz gradient).  The operator
-    is a diagonal field, so the solve is pointwise: delta = mass * rhs / d.
-    For a multiplication operator that is division by nu; for the
-    general form, rhs is first paired with the nodal basis through the
-    metric mass weights (1 + A kappa^2) w.
+    g is the derivative density of the functional (the boundary kernel
+    psi), not a gradient, so no metric enters.  The operator is a diagonal
+    field, so the solve is pointwise: delta = mass * g / d.  For a
+    multiplication operator that is division by nu; for the general form,
+    g is first paired with the nodal basis through the node weights w.
     """
-    rhs = as_field(H.curve, rhs, "rhs")
-    return H.mass * rhs / H.d
+    g = as_field(H.curve, g, "g")
+    return H.mass * g / H.d
 
 
 def taylor_remainder_probe(f, c, A, h, t_list):
@@ -196,8 +202,7 @@ def taylor_remainder_probe(f, c, A, h, t_list):
     For each t the curve is retracted by t*h (nodes moved along their
     normals) and
 
-        remainder(t) = | f(c_t) - f(c) - t G(grad f, h)
-                         - (t^2/2) hess(h, h) |
+        remainder(t) = | f(c_t) - f(c) - t df(h) - (t^2/2) hess(h, h) |
 
     is returned as a list of (t, remainder) pairs.  All values of f use
     the fan quadrature so model and value share one discretization.  At a
@@ -209,8 +214,7 @@ def taylor_remainder_probe(f, c, A, h, t_list):
     """
     h = as_field(c, h, "h")
     g, dpsi_dn = boundary_kernel(c, f)
-    grad = riesz_gradient(c, A, g)
-    slope = inner(c, A, grad, h)
+    slope = inner(c, 0.0, g, h)  # df(h) = sum g h w
     curv = riemannian_hessian_form(c, A, (g, dpsi_dn), h, h)
     f0 = evaluate_general(c, f)
     out = []

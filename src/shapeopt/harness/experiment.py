@@ -12,7 +12,7 @@ import numpy as np
 
 from ..curve import DiscreteCurve
 from ..functional import VolumeFunctional
-from ..metric import as_params
+from ..metric import check_A
 from ..solver import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                       STEEPEST_DESCENT, SolverConfig, convergence_diagnostics,
                       optimize)
@@ -54,7 +54,7 @@ class ExperimentSpec:
         VolumeFunctional.quadratic_mso(self.mu)  # rejects mu < 1 or a non-finite mu^2
         if self.N < 8:
             raise ValueError("N must be >= 8")
-        as_params(self.A)  # rejects a negative or non-finite A
+        check_A(self.A)  # rejects a negative or non-finite A
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected among {METHODS}")

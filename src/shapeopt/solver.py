@@ -3,7 +3,8 @@ search, the optimize driver, and convergence diagnostics.
 
 An iteration is direction -> line search -> retract.  Directions are the
 negative Riesz gradient (steepest descent) or a Newton step from one of
-the two Hessian representations in ``calculus``.  The exact line search
+the two Hessian representations in ``calculus``, solved against the
+derivative density and so free of the metric.  The exact line search
 brackets by doubling and refines by golden section; for the quadratic
 objective family it minimizes an exactly differenced objective, so step
 lengths remain meaningful even when the objective decrease is far below
@@ -30,7 +31,7 @@ from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      ShapeOptError)
 from .functional import (boundary_kernel, distance_bar, distance_tilde,
                          mso_step_objective)
-from .metric import as_params, norm, riesz_gradient
+from .metric import check_A, norm, riesz_gradient
 
 STEEPEST_DESCENT = "steepest-descent"
 NEWTON_MULTIPLICATIVE = "newton-multiplicative"
@@ -99,14 +100,9 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.stop_distance > 0.0:
             raise ValueError("stop_distance must be positive")
-        as_params(self.A)  # rejects a negative or non-finite A now, not at first use
-        if self.line_search is not None and not isinstance(
-                self.line_search, (ExactLineSearch, FixedStep)):
-            raise ValueError("line_search must be ExactLineSearch, FixedStep, or None")
-
-    @property
-    def metric(self):
-        return as_params(self.A)
+        check_A(self.A)  # rejects a negative or non-finite A now, not at first use
+        if not isinstance(self.line_search, (ExactLineSearch, FixedStep)):
+            raise ValueError("line_search must be ExactLineSearch or FixedStep")
 
 
 @dataclass
@@ -136,21 +132,20 @@ class IterationRecord:
 def step_direction(c, f, config):
     """Descent direction of f at c for the configured method.
 
-    Steepest descent returns the negative gradient.  The multiplicative
-    Newton method divides the gradient by the stationary-shape factor
-    nu = dpsi_dn evaluated along the current curve; the general-form
-    Newton method solves against the full covariant Hessian form.
+    Steepest descent returns the negative Riesz gradient in the A-metric.
+    The Newton methods solve hess(delta, .) = -df(.) against the
+    derivative density g, which holds no metric: the multiplicative step
+    -g/nu, with nu = dpsi_dn along the current curve, is the same for
+    every A; the general form uses the full covariant Hessian.
     """
-    params = config.metric
     g, dpsi_dn = boundary_kernel(c, f)
-    grad = riesz_gradient(c, params, g)
     if config.method == STEEPEST_DESCENT:
-        return -grad
+        return -riesz_gradient(c, config.A, g)
     if config.method == NEWTON_MULTIPLICATIVE:
         H = HessianOperator.multiplication(c, dpsi_dn)
     else:
-        H = HessianOperator.general_form(c, params, (g, dpsi_dn))
-    return -solve_hessian(H, grad)
+        H = HessianOperator.general_form(c, config.A, (g, dpsi_dn))
+    return -solve_hessian(H, g)
 
 
 def _decrease_function(c, f, direction):
@@ -379,8 +374,6 @@ def _star_certified_at(c, direction, t):
 
 
 def _choose_step(c, f, direction, line_search):
-    if line_search is None:
-        return 1.0
     if isinstance(line_search, FixedStep):
         return line_search.t
     return line_search_exact(c, f, direction, line_search.bracket_max,
@@ -415,7 +408,6 @@ def optimize(c0, f, config, reference=None):
     """
     records = []
     c = c0
-    params = config.metric
     stop = None
     try:
         for k in range(config.max_iterations + 1):
@@ -432,7 +424,7 @@ def optimize(c0, f, config, reference=None):
             direction = step_direction(c, f, config)
             t = _choose_step(c, f, direction, config.line_search)
             rec.step_scale = t
-            rec.step_norm = t * norm(c, params, direction)
+            rec.step_norm = t * norm(c, config.A, direction)
             if k > 0 and records[k - 1].step_norm:
                 records[k - 1].contraction_ratio = rec.step_norm / records[k - 1].step_norm
             c = retract(c, direction, t)

@@ -106,15 +106,22 @@ def test_solve_multiplication_singular():
 
 
 def test_general_form_matches_multiplication_at_solution():
+    # the Newton step at the solution does not depend on the metric
     c = reference_ellipse(100, 2.0)
     f = VolumeFunctional.quadratic_mso(2.0)
-    gen = HessianOperator.general_form(c, 0.0, boundary_kernel(c, f))
     mult = hessian_at_solution(c, 2.0)
-    rng = np.random.default_rng(23)
-    for rhs in rng.standard_normal((5, 100)):
-        a = solve_hessian(gen, rhs)
-        b = solve_hessian(mult, rhs)
-        assert np.max(np.abs(a - b)) < 1e-6 * np.max(np.abs(b))
+    rhss = np.random.default_rng(23).standard_normal((5, 100))
+    for A in (0.0, 0.5, 1.0):
+        gen = HessianOperator.general_form(c, A, boundary_kernel(c, f))
+        for rhs in rhss:
+            a = solve_hessian(gen, rhs)
+            b = solve_hessian(mult, rhs)
+            assert np.max(np.abs(a - b)) < 1e-6 * np.max(np.abs(b)), A
+
+
+def test_hessian_at_solution_rejects_mu_below_one():
+    with pytest.raises(ValueError):
+        hessian_at_solution(reference_ellipse(100, 2.0), 0.5)
 
 
 def test_general_form_diagonal_matches_quadrature_form():

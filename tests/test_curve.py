@@ -18,7 +18,6 @@ from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate,
 from shapeopt.functional import distance_bar, evaluate_mso
 from shapeopt.harness import reference_ellipse
 from shapeopt.harness.properties import random_star_curve
-from shapeopt.metric import as_params, metric_weight
 
 
 def test_constructor_rejects_bad_shape():
@@ -498,10 +497,8 @@ def _tangential_second_derivative_roll(c, u):
     return 2.0 * (dm * up + dp * um - (dm + dp) * u) / (dm * dp * (dm + dp))
 
 
-def _general_form_roll(curve, params, psi_kernels):
+def _general_form_roll(curve, A, psi_kernels):
     """(d, mass) of HessianOperator.general_form, without its singularity test."""
-    params = as_params(params)
-    A = params.A
     g = as_field(curve, psi_kernels[0], "psi")
     dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
     geo = curve.geometry
@@ -515,7 +512,7 @@ def _general_form_roll(curve, params, psi_kernels):
     cp = 2.0 / (dp * (dm + dp))
     E = g * A * kappa * w
     st_e = np.roll(E * cm, -1) + E * c0 + np.roll(E * cp, 1)
-    return coeff * w - st_e, metric_weight(curve, params) * w
+    return coeff * w - st_e, w
 
 
 def _retract_roll(c, h, t=1.0):

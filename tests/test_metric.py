@@ -4,23 +4,39 @@ import numpy as np
 import pytest
 
 from conftest import circle
-from shapeopt import MetricParams, inner, norm, riesz_gradient
+from shapeopt import (ExperimentSpec, HessianOperator, SolverConfig,
+                      covariant_derivative, inner, norm,
+                      riemannian_hessian_form, riesz_gradient)
 from shapeopt.errors import DimensionMismatch
-from shapeopt.metric import as_params, metric_weight
+from shapeopt.metric import check_A, metric_weight
 
 
 def test_params_validation():
-    assert MetricParams().A == 0.0
-    with pytest.raises(ValueError):
-        MetricParams(-1.0)
-    with pytest.raises(ValueError):
-        MetricParams(np.nan)
+    assert check_A(0) == 0.0 and type(check_A(0)) is float
+    assert check_A(np.float32(2.0)) == 2.0
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="metric parameter A must be >= 0"):
+            check_A(bad)
 
 
-def test_as_params_coercion():
-    p = MetricParams(2.0)
-    assert as_params(p) is p
-    assert as_params(2.0) == p
+@pytest.mark.parametrize("use", [
+    lambda c, z, A: SolverConfig(A=A),
+    lambda c, z, A: ExperimentSpec(A=A),
+    lambda c, z, A: metric_weight(c, A),
+    lambda c, z, A: inner(c, A, z, z),
+    lambda c, z, A: norm(c, A, z),
+    lambda c, z, A: riesz_gradient(c, A, z),
+    lambda c, z, A: covariant_derivative(c, A, z, z, z),
+    lambda c, z, A: riemannian_hessian_form(c, A, (z, z + 1.0), z, z),
+    lambda c, z, A: HessianOperator.general_form(c, A, (z, z + 1.0)),
+])
+def test_every_use_of_a_rejects_a_bad_a(use):
+    c = circle(16)
+    z = np.zeros(16)
+    use(c, z, 0.5)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="metric parameter A must be >= 0"):
+            use(c, z, bad)
 
 
 def test_weight_is_one_plus_a_kappa_squared():

@@ -394,10 +394,28 @@ def test_optimize_fixed_step():
 def test_optimize_unit_step_newton():
     # pure Newton iteration (no line search) from a nearby circle
     f1 = VolumeFunctional.quadratic_mso(1.0)
-    cfg = SolverConfig(method=NEWTON_MULTIPLICATIVE, line_search=None)
+    cfg = SolverConfig(method=NEWTON_MULTIPLICATIVE, line_search=FixedStep())
     records = optimize(circle(100, 1.2), f1, cfg)
     assert records[-1].distance < 1e-7
     assert len(records) <= 6
+
+
+def test_multiplicative_newton_iterates_do_not_depend_on_the_metric():
+    # the step -g/nu holds no metric; step_norm is measured in the A-metric
+    # (and contraction_ratio with it), so those two are left out
+    fields = ("nodes", "objective", "distance", "step_scale", "stop")
+    starts = [initial_shape(100)] + _warm_starts(100, 8)
+    for i, c0 in enumerate(starts):
+        runs = {A: optimize(c0, F2, SolverConfig(method=NEWTON_MULTIPLICATIVE, A=A))
+                for A in (0.0, 0.5, 1.0)}
+        for A in (0.5, 1.0):
+            assert len(runs[A]) == len(runs[0.0]), (i, A)
+            for rec, ref in zip(runs[A], runs[0.0]):
+                for name in fields:
+                    npt.assert_array_equal(getattr(rec, name), getattr(ref, name),
+                                           err_msg=f"start {i}, A={A}, {name}")
+            if i == 0:
+                assert runs[A][-1].stop == "distance" and len(runs[A]) - 1 == 4, A
 
 
 def test_optimize_with_reference_curve():
