@@ -12,11 +12,16 @@ from shapeopt.metric import check_A, metric_weight
 
 
 def test_params_validation():
-    assert check_A(0) == 0.0 and type(check_A(0)) is float
-    assert check_A(np.float32(2.0)) == 2.0
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="metric parameter A must be >= 0"):
             check_A(bad)
+
+
+def test_as_params_coercion():
+    assert check_A(0) == 0.0 and type(check_A(0)) is float
+    assert check_A(np.float32(2.0)) == 2.0
+    assert type(check_A(np.float32(2.0))) is float
+    assert check_A(2.0) == 2.0
 
 
 @pytest.mark.parametrize("use", [
