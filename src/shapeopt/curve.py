@@ -22,7 +22,13 @@ computed once per curve and kept on it, read-only:
 - the polar pieces of ``functional.evaluate_mso`` and
   ``functional.distance_bar`` (angle steps and stretched squared radii),
   one entry per (mu, angles) on first successful use, so the objective
-  and the distance of one iterate share them.
+  and the distance of one iterate share them;
+- the curvature stencil weights of its params, computed on first use of
+  ``geometry`` and shared with every curve retracted from it, which
+  keeps the params;
+- the retraction candidate: the unchecked polygon that the line search
+  built and star-checked at its step, until ``retract`` admits or
+  rejects it.
 """
 
 import json
@@ -76,10 +82,23 @@ def signed_area(nodes):
 def _wrapped_angle_steps(nodes):
     """Polar angle increments about the origin between consecutive nodes,
     wrapped into [-pi, pi): the arctan2 angle of each node, its forward
-    difference, then (d + pi) mod 2*pi - pi."""
+    difference d, then (d + pi) mod 2*pi - pi.
+
+    The remainder is taken by branches: s = d + pi lies in [-pi, 3*pi]
+    since arctan2 returns angles in [-pi, pi], and numpy's float
+    remainder of such an s by 2*pi is s + 2*pi below zero (rounded, so
+    up to 2*pi itself), s - 2*pi at or above 2*pi (exact by Sterbenz's
+    lemma, +0.0 at 2*pi) and s otherwise (+0.0 at zero, where s is never
+    -0.0).  Both masks are taken from s before either branch is applied.
+    The result is the remainder form's, bit for bit, nan included."""
     ang = np.arctan2(nodes[:, 1], nodes[:, 0])
-    dang = shift_next(ang) - ang
-    return (dang + np.pi) % (2.0 * np.pi) - np.pi
+    s = shift_next(ang) - ang
+    s += np.pi
+    below, above = s < 0.0, s >= 2.0 * np.pi
+    s[below] += 2.0 * np.pi
+    s[above] -= 2.0 * np.pi
+    s -= np.pi
+    return s
 
 
 # the star certificate of check_simple: every wrapped angle step in
@@ -319,12 +338,14 @@ class DiscreteCurve:
             raise ShapeDegenerate("polygon self-intersects")
 
     @classmethod
-    def _unchecked(cls, nodes, params):
-        """Curve on fresh finite nodes with the validated read-only params
-        of the curve they were moved from, and no chords yet: the caller
-        runs check_simple on it, then sets the chords with _set_chords."""
+    def _unchecked(cls, nodes, source):
+        """Curve on fresh nodes moved from the curve source, whose validated
+        read-only params and stencil weights it shares, with no chords yet:
+        retract runs its checks on it, then sets the chords with
+        _set_chords."""
         c = cls.__new__(cls)
-        c._set(nodes, params)
+        c._set(nodes, source.params)
+        c._stencil = source._stencil
         return c
 
     def _set(self, nodes, params, area=None):
@@ -337,6 +358,11 @@ class DiscreteCurve:
         self._angle_steps = None
         self._star = None
         self._geometry = None
+        # the curvature stencil weights of params, from _stencil_weights
+        self._stencil = None
+        # (h, t, unchecked moved curve) of the last _retraction_candidate,
+        # until retract takes it
+        self._candidate = None
         # (mu, angles) -> read-only (angle steps, stretched rho^2); filled
         # by functional._polar_pieces
         self._polar = {}
@@ -426,6 +452,15 @@ def _param_gaps(params):
     return dp, shift_prev(dp)
 
 
+def _stencil_weights(params):
+    """Weights of the three-point parameter stencils of _compute_geometry:
+    (dm, dp, den, cp, cm, c0, s).  They depend on params alone, which a
+    retraction keeps, so a curve computes them once and the curves moved
+    from it share them."""
+    dp, dm = _param_gaps(params)
+    return dm, dp, dm * dp * (dm + dp), dm ** 2, dp ** 2, dp ** 2 - dm ** 2, dm + dp
+
+
 def _compute_geometry(c):
     # contiguous x and y columns: the same elementwise arithmetic as on the
     # (N, 2) rows, so the same bits, with faster ufunc loops
@@ -447,12 +482,11 @@ def _compute_geometry(c):
     # curvature kappa = (x'y'' - y'x'') / |(x', y')|^3 with three-point
     # stencils in the parameter; the nonuniform weights reduce to the
     # classical central differences on the equidistant grid
-    dp, dm = _param_gaps(c.params)
-    den = dm * dp * (dm + dp)
-    cp, cm, c0 = dm ** 2, dp ** 2, dp ** 2 - dm ** 2
+    if c._stencil is None:
+        c._stencil = _stencil_weights(c.params)
+    dm, dp, den, cp, cm, c0, s = c._stencil
     d1x = (cp * xp - cm * xm + c0 * x) / den
     d1y = (cp * yp - cm * ym + c0 * y) / den
-    s = dm + dp
     d2x = 2.0 * (dm * xp + dp * xm - s * x) / den
     d2y = 2.0 * (dm * yp + dp * ym - s * y) / den
     speed = np.sqrt(d1x * d1x + d1y * d1y)
@@ -462,10 +496,22 @@ def _compute_geometry(c):
     return CurveGeometry(tangent, normal, curvature, weights)
 
 
-def _moved_nodes(c, h, t):
-    """Nodes of c moved by t*h_i along the outward normals: the node
-    update of ``retract``, for a validated field h."""
-    return c.nodes + float(t) * h[:, None] * c.geometry.normal
+def _moved(c, h, t):
+    """The unchecked curve on the nodes of c moved by t*h_i along the
+    outward normals: the node update of ``retract``, for a validated
+    field h."""
+    return DiscreteCurve._unchecked(c.nodes + float(t) * h[:, None] * c.geometry.normal, c)
+
+
+def _retraction_candidate(c, h, t):
+    """The unchecked curve that retract(c, h, t) admits or rejects, for a
+    validated field h.  It is kept on c with a copy of h until the next
+    retract of c: a retract with the same t and the same bits of h runs
+    its checks on this very curve, so the nodes, angle steps and star
+    flag computed here are not computed again."""
+    moved = _moved(c, h, t)
+    c._candidate = (h.copy(), float(t), moved)
+    return moved
 
 
 def retract(c, h, t=1.0):
@@ -481,15 +527,25 @@ def retract(c, h, t=1.0):
     again and so would slip past a pure self-intersection check.
     DegenerateCurve is raised when a moved node is not finite or two
     consecutive moved nodes coincide.
+
+    When the line search has built the moved curve at this h and t
+    (``_retraction_candidate``), that curve is the one checked and
+    returned; every check runs on it all the same.  Either way c keeps
+    no candidate after the call.
     """
     h = as_field(c, h, "h")
-    nodes = _moved_nodes(c, h, t)
+    kept, c._candidate = c._candidate, None
+    if (kept is not None and kept[1] == t
+            and np.array_equal(kept[0].view(np.int64), h.view(np.int64))):
+        moved = kept[2]
+    else:
+        moved = _moved(c, h, t)
+    nodes = moved.nodes
     chord = shift_next(nodes) - shift_prev(nodes)
     tan = c.geometry.tangent
     if np.any(chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0):
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
     _check_finite(nodes)
-    moved = DiscreteCurve._unchecked(nodes, c.params)
     if not check_simple(moved):
         raise ShapeDegenerate("retracted polygon self-intersects")
     moved._set_chords(_chords(nodes))

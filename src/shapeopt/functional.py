@@ -26,7 +26,7 @@ coincide for mu = 1 and at any curve whose stretched image is a circle.
 
 import numpy as np
 
-from .curve import DiscreteCurve, _wrapped_angle_steps, shift_next
+from .curve import DiscreteCurve, _wrapped_angle_steps, shift_next, shift_prev
 from .errors import NotStarShaped, ProjectionFailed
 
 
@@ -226,8 +226,26 @@ def mso_step_objective(curve_or_nodes, step, mu):
     array; ``step`` is a raw (N, 2) array.  The caller guarantees the
     probed polygons stay star-shaped.
 
-    The returned closure reuses buffers allocated here, so a probe makes
-    no array allocation; each call still depends on t alone.
+    With dP_i = P(rho_i(t)) - P(rho_i(0)) and a_i the angle that node i
+    turns through, the angle step dang_i of evaluate_mso becomes
+    dang_i + a_{i+1} - a_i, and summing by parts gives
+
+        2 mu phi(t) = sum_i dP_i (dang_i + dang_{i-1} + a_{i+1} - a_{i-1})
+                      + sum_i a_i D_i,   D_i = P0_{i-1} - P0_{i+1}.
+
+    Every term is an increment: dP_i is formed as the product
+    (rho2_t - rho2_0)(rho2_0 - 1 + (rho2_t - rho2_0)/2)/2, a_i as the
+    arctan2 of the cross and dot products of the old and moved node,
+    and D_i as (r_{i-1} - r_{i+1})(r_{i-1} + r_{i+1})/4 with
+    r = rho2_0 - 1.  D vanishes on the optimal ellipse, so the angular
+    sum carries no constant P0 that would have to cancel: the telescoping
+    sum of (a_{i+1} - a_i)(P0_{i+1} + P0_i) in the direct form is gone.
+
+    Everything that does not depend on t is computed here, once per
+    search: r, x*x + y*y, x*sx + y*sy, the cross product, the summed
+    angle steps and D.  The returned closure reuses buffers allocated
+    here, so a probe makes no array allocation; each call still depends
+    on t alone.
     """
     if isinstance(curve_or_nodes, DiscreteCurve):
         nodes, dang0 = curve_or_nodes.nodes, curve_or_nodes.angle_steps
@@ -235,50 +253,48 @@ def mso_step_objective(curve_or_nodes, step, mu):
         nodes = np.asarray(curve_or_nodes, dtype=float)
         dang0 = _wrapped_angle_steps(nodes)
     step = np.asarray(step, dtype=float)
-    # contiguous copies of the columns: the probe's ufuncs run faster on them
+    # contiguous copies of the columns: the ufuncs run faster on them
     x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
     sx, sy = step[:, 0].copy(), step[:, 1].copy()
-    rho2_0 = x ** 2 + mu ** 2 * y ** 2
-    P0 = rho2_0 ** 2 / 4.0 - rho2_0 / 2.0
-    # rho2(t) = rho2_0 + t*lin + t^2*quad in the stretched plane
-    lin = 2.0 * (x * sx + mu ** 2 * y * sy)
-    quad = sx ** 2 + mu ** 2 * sy ** 2
+    mu2 = mu ** 2
+    xx, yy, xsx, ysy = x * x, y * y, x * sx, y * sy
+    # rho2(t) = rho2_0 + 2*(t*lin + t^2*quad) in the stretched plane
+    r = xx + mu2 * yy - 1.0
+    lin = xsx + mu2 * ysy
+    quad = (sx * sx + mu2 * (sy * sy)) / 2.0
+    # dot and cross products of the moved node with the old one
+    r2, xs = xx + yy, xsx + ysy
     cross0 = x * sy - y * sx
+    dang_sum = dang0 + shift_prev(dang0)
+    rm, rp = shift_prev(r), shift_next(r)
+    D = (rm - rp) * (rm + rp) / 4.0
 
     n = len(x)
-    u, v, term = np.empty(n), np.empty(n), np.empty(n)
-    # one extra slot holds element 0 again, so [1:] is the periodic next
-    dP_ext, P_ext, ang_ext = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    dP, P_t, dang_node = dP_ext[:n], P_ext[:n], ang_ext[:n]
+    u, v, dP = np.empty(n), np.empty(n), np.empty(n)
+    # a_ext[1:n+1] holds a; slots 0 and n+1 hold a_{n-1} and a_0
+    a_ext = np.empty(n + 2)
+    a, a_next, a_prev = a_ext[1:n + 1], a_ext[2:], a_ext[:n]
+    # t and t*t as 0-d arrays: a ufunc takes them faster than a float
+    tt, tt2 = np.empty(()), np.empty(())
+    mul, add, sub, atan2 = np.multiply, np.add, np.subtract, np.arctan2
 
     def delta_phi(t):
-        # each line is one operation of the expression in its comment,
-        # in the order numpy evaluates that expression
-        np.multiply(t, lin, out=u)
-        np.multiply(t * t, quad, out=v)
-        np.add(u, v, out=u)                    # u = t*lin + t*t*quad
-        np.multiply(0.5, u, out=v)
-        np.add(rho2_0, v, out=v)
-        np.subtract(v, 1.0, out=v)             # v = rho2_0 + 0.5*u - 1
-        np.multiply(u, v, out=dP)
-        np.divide(dP, 2.0, out=dP)             # P(rho2_t) - P(rho2_0) exactly
-        np.add(P0, dP, out=P_t)                # P_t = P0 + dP
-        np.multiply(t, sx, out=u)
-        np.add(x, u, out=u)
-        np.multiply(x, u, out=u)
-        np.multiply(t, sy, out=v)
-        np.add(y, v, out=v)
-        np.multiply(y, v, out=v)
-        np.add(u, v, out=u)                    # dot = x*(x + t*sx) + y*(y + t*sy)
-        np.multiply(t, cross0, out=v)
-        np.arctan2(v, u, out=dang_node)
-        dP_ext[n], P_ext[n], ang_ext[n] = dP[0], P_t[0], dang_node[0]
-        np.add(dP_ext[1:], dP, out=term)
-        np.multiply(dang0, term, out=term)     # dang0*(next(dP) + dP)
-        np.subtract(ang_ext[1:], dang_node, out=u)
-        np.add(P_ext[1:], P_t, out=v)
-        np.multiply(u, v, out=u)               # ddang*(next(P_t) + P_t)
-        np.add(term, u, out=term)
-        return float(term.sum() / (2.0 * mu))
+        tt[()], tt2[()] = t, t * t
+        mul(tt, lin, u)
+        mul(tt2, quad, v)
+        add(u, v, u)                           # u = (rho2_t - rho2_0)/2
+        add(r, u, v)
+        mul(u, v, dP)                          # dP = P(rho2_t) - P(rho2_0)
+        mul(tt, xs, u)
+        add(r2, u, u)
+        mul(tt, cross0, v)
+        atan2(v, u, a)
+        a_ext[0], a_ext[n + 1] = a[n - 1], a[0]
+        sub(a_next, a_prev, u)
+        add(dang_sum, u, u)
+        mul(dP, u, u)
+        mul(a, D, v)
+        add(u, v, u)
+        return float(u.sum() / (2.0 * mu))
 
     return delta_phi

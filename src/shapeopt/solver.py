@@ -8,7 +8,11 @@ derivative density and so free of the metric.  The exact line search
 brackets by doubling and refines by golden section; for the quadratic
 objective family it minimizes an exactly differenced objective, so step
 lengths remain meaningful even when the objective decrease is far below
-the rounding noise of the objective value itself.  With a step grid set
+the rounding noise of the objective value itself.  That objective
+(``functional.mso_step_objective``) sums per-node increments only: the
+radial change of P and the turn of each node's angle, weighted by
+constants of the search set up once, with no telescoping sum of nearly
+equal terms left to cancel.  With a step grid set
 (the default), a short safeguarded parabolic search that starts at the
 unit step decides the snapped step first, in about 7 probes on the
 packaged runs; golden section stops as soon as both ends of its bracket
@@ -16,6 +20,8 @@ round to the same grid point and that point decreases the objective.
 Either way the snapped step is the one the full-precision search would
 return when the objective is unimodal along the step, and a parabolic
 search that cannot certify its grid point hands over to golden section.
+The polygon that the parabolic search star-certifies at its step is the
+one ``retract`` then admits, so an accepted step builds it once.
 """
 
 from dataclasses import dataclass
@@ -24,8 +30,7 @@ from statistics import median
 import numpy as np
 
 from .calculus import HessianOperator, solve_hessian
-from .curve import (_moved_nodes, _star_certified, _wrapped_angle_steps,
-                    as_field, retract)
+from .curve import _retraction_candidate, as_field, retract
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      NotStarShaped, ProjectionFailed, ShapeDegenerate,
                      ShapeOptError)
@@ -197,10 +202,12 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     until the lowest probe p2 and its probed neighbours p1 < p2 < p3
     satisfy round((p1 - 2*tolerance)/h) == round((p3 + 2*tolerance)/h)
     == k, then returns k*h if 0 < k*h <= bracket_max and phi(k*h) < 0.
+    When p2 is bracket_max itself there is no p3, and none is needed:
+    golden section's brackets never pass bracket_max, which rounds to k.
     It hands over to the bracketing and golden section above, which run
-    unchanged on the probes already made, when k is 0, the lowest probe
-    is at bracket_max, a probe is nan, the snap fails, the probe budget
-    SNAP_PROBES is spent, or (below) the star check fails.
+    unchanged on the probes already made, when k is 0, a probe is nan,
+    the snap fails, the probe budget SNAP_PROBES is spent, or (below)
+    the star check fails.
 
     The parabolic search returns golden section's float whenever phi is
     unimodal on [0, bracket_max]: strictly decreasing up to its first
@@ -222,7 +229,15 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     where they do not, phi stops being unimodal.  The parabolic search's
     k*h is therefore returned only if the polygon that retract would
     build at k*h passes the star certificate of check_simple; otherwise
-    the search hands over.
+    the search hands over.  That polygon stays on c as the retraction
+    candidate, which ``retract(c, direction, k*h)`` checks and returns
+    instead of building it again.
+
+    Each probe of the quadratic family costs 15 O(N) array passes:
+    ``mso_step_objective`` computes once per search what does not depend
+    on t, and sums increments that carry no constant to cancel (see its
+    docstring), so a decrease far below the objective's rounding noise
+    is resolved to near full relative precision.
     """
     direction = as_field(c, direction, "direction")
     if not np.any(direction):
@@ -312,10 +327,16 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
     - the wider side of p2 is bisected when the vertex is not finite,
       not strictly inside (p1, p3) or already probed, or when the last
       two probes have not halved p3 - p1.
+    - when p2 is at bracket_max, it has no right neighbour, and golden
+      section's brackets never pass bracket_max; the left edge of its
+      cell, inset as above, is probed, which decides k = round(p2 / h)
+      if it is higher than p2: the first minimizer then lies in
+      (edge, bracket_max], which rounds to k as a whole.
 
-    None is returned when the lowest probe is at bracket_max, a probe is
-    nan, k is 0, k*h lies above bracket_max or does not decrease phi, or
-    SNAP_PROBES probes leave k undecided.
+    None is returned when a probe is nan, k is 0, k*h lies above
+    bracket_max or does not decrease phi, the inset edge of bracket_max's
+    cell is not below bracket_max, or SNAP_PROBES probes leave k
+    undecided.
     """
     h = step_resolution
     margin = 2.0 * tolerance
@@ -332,18 +353,26 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
         if any(f != f for f in fs):
             return None
         j = fs.index(min(fs))
-        if j == len(ts) - 1:
-            return None  # the lowest probe is at bracket_max
-        p1, p2, p3 = ts[j - 1:j + 2]
+        at_max = j == len(ts) - 1
+        p1, p2 = ts[j - 1:j + 1]
+        p3 = p2 if at_max else ts[j + 1]
         f2 = fs[j]
         k = round(p2 / h)
         left_in = round((p1 - margin) / h) == k
-        right_in = round((p3 + margin) / h) == k
+        # golden section's brackets never pass bracket_max
+        right_in = at_max or round((p3 + margin) / h) == k
         if left_in and right_in:
             t_snap = k * h
             if 0 < k and t_snap <= bracket_max and phi(t_snap) < 0.0:
                 return float(t_snap)
             return None
+        if at_max:
+            # the left edge of bracket_max's cell, inset into it
+            u = (k - 0.5) * h + inset
+            if not p1 < u < p2:
+                return None
+            phi(u)
+            continue
         (w, fw), (v, fv) = sorted(zip(ts, fs), key=lambda p: p[1])[1:3]
         a, b = p2 - w, p2 - v
         den = a * (f2 - fv) - b * (f2 - fw)
@@ -368,9 +397,10 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
 
 def _star_certified_at(c, direction, t):
     """True when the polygon that retract(c, direction, t) would build
-    passes the star certificate of check_simple."""
-    nodes = _moved_nodes(c, direction, t)
-    return _star_certified(nodes, _wrapped_angle_steps(nodes))
+    passes the star certificate of check_simple.  That polygon is kept
+    on c as the retraction candidate, so the retract that follows an
+    accepted step admits it without building it again."""
+    return _retraction_candidate(c, direction, t).star_certified
 
 
 def _choose_step(c, f, direction, line_search):

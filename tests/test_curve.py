@@ -329,6 +329,39 @@ def test_angle_steps_are_shared_and_read_only():
     assert np.array_equal(unchecked.angle_steps, _wrapped_angle_steps_roll(unchecked.nodes))
 
 
+def test_wrapped_angle_steps_match_the_remainder_form_bit_for_bit():
+    # node angles on a dense grid, with +-pi, +-0.0, their neighbouring
+    # floats and the extremes of arctan2 (signed zeros, subnormal and
+    # infinite coordinates, nan); consecutive nodes run through every
+    # ordered pair of grid nodes, so every wrap branch and its edges occur
+    theta = np.linspace(-np.pi, np.pi, 97)
+    theta = np.concatenate([theta, np.nextafter(theta, 4.0), np.nextafter(theta, -4.0)])
+    grid = np.column_stack([np.cos(theta), np.sin(theta)])
+    tiny = 5e-324
+    extremes = [[-1.0, 0.0], [-1.0, -0.0], [1.0, 0.0], [1.0, -0.0], [0.0, 0.0],
+                [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, -1.0],
+                [-1.0, tiny], [-1.0, -tiny], [tiny, -1.0], [-tiny, 1.0],
+                [-np.inf, 0.0], [-np.inf, -0.0], [np.inf, np.inf], [-np.inf, -np.inf],
+                [-np.inf, np.inf], [np.nan, 1.0]]
+    grid = np.vstack([grid, extremes])
+    m = len(grid)
+    pairs = np.column_stack([np.repeat(np.arange(m), m), np.tile(np.arange(m), m)])
+    nodes = grid[pairs.ravel()]
+    with np.errstate(invalid="ignore"):
+        branch, remainder = curve._wrapped_angle_steps(nodes), _wrapped_angle_steps_roll(nodes)
+    assert np.array_equal(branch.view(np.int64), remainder.view(np.int64))
+    # the steps reach both branches, the edges 0 and 2*pi of s = d + pi,
+    # and d = -0.0
+    ang = np.arctan2(nodes[:, 1], nodes[:, 0])
+    d = np.roll(ang, -1) - ang
+    s = d + np.pi
+    assert np.any(s < 0.0) and np.any(s > 2.0 * np.pi)
+    assert np.any(s == 0.0) and np.any(s == 2.0 * np.pi)
+    # a negative s that rounds up to 2*pi once 2*pi is added stays there
+    assert np.any((s < 0.0) & (s + 2.0 * np.pi == 2.0 * np.pi))
+    assert np.any(np.signbit(d) & (d == 0.0))
+
+
 def test_constructor_computes_signed_area_once(monkeypatch):
     calls = []
     original = curve.signed_area
@@ -673,6 +706,70 @@ def test_retract_rejects_coincident_and_overflowing_nodes():
         for h in (one, np.full(32, 1e308)):
             with pytest.raises(DegenerateCurve, match="non-finite"):
                 retract(c, h, 10.0)
+
+
+def test_retract_checks_a_kept_candidate_as_a_fresh_polygon():
+    # a candidate that the line search built at the step still runs every
+    # check of retract, which raises as without it and drops it
+    c = DiscreteCurve([(-1, 0), (0, 0), (1, 0), (0, 2), (-1, 2), (-2, 2), (-3, 2),
+                       (-1.5, 1.5), (0, 1)])
+    reversing, coincident = np.zeros(9), np.zeros(9)
+    reversing[[0, 2]] = -1.0
+    coincident[2] = -1.0
+    one = np.zeros(32)
+    one[3] = 1e308
+    cases = [(c, reversing, 1.0, ShapeDegenerate, "reversed"),
+             (c, coincident, 1.0, DegenerateCurve, "consecutive nodes coincide"),
+             (circle(32), one, 10.0, DegenerateCurve, "non-finite"),
+             (circle(32), np.full(32, 1e308), 10.0, DegenerateCurve, "non-finite"),
+             (circle(100), -np.ones(100), 1.5, ShapeDegenerate, "reversed"),
+             (circle(100), 5.0 * np.sin(7.0 * circle(100).params), 1.0, ShapeDegenerate,
+              "reversed|self-intersects")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for src, h, t, error, message in cases:
+            kept = curve._retraction_candidate(src, h, t)
+            assert src._candidate[2] is kept
+            with pytest.raises(error, match=message):
+                retract(src, h, t)
+            assert src._candidate is None
+
+
+def test_retract_reuses_a_candidate_only_at_its_own_step():
+    rng = np.random.default_rng(59)
+    c = random_star_curve(64, rng, amplitude=0.2)
+    h = 0.05 * rng.standard_normal(64)
+    h[5] = 0.0
+    signed = h.copy()
+    signed[5] = -0.0
+    mutated = h.copy()
+    for other_h, other_t in ((h, 0.7000000000000001), (h, 0.69), (2.0 * h, 0.7),
+                             (signed, 0.7), (mutated, 0.7)):
+        kept = curve._retraction_candidate(c, h, 0.7)
+        if other_h is mutated:
+            mutated[7] += 1e-3  # the kept copy holds h as it was
+        moved = retract(c, other_h, other_t)
+        assert moved is not kept and c._candidate is None
+        fresh = retract(c, other_h, other_t)
+        assert np.array_equal(moved.nodes.view(np.int64), fresh.nodes.view(np.int64))
+    kept = curve._retraction_candidate(c, h, 0.7)
+    assert retract(c, h.copy(), 0.7) is kept
+
+
+def test_retracted_curves_share_the_stencil_weights():
+    rng = np.random.default_rng(61)
+    for c in _oracle_curves(rng):
+        c.geometry
+        moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
+        moved = retract(moved, 0.1 * moved.chords.min() * rng.standard_normal(c.n_nodes))
+        assert moved._stencil is c._stencil
+        fresh = curve._stencil_weights(moved.params)
+        assert len(fresh) == len(c._stencil)
+        for carried, computed in zip(c._stencil, fresh):
+            assert np.array_equal(carried, computed)
+        rebuilt = DiscreteCurve(moved.nodes, params=c.params)
+        for name in ("tangent", "normal", "curvature", "weights"):
+            assert np.array_equal(getattr(moved.geometry, name),
+                                  getattr(rebuilt.geometry, name)), name
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -320,6 +320,68 @@ def test_line_search_star_guard_hands_over(monkeypatch):
     assert guarded == [(0.31, False)]
 
 
+def test_retract_admits_the_line_search_candidate():
+    # the polygon that the star check built at the returned step is the
+    # iterate, with the nodes, angle steps, star flag and chords of a
+    # retract from scratch, bit for bit
+    taken = 0
+    for n in (100, 400):
+        for c in [initial_shape(n)] + _warm_starts(n, 4):
+            for method in METHODS:
+                d = step_direction(c, F2, SolverConfig(method=method))
+                try:
+                    t = line_search_exact(c, F2, d)
+                except LineSearchFailed:
+                    continue
+                kept = c._candidate
+                try:
+                    moved = retract(c, d, t)
+                except ShapeOptError:
+                    assert c._candidate is None
+                    continue
+                assert c._candidate is None
+                if kept is None or kept[1] != t:
+                    continue
+                assert moved is kept[2]
+                taken += 1
+                fresh = retract(c, d, t)
+                assert fresh is not moved
+                for name in ("nodes", "angle_steps", "chords"):
+                    assert np.array_equal(getattr(moved, name).view(np.int64),
+                                          getattr(fresh, name).view(np.int64)), name
+                assert moved.star_certified is fresh.star_certified
+    assert taken >= 20
+
+
+def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
+    # with the steepest-descent direction scaled by 0.1 the minimizer lies
+    # beyond bracket_max; one probe at the left edge of its grid cell
+    # decides the step there, as golden section does in about 27 probes
+    probes = 0
+    original = solver.mso_step_objective
+
+    def counted(*args):
+        phi = original(*args)
+
+        def probe(t):
+            nonlocal probes
+            probes += 1
+            return phi(t)
+        return probe
+
+    c = initial_shape(400)
+    for _ in range(5):
+        d = 0.1 * step_direction(c, F2, SolverConfig(method=STEEPEST_DESCENT))
+        probes = 0
+        with monkeypatch.context() as m:
+            m.setattr(solver, "mso_step_objective", counted)
+            t = line_search_exact(c, F2, d)
+        assert probes <= 10
+        assert t == 2.0
+        assert t.hex() == _line_search_exact_oracle(c, F2, d).hex()
+        c = retract(c, d, t)
+
+
 def test_line_search_probe_count(monkeypatch):
     # a deterministic count: the parabolic search averages 6.9 probes per
     # search on these runs, golden section with its early stop 24.05 and
