@@ -122,7 +122,7 @@ class HessianOperator:
     @classmethod
     def multiplication(cls, curve, nu):
         nu = as_field(curve, nu, "nu")
-        small = np.min(np.abs(nu))
+        small = np.abs(nu).min()
         if small <= 1e-12:
             raise SingularHessian(f"multiplication factor has min |nu| = {small:.3e}")
         return cls(curve, nu)

@@ -3,7 +3,8 @@
 A shape is represented by a periodic polygon of N nodes.  Tangent vectors
 of the shape manifold are normal fields: one scalar per node, the field
 h = alpha * n.  Normal fields are passed around as plain 1-D float arrays;
-``as_field`` validates them at operation boundaries.
+``as_field`` validates them at operation boundaries, once per field: a
+field already validated against a curve travels as a ``_CheckedField``.
 
 A curve is immutable, and what the solvers derive from its nodes is
 computed once per curve and kept on it, read-only:
@@ -19,16 +20,25 @@ computed once per curve and kept on it, read-only:
 - ``star_certified``: whether those steps pass the star certificate of
   ``check_simple``, computed on first use; ``check_simple`` and the polar
   pieces below read it;
+- the quadratic record of ``functional._quadratic_record``: for the
+  quadratic family psi = x^2 + mu^2 y^2 - 1, the contiguous node columns
+  x and y, xx, yy, rho2 = xx + mu^2 yy and psi, one entry per mu on first
+  use; the polar pieces, ``functional.boundary_kernel`` and the set-up of
+  ``functional.mso_step_objective`` all read it;
 - the polar pieces of ``functional.evaluate_mso`` and
-  ``functional.distance_bar`` (angle steps and stretched squared radii),
-  one entry per (mu, angles) on first successful use, so the objective
-  and the distance of one iterate share them;
+  ``functional.distance_bar`` (angle steps and the record's rho2), one
+  entry per (mu, angles) on first successful use, so the objective and
+  the distance of one iterate share them;
 - the curvature stencil weights of its params, computed on first use of
   ``geometry`` and shared with every curve retracted from it, which
   keeps the params;
 - the retraction candidate: the unchecked polygon that the line search
   built and star-checked at its step, until ``retract`` admits or
   rejects it.
+
+A curve that ``retract`` returns carries its nodes, params, chords,
+angle steps and star flag, and shares the stencil weights; everything
+else is computed on first use.
 """
 
 import json
@@ -43,14 +53,31 @@ MIN_NODES = 8
 def as_field(c, values, name="field"):
     """Validate a per-node scalar field against curve c and return it as
     a float array.  Raises DimensionMismatch on length or finiteness
-    violations."""
+    violations.  A ``_CheckedField`` of c's length is returned as its
+    values, which passed these checks when it was made."""
+    if type(values) is _CheckedField and values.values.shape[0] == c.n_nodes:
+        return values.values
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != c.n_nodes:
         raise DimensionMismatch(
             f"{name}: expected {c.n_nodes} values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{name}: contains non-finite values")
     return arr
+
+
+class _CheckedField:
+    """A field that ``as_field`` validated against curve, handed on to the
+    functions that take fields on that curve so that they do not validate
+    it again: ``solver.optimize`` checks each direction where it receives
+    it and passes it on like this to the line search, the step norm and
+    the retraction, none of which changes it.  It keeps no reference to
+    the curve, so an iterate is freed as soon as the loop moves on."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, curve, values, name="field"):
+        self.values = as_field(curve, values, name)
 
 
 def shift_next(a):
@@ -76,7 +103,7 @@ def signed_area(nodes):
     """Shoelace area of the closed polygon; positive for counterclockwise."""
     x, y = nodes[:, 0], nodes[:, 1]
     xn, yn = shift_next(x), shift_next(y)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    return 0.5 * float((x * yn - xn * y).sum())
 
 
 def _wrapped_angle_steps(nodes):
@@ -123,6 +150,10 @@ def _star_certified(nodes, dang):
 # candidate pairs tested per chunk; bounds the broad phase's memory when
 # every segment overlaps every other in x (a comb or zigzag)
 _PAIR_CHUNK = 1 << 16
+# a pair of segments d_i, d_j counts as parallel, and so as not crossing,
+# unless |d_i x d_j| > _SIN_MIN * |d_i| * |d_j|: a test on the angle
+# between them, the same at every scale
+_SIN_MIN = 1e-10
 
 
 def _segments_intersect(nodes):
@@ -133,15 +164,24 @@ def _segments_intersect(nodes):
     ``searchsorted`` on xmax yields every pair that overlaps in x, and
     pairs that miss in y or are adjacent are dropped.  The exact test
     then runs on the survivors with the arithmetic of an all-pairs loop
-    over i < j: r = nodes[j] - nodes[i], |den| > 1e-15 and t, u strictly
-    inside (0, 1).
+    over i < j: r = nodes[j] - nodes[i], den = d_i x d_j with
+    |den| > _SIN_MIN * |d_i| * |d_j| (lengths from hypot) and t, u
+    strictly inside (0, 1).
 
-    Each box is padded by a forward bound on the rounding error of the
-    computed t and u (the |den| threshold caps the error at
-    ~eps * Lmax * D / 1e-15 for longest segment Lmax and diameter D), so
-    a pair whose computed t and u land in (0, 1) always has overlapping
-    padded boxes.  The result is therefore the all-pairs loop's boolean,
-    bit for bit.
+    Each box is padded by a forward bound on how far the computed t and
+    u can place the crossing from the segments.  With eps the machine
+    epsilon, each cross product is computed within 8 eps |p||q| of its
+    exact value, so the degeneracy test leaves |den| > s |d_i||d_j| with
+    s = _SIN_MIN (1 - 4 eps) - 8 eps; with grow = 8 eps / s and D the
+    diameter of the nodes, the computed t lands within
+    e_i = (grow (D + |d_i|) + eps |d_i|) / (1 - grow) / |d_i| of the
+    exact one.
+    A pair whose computed t and u lie in (0, 1) therefore has its exact
+    crossing point within e_i |d_i| of segment i and e_j |d_j| of
+    segment j, so boxes padded by those distances (plus the rounding of
+    the padded box edges, 8 eps max|node|) overlap.  The result is the
+    all-pairs loop's boolean, bit for bit.  The pad is about 2e-5 D for
+    every segment, whatever its length.
 
     Cost is O(N log N) plus the candidate pairs, which is O(N) for the
     smooth curves the solvers produce.  Pairs are generated in chunks of
@@ -156,14 +196,10 @@ def _segments_intersect(nodes):
 
     eps = np.finfo(float).eps
     seglen = np.hypot(dx, dy)
-    lmax = float(seglen.max())
     diam = float(np.hypot(np.ptp(x), np.ptp(y)))
-    slack = 1e-15 - 8.0 * eps * lmax * lmax
-    if slack > 0.0:
-        err_t = 8.0 * eps * lmax * (diam + lmax) / slack + 8.0 * eps
-        pad = err_t * seglen + 8.0 * eps * float(np.abs(nodes).max())
-    else:
-        pad = np.inf
+    grow = 8.0 * eps / (_SIN_MIN * (1.0 - 4.0 * eps) - 8.0 * eps)
+    pad = ((grow * (diam + seglen) + eps * seglen) / (1.0 - grow)
+           + 8.0 * eps * float(np.abs(nodes).max()))
     xlo, xhi = np.minimum(x, xn) - pad, np.maximum(x, xn) + pad
     ylo, yhi = np.minimum(y, yn) - pad, np.maximum(y, yn) + pad
 
@@ -193,7 +229,8 @@ def _segments_intersect(nodes):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (rx * djy - ry * djx) / den
             u = (rx * diy - ry * dix) / den
-        hit = (np.abs(den) > 1e-15) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        hit = ((np.abs(den) > _SIN_MIN * seglen[i] * seglen[j])
+               & (t > 0) & (t < 1) & (u > 0) & (u < 1))
         if hit.any():
             return True
     return False
@@ -248,7 +285,7 @@ def check_simple(curve_or_nodes):
         certified = curve_or_nodes.star_certified
     else:
         nodes = np.asarray(curve_or_nodes, dtype=float)
-        if not np.all(np.isfinite(nodes)):
+        if not np.isfinite(nodes).all():
             return False
         certified, area = _star_certified(nodes, _wrapped_angle_steps(nodes)), None
     if certified:
@@ -366,6 +403,8 @@ class DiscreteCurve:
         # (mu, angles) -> read-only (angle steps, stretched rho^2); filled
         # by functional._polar_pieces
         self._polar = {}
+        # mu -> the read-only record of functional._quadratic_record
+        self._quadratic = {}
 
     def _set_chords(self, chords):
         chords.setflags(write=False)
@@ -433,7 +472,7 @@ class DiscreteCurve:
 
 
 def _check_finite(nodes):
-    if not np.all(np.isfinite(nodes)):
+    if not np.isfinite(nodes).all():
         raise DegenerateCurve("nodes contain non-finite coordinates")
 
 
@@ -441,7 +480,7 @@ def _chords(nodes):
     """Forward chord lengths |node_{i+1} - node_i|; DegenerateCurve when
     two consecutive nodes coincide."""
     chords = row_norm(shift_next(nodes) - nodes)
-    if np.any(chords == 0.0):
+    if (chords == 0.0).any():
         raise DegenerateCurve("consecutive nodes coincide")
     return chords
 
@@ -470,7 +509,7 @@ def _compute_geometry(c):
     xm, ym = shift_prev(x), shift_prev(y)
     cx, cy = xp - xm, yp - ym
     norms = np.sqrt(cx * cx + cy * cy)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise DegenerateCurve("central difference stencil produced a zero tangent")
     tx, ty = cx / norms, cy / norms
     tangent = np.column_stack([tx, ty])
@@ -490,7 +529,7 @@ def _compute_geometry(c):
     d2x = 2.0 * (dm * xp + dp * xm - s * x) / den
     d2y = 2.0 * (dm * yp + dp * ym - s * y) / den
     speed = np.sqrt(d1x * d1x + d1y * d1y)
-    if np.any(speed == 0.0):
+    if (speed == 0.0).any():
         raise DegenerateCurve("zero speed in curvature stencil")
     curvature = (d1x * d2y - d1y * d2x) / speed ** 3
     return CurveGeometry(tangent, normal, curvature, weights)
@@ -536,14 +575,14 @@ def retract(c, h, t=1.0):
     h = as_field(c, h, "h")
     kept, c._candidate = c._candidate, None
     if (kept is not None and kept[1] == t
-            and np.array_equal(kept[0].view(np.int64), h.view(np.int64))):
+            and (kept[0].view(np.int64) == h.view(np.int64)).all()):
         moved = kept[2]
     else:
         moved = _moved(c, h, t)
     nodes = moved.nodes
     chord = shift_next(nodes) - shift_prev(nodes)
     tan = c.geometry.tangent
-    if np.any(chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0):
+    if (chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0).any():
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
     _check_finite(nodes)
     if not check_simple(moved):

@@ -22,7 +22,16 @@ quadrature of the area integral (it matches ``evaluate_general`` as the
 node count grows), whereas the default matches the convention used by the
 reference optimizer runs that the regression suite pins down.  The two
 coincide for mu = 1 and at any curve whose stretched image is a circle.
+
+What an iterate of the quadratic family derives from its nodes is formed
+once and kept on the curve (``_quadratic_record``, one per mu): the node
+columns, their squares, rho^2 and psi.  The polar pieces read rho^2 from
+it, ``boundary_kernel`` returns its psi with the exact normal derivative,
+and the line-search set-up of ``mso_step_objective`` reads the columns,
+the squares and psi.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -82,21 +91,50 @@ def _require_star(dang, where):
     """Raise NotStarShaped unless the wrapped angle steps dang are all
     positive and wind once around the origin: the polar quadratures
     require the node angles to be strictly monotone modulo 2*pi."""
-    if np.any(dang <= 0.0):
+    if (dang <= 0.0).any():
         raise NotStarShaped(f"{where}: node angles are not monotone around the origin")
     if abs(dang.sum() - 2.0 * np.pi) > 1e-9:
         raise NotStarShaped(f"{where}: node angles do not wind once around the origin")
+
+
+_QuadraticRecord = namedtuple("_QuadraticRecord", "x y xx yy rho2 psi")
+
+
+def _quadratic_record(curve_or_nodes, mu):
+    """What an iterate of the quadratic family derives from its nodes:
+    the contiguous columns x and y, xx = x*x, yy = y*y, the stretched
+    squared radius rho2 = xx + mu^2 yy and psi = rho2 - 1, the integrand
+    at the nodes.  Every array is read-only and has the bits of the
+    direct formulas (x ** 2 + mu ** 2 * y ** 2 - 1.0 for psi).
+
+    A DiscreteCurve keeps its record per mu, so the polar pieces,
+    boundary_kernel and the set-up of mso_step_objective of one iterate
+    share it; a raw (N, 2) node array gets a fresh record on each call.
+    Pure arithmetic: it raises no NotStarShaped, whatever the nodes."""
+    if isinstance(curve_or_nodes, DiscreteCurve):
+        kept = curve_or_nodes._quadratic
+        if mu not in kept:
+            kept[mu] = _quadratic_record(curve_or_nodes.nodes, mu)
+        return kept[mu]
+    nodes = np.asarray(curve_or_nodes, dtype=float)
+    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
+    xx, yy = x * x, y * y
+    rho2 = xx + mu ** 2 * yy
+    rec = _QuadraticRecord(x, y, xx, yy, rho2, rho2 - 1.0)
+    for arr in rec:
+        arr.setflags(write=False)
+    return rec
 
 
 def _polar_pieces(c, mu, angles, where):
     """Angle steps and stretched squared radii of c, kept on the curve per
     (mu, angles) so that evaluate_mso and distance_bar of one iterate
     compute them once; the node-angle steps are the curve's own
-    ``angle_steps``.  They skip _require_star when the curve is
-    ``star_certified``: the certificate's steps all exceed 1e-12 and sum
-    to 2*pi within 1e-9, which passes both of its tests.  A NotStarShaped
-    is not kept: each call that fails raises again, naming its own caller
-    ``where``."""
+    ``angle_steps`` and the radii the rho2 of its quadratic record.  They
+    skip _require_star when the curve is ``star_certified``: the
+    certificate's steps all exceed 1e-12 and sum to 2*pi within 1e-9,
+    which passes both of its tests.  A NotStarShaped is not kept: each
+    call that fails raises again, naming its own caller ``where``."""
     key = (mu, angles)
     pieces = c._polar.get(key)
     if pieces is None:
@@ -109,9 +147,7 @@ def _polar_pieces(c, mu, angles, where):
             dang = _wrapped_angle_steps(np.column_stack([nodes[:, 0], mu * nodes[:, 1]]))
             dang.setflags(write=False)
             _require_star(dang, where)
-        rho2 = nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2
-        rho2.setflags(write=False)
-        pieces = c._polar[key] = (dang, rho2)
+        pieces = c._polar[key] = (dang, _quadratic_record(c, mu).rho2)
     return pieces
 
 
@@ -127,7 +163,7 @@ def evaluate_mso(c, mu, angles="nodes"):
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "evaluate_mso")
     P = rho2 ** 2 / 4.0 - rho2 / 2.0
-    return float(np.sum(dang * (shift_next(P) + P)) / (2.0 * mu))
+    return float((dang * (shift_next(P) + P)).sum() / (2.0 * mu))
 
 
 def evaluate_general(c, f):
@@ -144,7 +180,7 @@ def evaluate_general(c, f):
     b = shift_next(nodes)
     area2 = (a[:, 0] - z[0]) * (b[:, 1] - z[1]) - (a[:, 1] - z[1]) * (b[:, 0] - z[0])
     vals = psi((a + b) / 2.0) + psi((b + z) / 2.0) + psi((z + a) / 2.0)
-    return float(np.sum(area2 * vals) / 6.0)
+    return float((area2 * vals).sum() / 6.0)
 
 
 def boundary_kernel(c, f):
@@ -153,12 +189,21 @@ def boundary_kernel(c, f):
     g_i = psi(node_i) is the density of the first shape derivative,
     df(alpha) = sum g alpha w; dpsi_dn_i = <grad psi(node_i), n_i> feeds
     the second-derivative forms.  No quadrature is involved.
+
+    For the quadratic family g is the psi of the curve's quadratic record
+    (read-only) and dpsi_dn = (2x) n1 + (2 mu^2 y) n2, the bits of
+    f.psi and of the row sum of f.grad_psi times the normals.
     """
+    if f.is_quadratic_mso:
+        rec = _quadratic_record(c, f.mu)
+        normal = c.geometry.normal
+        dpsi_dn = (2.0 * rec.x) * normal[:, 0] + (2.0 * f.mu ** 2 * rec.y) * normal[:, 1]
+        return rec.psi, dpsi_dn
     g = np.asarray(f.psi(c.nodes), dtype=float)
     if f.grad_psi is None:
         raise ValueError("functional has no gradient field; construct it with grad_psi")
     gp = np.asarray(f.grad_psi(c.nodes), dtype=float)
-    dpsi_dn = np.sum(gp * c.geometry.normal, axis=1)
+    dpsi_dn = (gp * c.geometry.normal).sum(axis=1)
     return g, dpsi_dn
 
 
@@ -171,7 +216,7 @@ def distance_bar(c, mu, angles="nodes"):
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "distance_bar")
     q = np.abs(np.sqrt(rho2) - 1.0)
-    return float(np.sum(dang * (shift_next(q) + q)) / (2.0 * mu))
+    return float((dang * (shift_next(q) + q)).sum() / (2.0 * mu))
 
 
 def distance_tilde(c, reference, window=2.0):
@@ -222,9 +267,10 @@ def mso_step_objective(curve_or_nodes, step, mu):
     from per-node increments (radial and angular) instead of subtracting
     two nearly equal objective values, so minima far below the rounding
     noise of evaluate_mso remain resolvable.  ``curve_or_nodes`` is a
-    DiscreteCurve, whose ``angle_steps`` are reused, or a raw (N, 2) node
-    array; ``step`` is a raw (N, 2) array.  The caller guarantees the
-    probed polygons stay star-shaped.
+    DiscreteCurve, whose ``angle_steps`` and quadratic record are reused,
+    or a raw (N, 2) node array; ``step`` is a raw (N, 2) array, whose
+    columns are copied unless they are contiguous already (a column-major
+    step).  The caller guarantees the probed polygons stay star-shaped.
 
     With dP_i = P(rho_i(t)) - P(rho_i(0)) and a_i the angle that node i
     turns through, the angle step dang_i of evaluate_mso becomes
@@ -242,24 +288,24 @@ def mso_step_objective(curve_or_nodes, step, mu):
     sum of (a_{i+1} - a_i)(P0_{i+1} + P0_i) in the direct form is gone.
 
     Everything that does not depend on t is computed here, once per
-    search: r, x*x + y*y, x*sx + y*sy, the cross product, the summed
-    angle steps and D.  The returned closure reuses buffers allocated
-    here, so a probe makes no array allocation; each call still depends
-    on t alone.
+    search: x*x + y*y, x*sx + y*sy, the cross product, the summed angle
+    steps and D; r is the psi of the quadratic record, whose columns and
+    squares this reads as well.  The returned closure reuses buffers
+    allocated here, so a probe makes no array allocation; each call still
+    depends on t alone.
     """
     if isinstance(curve_or_nodes, DiscreteCurve):
-        nodes, dang0 = curve_or_nodes.nodes, curve_or_nodes.angle_steps
+        dang0 = curve_or_nodes.angle_steps
     else:
-        nodes = np.asarray(curve_or_nodes, dtype=float)
-        dang0 = _wrapped_angle_steps(nodes)
+        curve_or_nodes = np.asarray(curve_or_nodes, dtype=float)
+        dang0 = _wrapped_angle_steps(curve_or_nodes)
+    x, y, xx, yy, _, r = _quadratic_record(curve_or_nodes, mu)
     step = np.asarray(step, dtype=float)
-    # contiguous copies of the columns: the ufuncs run faster on them
-    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
-    sx, sy = step[:, 0].copy(), step[:, 1].copy()
+    # contiguous columns: the ufuncs run faster on them
+    sx, sy = np.ascontiguousarray(step[:, 0]), np.ascontiguousarray(step[:, 1])
     mu2 = mu ** 2
-    xx, yy, xsx, ysy = x * x, y * y, x * sx, y * sy
+    xsx, ysy = x * sx, y * sy
     # rho2(t) = rho2_0 + 2*(t*lin + t^2*quad) in the stretched plane
-    r = xx + mu2 * yy - 1.0
     lin = xsx + mu2 * ysy
     quad = (sx * sx + mu2 * (sy * sy)) / 2.0
     # dot and cross products of the moved node with the old one

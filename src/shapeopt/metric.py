@@ -17,7 +17,7 @@ Only steepest descent needs it: a Newton step solves hess(delta, .) =
 metric (see ``calculus``).
 """
 
-import numpy as np
+import math
 
 from .curve import as_field
 
@@ -26,7 +26,7 @@ def check_A(A):
     """The metric parameter A as a float; raises ValueError unless A is
     finite and >= 0."""
     A = float(A)
-    if not np.isfinite(A) or A < 0.0:
+    if not math.isfinite(A) or A < 0.0:
         raise ValueError(f"metric parameter A must be >= 0, got {A}")
     return A
 
@@ -44,11 +44,11 @@ def inner(c, A, alpha, beta):
     """
     alpha = as_field(c, alpha, "alpha")
     beta = as_field(c, beta, "beta")
-    return float(np.sum(metric_weight(c, A) * (alpha * beta) * c.geometry.weights))
+    return float((metric_weight(c, A) * (alpha * beta) * c.geometry.weights).sum())
 
 
 def norm(c, A, alpha):
-    return float(np.sqrt(inner(c, A, alpha, alpha)))
+    return math.sqrt(inner(c, A, alpha, alpha))
 
 
 def riesz_gradient(c, A, g):

@@ -24,13 +24,15 @@ The polygon that the parabolic search star-certifies at its step is the
 one ``retract`` then admits, so an accepted step builds it once.
 """
 
+import math
+from bisect import bisect
 from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
 
 from .calculus import HessianOperator, solve_hessian
-from .curve import _retraction_candidate, as_field, retract
+from .curve import _CheckedField, _retraction_candidate, retract
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      NotStarShaped, ProjectionFailed, ShapeDegenerate,
                      ShapeOptError)
@@ -154,20 +156,27 @@ def step_direction(c, f, config):
 
 
 def _decrease_function(c, f, direction):
-    """phi(t) = f(r_c(t*direction)) - f(c) as a callable.
+    """phi(t) = f(r_c(t*direction)) - f(c) as a callable, for a field or
+    a ``_CheckedField`` direction on c.
 
-    The quadratic family uses the exactly differenced polar objective;
-    other functionals evaluate the fan quadrature on the moved polygon,
-    with inadmissible probes scored +inf so brackets shrink below them.
+    The quadratic family uses the exactly differenced polar objective,
+    whose step d*n it builds column-major so that the set-up reads the
+    columns without copying them; other functionals evaluate the fan
+    quadrature on the moved polygon, with inadmissible probes scored +inf
+    so brackets shrink below them.
     """
+    checked = _CheckedField(c, direction, "direction")
     if f.is_quadratic_mso:
-        step_vec = direction[:, None] * c.geometry.normal
-        return mso_step_objective(c, step_vec, f.mu)
+        d, normal = checked.values, c.geometry.normal
+        step = np.empty((len(d), 2), order="F")
+        np.multiply(d, normal[:, 0], out=step[:, 0])
+        np.multiply(d, normal[:, 1], out=step[:, 1])
+        return mso_step_objective(c, step, f.mu)
     f0 = f.evaluate(c)
 
     def phi(t):
         try:
-            moved = retract(c, direction, t)
+            moved = retract(c, checked, t)
             return f.evaluate(moved) - f0
         except (DegenerateCurve, ShapeDegenerate, NotStarShaped):
             return np.inf
@@ -185,7 +194,8 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     step_resolution grid h when that preserves the decrease.  Raises
     LineSearchFailed when no probed step above the tolerance decreases
     the objective.  phi(t), the decrease at t, is probed at most once
-    per t in one search.
+    per t in one search.  The direction is validated once, unless it is
+    a ``_CheckedField`` already, and the probes take it as checked.
 
     With h set, golden section stops early: once both bracket ends round
     to the same grid index k, every later bracket and its midpoint t_star
@@ -239,10 +249,11 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     docstring), so a decrease far below the objective's rounding noise
     is resolved to near full relative precision.
     """
-    direction = as_field(c, direction, "direction")
-    if not np.any(direction):
+    checked = _CheckedField(c, direction, "direction")
+    direction = checked.values
+    if not direction.any():
         raise LineSearchFailed("zero direction")
-    decrease = _decrease_function(c, f, direction)
+    decrease = _decrease_function(c, f, checked)
     probed = {}
 
     def phi(t):
@@ -254,7 +265,7 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     while f0 >= 0.0 and t0 > tolerance:
         t0 *= 0.5
         f0 = phi(t0)
-    if f0 >= 0.0 or not np.isfinite(f0):
+    if f0 >= 0.0 or not math.isfinite(f0):
         raise LineSearchFailed(
             f"no decrease along the direction for any t >= {tolerance:g}")
 
@@ -346,12 +357,23 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
     while t < bracket_max and min(probed, key=probed.get) == max(probed):
         t = min(2.0 * t, bracket_max)
         phi(t)
+    # the probes in increasing t, with phi(0) = 0 first, kept sorted
+    ts = [0.0] + sorted(probed)
+    fs = [0.0] + [float(probed[t]) for t in ts[1:]]
+    if any(f != f for f in fs):
+        return None
+
+    def probe(u):
+        """phi(u), kept in ts and fs in order of u; False when it is nan."""
+        if u in probed:
+            return True
+        i = bisect(ts, u)
+        ts.insert(i, u)
+        fs.insert(i, float(phi(u)))
+        return fs[i] == fs[i]
+
     widths = [np.inf, np.inf]  # p3 - p1 before each of the last two probes
     for _ in range(SNAP_PROBES):
-        ts = [0.0] + sorted(probed)
-        fs = [0.0] + [float(probed[t]) for t in ts[1:]]
-        if any(f != f for f in fs):
-            return None
         j = fs.index(min(fs))
         at_max = j == len(ts) - 1
         p1, p2 = ts[j - 1:j + 1]
@@ -369,9 +391,8 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
         if at_max:
             # the left edge of bracket_max's cell, inset into it
             u = (k - 0.5) * h + inset
-            if not p1 < u < p2:
+            if not p1 < u < p2 or not probe(u):
                 return None
-            phi(u)
             continue
         (w, fw), (v, fv) = sorted(zip(ts, fs), key=lambda p: p[1])[1:3]
         a, b = p2 - w, p2 - v
@@ -391,7 +412,8 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
         if not p1 < u < p3 or u in probed:
             u = 0.5 * (p2 + p3) if p3 - p2 >= p2 - p1 else 0.5 * (p1 + p2)
         widths = [widths[1], p3 - p1]
-        phi(u)
+        if not probe(u):
+            return None
     return None
 
 
@@ -435,6 +457,13 @@ def optimize(c0, f, config, reference=None):
     ShapeOptError after the starting record, which ends the run on the
     row it interrupted.  The last record's ``stop`` names the reason; a
     start that cannot be recorded raises.
+
+    Checks: each step's direction is validated once, where optimize
+    receives it from ``step_direction``, under either step rule; a
+    direction of the wrong length or with a non-finite entry ends the run
+    with a DimensionMismatch stop naming ``direction``.  The line search,
+    the step norm and ``retract`` then take it as a ``_CheckedField`` and
+    do not check it again; called directly, each validates its field.
     """
     records = []
     c = c0
@@ -451,7 +480,7 @@ def optimize(c0, f, config, reference=None):
                 stop = "max_iterations"
             if stop is not None:
                 break
-            direction = step_direction(c, f, config)
+            direction = _CheckedField(c, step_direction(c, f, config), "direction")
             t = _choose_step(c, f, direction, config.line_search)
             rec.step_scale = t
             rec.step_norm = t * norm(c, config.A, direction)

@@ -86,6 +86,7 @@ def _segments_intersect_oracle(nodes):
     a = nodes
     b = np.roll(nodes, -1, axis=0)
     d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
     for i in range(n - 2):
         # adjacent segments share an endpoint and are skipped
         js = np.arange(i + 2, n if i > 0 else n - 1)
@@ -95,7 +96,8 @@ def _segments_intersect_oracle(nodes):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (r[:, 0] * dj[:, 1] - r[:, 1] * dj[:, 0]) / den
             u = (r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]) / den
-        hit = (np.abs(den) > 1e-15) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        hit = ((np.abs(den) > curve._SIN_MIN * length[i] * length[js])
+               & (t > 0) & (t < 1) & (u > 0) & (u < 1))
         if hit.any():
             return True
     return False
@@ -248,7 +250,7 @@ def test_check_simple_matches_area_and_all_pairs_oracle():
         if len(nodes) >= 8:
             polygons.append(nodes)
     # the certified ones again at the extreme scales; the others run the
-    # general test, whose scale dependence is the xfail below
+    # general test
     certified = [p for p in polygons if curve._star_certified(p, curve._wrapped_angle_steps(p))]
     scaled = [p * scale for p in certified for scale in (1e-8, 1e6)]
     rng = np.random.default_rng(1203)
@@ -661,10 +663,13 @@ def test_stored_chords_match_recomputation():
 def test_stored_and_cached_arrays_are_read_only():
     c = circle(16)
     evaluate_mso(c, 2.0)
-    arrays = [c.nodes, c.params, c.chords, *c._polar[(2.0, "nodes")]]
+    arrays = [c.nodes, c.params, c.chords, *c._polar[(2.0, "nodes")], *c._quadratic[2.0]]
     moved = retract(c, np.full(16, 0.1))
     distance_bar(moved, 2.0)
-    arrays += [moved.nodes, moved.params, moved.chords, *moved._polar[(2.0, "nodes")]]
+    boundary_kernel(moved, VolumeFunctional.quadratic_mso(3.0))
+    arrays += [moved.nodes, moved.params, moved.chords, *moved._polar[(2.0, "nodes")],
+               *moved._quadratic[2.0], *moved._quadratic[3.0]]
+    assert len(arrays) == 28
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 5.0
@@ -675,8 +680,13 @@ def test_retracted_curve_starts_empty_and_matches_a_fresh_curve():
     for c in _oracle_curves(rng):
         evaluate_mso(c, 2.0)  # the parent's polar cache is filled first
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
-        assert moved._geometry is None and moved._polar == {}
-        assert moved.params is c.params
+        assert moved._geometry is None and moved._polar == {} and moved._quadratic == {}
+        assert moved._candidate is None and c._candidate is None
+        assert moved.params is c.params and moved._stencil is c._stencil
+        # the arrays it carries: those of the admission, nothing more
+        carried = {name for name, value in vars(moved).items()
+                   if isinstance(value, np.ndarray)}
+        assert carried == {"nodes", "params", "chords", "_angle_steps"}
         fresh = DiscreteCurve(moved.nodes, params=c.params)
         assert np.array_equal(moved.nodes, fresh.nodes)
         assert np.array_equal(moved.params, fresh.params)
@@ -813,7 +823,5 @@ def test_json_roundtrip_exact(tmp_path):
     npt.assert_array_equal(back.nodes, c.nodes)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the absolute |den| > 1e-15 "
-                   "test drops every crossing pair of a curve this small")
 def test_segments_intersect_is_scale_invariant():
     assert _segments_intersect(figure_eight() * 1e-8)

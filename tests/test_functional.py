@@ -8,6 +8,7 @@ import pytest
 
 from conftest import circle
 import shapeopt.functional as functional
+import shapeopt.solver as solver
 from shapeopt import (NEWTON_MULTIPLICATIVE, DiscreteCurve, SolverConfig,
                       VolumeFunctional, check_simple, optimize, retract,
                       step_direction)
@@ -16,7 +17,7 @@ from shapeopt.functional import (boundary_kernel, distance_bar, distance_tilde,
                                  evaluate_general, evaluate_mso,
                                  mso_step_objective)
 from shapeopt.harness import initial_shape, reference_ellipse
-from shapeopt.harness.properties import random_star_curve
+from shapeopt.harness.properties import low_frequency_field, random_star_curve
 
 AREA = VolumeFunctional.custom(lambda pts: np.ones(len(pts)))
 
@@ -101,6 +102,88 @@ def test_polar_pieces_failures_are_not_cached():
             with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: "):
                 fn(c, 2.0)
         assert c._polar == {}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _record_curves():
+    """Packaged, warm-start and random star curves, and a circle off the
+    origin that no polar quadrature accepts."""
+    rng = np.random.default_rng(67)
+    curves = [initial_shape(100), initial_shape(400)]
+    for _ in range(3):
+        h = rng.uniform(0.02, 0.1) * low_frequency_field(100, rng)
+        curves.append(retract(reference_ellipse(100, 2.0), h))
+    curves += [random_star_curve(n, rng, amplitude=0.3) for n in (8, 101, 1600)]
+    curves.append(DiscreteCurve(circle(64, 0.3, center=(2.0, 0.0)).nodes))
+    return curves
+
+
+def test_quadratic_record_matches_the_direct_formulas_bit_for_bit():
+    for c in _record_curves():
+        nodes = c.nodes
+        for mu in (1.0, 1.3, 2.0, 3.0):
+            rec = functional._quadratic_record(c, mu)
+            assert functional._quadratic_record(c, mu) is rec
+            raw = functional._quadratic_record(nodes.copy(), mu)
+            assert raw is not rec
+            expected = {
+                "x": nodes[:, 0], "y": nodes[:, 1],
+                "xx": nodes[:, 0] ** 2, "yy": nodes[:, 1] ** 2,
+                # the formula of the polar pieces
+                "rho2": nodes[:, 0] ** 2 + mu ** 2 * nodes[:, 1] ** 2,
+                # the family's psi and the line-search set-up's r
+                "psi": VolumeFunctional.quadratic_mso(mu).psi(nodes),
+            }
+            assert np.array_equal(_bits(expected["psi"]),
+                                  _bits(nodes[:, 0] * nodes[:, 0]
+                                        + mu ** 2 * (nodes[:, 1] * nodes[:, 1]) - 1.0))
+            for name, value in expected.items():
+                for record in (rec, raw):
+                    arr = getattr(record, name)
+                    assert arr.flags.c_contiguous and not arr.flags.writeable, name
+                    assert np.array_equal(_bits(arr), _bits(value)), (c.n_nodes, mu, name)
+        assert sorted(c._quadratic) == [1.0, 1.3, 2.0, 3.0]
+
+
+def test_quadratic_boundary_kernel_matches_the_custom_path_bit_for_bit():
+    for c in _record_curves():
+        for mu in (1.0, 1.3, 2.0, 3.0):
+            f = VolumeFunctional.quadratic_mso(mu)
+            g, dpsi_dn = boundary_kernel(c, f)
+            g_ref, dpsi_dn_ref = boundary_kernel(c, VolumeFunctional.custom(f.psi, f.grad_psi))
+            assert g is functional._quadratic_record(c, mu).psi
+            assert np.array_equal(_bits(g), _bits(g_ref)), (c.n_nodes, mu)
+            assert np.array_equal(_bits(dpsi_dn), _bits(dpsi_dn_ref)), (c.n_nodes, mu)
+
+
+def test_record_is_shared_and_never_raises_not_star_shaped():
+    for c in _record_curves():
+        if not c.star_certified:
+            # the star test stays with the polar pieces
+            boundary_kernel(c, VolumeFunctional.quadratic_mso(2.0))
+            with pytest.raises(NotStarShaped):
+                evaluate_mso(c, 2.0)
+            assert c._polar == {} and list(c._quadratic) == [2.0]
+            continue
+        evaluate_mso(c, 2.0)
+        assert c._polar[(2.0, "nodes")][1] is c._quadratic[2.0].rho2
+
+
+def test_step_objective_from_a_curve_matches_raw_nodes_bit_for_bit():
+    # the closure the line search builds (a curve, its record and a
+    # column-major step) against raw nodes and a row-major (N, 2) step
+    rng = np.random.default_rng(71)
+    for c in _record_curves()[:-1]:
+        for mu in (1.0, 1.3, 2.0, 3.0):
+            f = VolumeFunctional.quadratic_mso(mu)
+            h = 0.05 * low_frequency_field(c.n_nodes, rng)
+            from_curve = solver._decrease_function(c, f, h)
+            from_nodes = mso_step_objective(c.nodes.copy(), h[:, None] * c.geometry.normal, mu)
+            for t in rng.uniform(0.0, 2.0, 20):
+                assert from_curve(t).hex() == from_nodes(t).hex(), (c.n_nodes, mu, t)
 
 
 def test_evaluate_dispatches_by_family():

@@ -6,6 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
+import shapeopt.calculus as calculus
+import shapeopt.curve as curve
+import shapeopt.metric as metric
 import shapeopt.solver as solver
 from shapeopt import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                       STEEPEST_DESCENT, DiscreteCurve, ExactLineSearch,
@@ -523,6 +526,58 @@ def test_optimize_returns_partial_records_on_failure():
     # an inadmissible start is an error of the input, not a stop
     with pytest.raises(NotStarShaped):
         optimize(DiscreteCurve(circle(100).nodes + 5.0), F2, cfg)
+
+
+def test_optimize_stops_on_an_invalid_direction(monkeypatch):
+    # the direction is checked where optimize receives it, under either
+    # step rule, and the stop names it
+    for bad, message in ((np.nan, "contains non-finite values"),
+                         (np.inf, "contains non-finite values"),
+                         (None, "expected 100 values, got shape (99,)")):
+        def direction(c, f, config):
+            d = np.ones(c.n_nodes)
+            if bad is None:
+                return d[1:]
+            d[3] = bad
+            return d
+
+        monkeypatch.setattr(solver, "step_direction", direction)
+        for rule in (ExactLineSearch(), FixedStep(0.1)):
+            records = optimize(initial_shape(100), F2, SolverConfig(line_search=rule))
+            assert len(records) == 1
+            assert records[0].step_scale is None
+            assert records[0].stop == f"DimensionMismatch: direction: {message}", rule
+
+
+def test_optimize_checks_each_direction_once(monkeypatch):
+    # the line search, the step norm and retract take the direction that
+    # optimize checked without checking it again
+    checked, directions = [], []
+    original, original_direction = curve.as_field, solver.step_direction
+
+    def spy(c, values, name="field"):
+        if not isinstance(values, curve._CheckedField):
+            checked.append(name)
+        return original(c, values, name)
+
+    def direction(*args):
+        directions.append(original_direction(*args))
+        return directions[-1]
+
+    for module in (curve, metric, calculus):
+        monkeypatch.setattr(module, "as_field", spy)
+    monkeypatch.setattr(solver, "step_direction", direction)
+    for f in (F2, ELLIPSE_PSI):
+        for method in METHODS:
+            for rule in (ExactLineSearch(), FixedStep(0.1)):
+                checked.clear()
+                directions.clear()
+                records = optimize(initial_shape(100), f,
+                                   SolverConfig(method=method, max_iterations=3,
+                                                line_search=rule))
+                assert any(r.step_scale is not None for r in records), (f, method, rule)
+                assert checked.count("direction") == len(directions), (f, method, rule)
+                assert not {"alpha", "beta", "h"} & set(checked), (f, method, rule)
 
 
 def test_diagnostics_require_three_records():
