@@ -6,8 +6,8 @@ h = alpha * n.  Normal fields are passed around as plain 1-D float arrays;
 ``as_field`` validates them at operation boundaries, once per field: a
 field already validated against a curve travels as a ``_CheckedField``.
 
-A curve is immutable, and what the solvers derive from its nodes is
-computed once per curve and kept on it, read-only:
+A curve is immutable and keeps only what its nodes and params determine,
+computed once per curve and read-only:
 
 - ``chords``: the forward chord lengths |node_{i+1} - node_i|, computed by
   the constructor's coincident-node check;
@@ -19,22 +19,20 @@ computed once per curve and kept on it, read-only:
   the set-up of ``functional.mso_step_objective`` all read this one array;
 - ``star_certified``: whether those steps pass the star certificate of
   ``check_simple``, computed on first use; ``check_simple`` and the polar
-  pieces below read it;
+  quadratures read it;
 - the quadratic record of ``functional._quadratic_record``: for the
   quadratic family psi = x^2 + mu^2 y^2 - 1, the contiguous node columns
   x and y, xx, yy, rho2 = xx + mu^2 yy and psi, one entry per mu on first
-  use; the polar pieces, ``functional.boundary_kernel`` and the set-up of
+  use; the polar quadratures (with the angle steps above),
+  ``functional.boundary_kernel`` and the set-up of
   ``functional.mso_step_objective`` all read it;
-- the polar pieces of ``functional.evaluate_mso`` and
-  ``functional.distance_bar`` (angle steps and the record's rho2), one
-  entry per (mu, angles) on first successful use, so the objective and
-  the distance of one iterate share them;
 - the curvature stencil weights of its params, computed on first use of
   ``geometry`` and shared with every curve retracted from it, which
-  keeps the params;
-- the retraction candidate: the unchecked polygon that the line search
-  built and star-checked at its step, until ``retract`` admits or
-  rejects it.
+  keeps the params.
+
+The polygon that the line search built and star-checked at its step
+belongs to the step, not to the curve: it travels on the step's
+``_CheckedField`` to ``retract``, which admits or rejects it and drops it.
 
 A curve that ``retract`` returns carries its nodes, params, chords,
 angle steps and star flag, and shares the stencil weights; everything
@@ -71,13 +69,23 @@ class _CheckedField:
     functions that take fields on that curve so that they do not validate
     it again: ``solver.optimize`` checks each direction where it receives
     it and passes it on like this to the line search, the step norm and
-    the retraction, none of which changes it.  It keeps no reference to
-    the curve, so an iterate is freed as soon as the loop moves on."""
+    the retraction, none of which changes its values.  Its only other
+    content is the retraction candidate, which ``retract`` drops, so an
+    iterate is freed as soon as the loop moves on."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_candidate")
 
     def __init__(self, curve, values, name="field"):
         self.values = as_field(curve, values, name)
+        self._candidate = None  # (curve, t, moved) of _retraction_candidate
+
+    @classmethod
+    def of(cls, curve, values, name="field"):
+        """values itself when it is a _CheckedField of curve's length, so
+        that a candidate set on it reaches ``retract``, else a new one."""
+        if type(values) is cls and values.values.shape[0] == curve.n_nodes:
+            return values
+        return cls(curve, values, name)
 
 
 def shift_next(a):
@@ -353,7 +361,9 @@ class DiscreteCurve:
             params = np.array(params, dtype=float)
             if params.shape != (n,):
                 raise DegenerateCurve("params length must match node count")
-            if np.any(np.diff(params) <= 0) or params[0] < 0 or params[-1] >= 2 * np.pi:
+            # written so that a nan or an infinite value fails it
+            if not ((np.diff(params) > 0).all() and params[0] >= 0
+                    and params[-1] < 2 * np.pi):
                 raise DegenerateCurve("params must be strictly increasing in [0, 2*pi)")
 
         area = signed_area(nodes)
@@ -397,12 +407,6 @@ class DiscreteCurve:
         self._geometry = None
         # the curvature stencil weights of params, from _stencil_weights
         self._stencil = None
-        # (h, t, unchecked moved curve) of the last _retraction_candidate,
-        # until retract takes it
-        self._candidate = None
-        # (mu, angles) -> read-only (angle steps, stretched rho^2); filled
-        # by functional._polar_pieces
-        self._polar = {}
         # mu -> the read-only record of functional._quadratic_record
         self._quadratic = {}
 
@@ -542,14 +546,14 @@ def _moved(c, h, t):
     return DiscreteCurve._unchecked(c.nodes + float(t) * h[:, None] * c.geometry.normal, c)
 
 
-def _retraction_candidate(c, h, t):
-    """The unchecked curve that retract(c, h, t) admits or rejects, for a
-    validated field h.  It is kept on c with a copy of h until the next
-    retract of c: a retract with the same t and the same bits of h runs
-    its checks on this very curve, so the nodes, angle steps and star
-    flag computed here are not computed again."""
-    moved = _moved(c, h, t)
-    c._candidate = (h.copy(), float(t), moved)
+def _retraction_candidate(c, field, t):
+    """The unchecked curve that retract(c, field, t) admits or rejects,
+    for a ``_CheckedField`` field.  It is kept on the field, with c and
+    t, until the next retract of that field: a retract of c by this field
+    at this t runs its checks on this very curve, so the nodes, angle
+    steps and star flag computed here are not computed again."""
+    moved = _moved(c, field.values, t)
+    field._candidate = (c, float(t), moved)
     return moved
 
 
@@ -567,15 +571,16 @@ def retract(c, h, t=1.0):
     DegenerateCurve is raised when a moved node is not finite or two
     consecutive moved nodes coincide.
 
-    When the line search has built the moved curve at this h and t
-    (``_retraction_candidate``), that curve is the one checked and
-    returned; every check runs on it all the same.  Either way c keeps
+    When h is a ``_CheckedField`` that holds the moved curve of c at this
+    t (``_retraction_candidate``), that curve is the one checked and
+    returned; every check runs on it all the same.  Either way h keeps
     no candidate after the call.
     """
+    kept = None
+    if type(h) is _CheckedField:
+        kept, h._candidate = h._candidate, None
     h = as_field(c, h, "h")
-    kept, c._candidate = c._candidate, None
-    if (kept is not None and kept[1] == t
-            and (kept[0].view(np.int64) == h.view(np.int64)).all()):
+    if kept is not None and kept[0] is c and kept[1] == t:
         moved = kept[2]
     else:
         moved = _moved(c, h, t)

@@ -25,10 +25,10 @@ coincide for mu = 1 and at any curve whose stretched image is a circle.
 
 What an iterate of the quadratic family derives from its nodes is formed
 once and kept on the curve (``_quadratic_record``, one per mu): the node
-columns, their squares, rho^2 and psi.  The polar pieces read rho^2 from
-it, ``boundary_kernel`` returns its psi with the exact normal derivative,
-and the line-search set-up of ``mso_step_objective`` reads the columns,
-the squares and psi.
+columns, their squares, rho^2 and psi.  The polar quadratures read rho^2
+from it (and the curve's own angle steps), ``boundary_kernel`` returns its
+psi with the exact normal derivative, and the line-search set-up of
+``mso_step_objective`` reads the columns, the squares and psi.
 """
 
 from collections import namedtuple
@@ -127,28 +127,23 @@ def _quadratic_record(curve_or_nodes, mu):
 
 
 def _polar_pieces(c, mu, angles, where):
-    """Angle steps and stretched squared radii of c, kept on the curve per
-    (mu, angles) so that evaluate_mso and distance_bar of one iterate
-    compute them once; the node-angle steps are the curve's own
-    ``angle_steps`` and the radii the rho2 of its quadratic record.  They
-    skip _require_star when the curve is ``star_certified``: the
-    certificate's steps all exceed 1e-12 and sum to 2*pi within 1e-9,
-    which passes both of its tests.  A NotStarShaped is not kept: each
-    call that fails raises again, naming its own caller ``where``."""
-    key = (mu, angles)
-    pieces = c._polar.get(key)
-    if pieces is None:
-        nodes = c.nodes
-        if angles == "nodes":
-            dang = c.angle_steps
-            if not c.star_certified:
-                _require_star(dang, where)
-        else:
-            dang = _wrapped_angle_steps(np.column_stack([nodes[:, 0], mu * nodes[:, 1]]))
-            dang.setflags(write=False)
+    """Angle steps and stretched squared radii of c.  The node-angle
+    steps are the curve's own ``angle_steps`` and the radii the rho2 of
+    its quadratic record, both kept on the curve; the stretched-angle
+    steps are computed on each call.  The node-angle steps skip
+    _require_star when the curve is ``star_certified``: the certificate's
+    steps all exceed 1e-12 and sum to 2*pi within 1e-9, which passes both
+    of its tests.  A call that fails raises NotStarShaped naming its
+    caller ``where``."""
+    if angles == "nodes":
+        dang = c.angle_steps
+        if not c.star_certified:
             _require_star(dang, where)
-        pieces = c._polar[key] = (dang, _quadratic_record(c, mu).rho2)
-    return pieces
+    else:
+        nodes = c.nodes
+        dang = _wrapped_angle_steps(np.column_stack([nodes[:, 0], mu * nodes[:, 1]]))
+        _require_star(dang, where)
+    return dang, _quadratic_record(c, mu).rho2
 
 
 def evaluate_mso(c, mu, angles="nodes"):

@@ -20,8 +20,9 @@ round to the same grid point and that point decreases the objective.
 Either way the snapped step is the one the full-precision search would
 return when the objective is unimodal along the step, and a parabolic
 search that cannot certify its grid point hands over to golden section.
-The polygon that the parabolic search star-certifies at its step is the
-one ``retract`` then admits, so an accepted step builds it once.
+The polygon that the parabolic search star-certifies at its step travels
+on the step's checked direction to ``retract``, which admits it, so an
+accepted step builds it once.
 """
 
 import math
@@ -143,7 +144,8 @@ def step_direction(c, f, config):
     The Newton methods solve hess(delta, .) = -df(.) against the
     derivative density g, which holds no metric: the multiplicative step
     -g/nu, with nu = dpsi_dn along the current curve, is the same for
-    every A; the general form uses the full covariant Hessian.
+    every A; the general form uses the full covariant Hessian.  Each
+    kernel field is validated once.
     """
     g, dpsi_dn = boundary_kernel(c, f)
     if config.method == STEEPEST_DESCENT:
@@ -151,13 +153,14 @@ def step_direction(c, f, config):
     if config.method == NEWTON_MULTIPLICATIVE:
         H = HessianOperator.multiplication(c, dpsi_dn)
     else:
+        g = _CheckedField(c, g, "psi")
         H = HessianOperator.general_form(c, config.A, (g, dpsi_dn))
     return -solve_hessian(H, g)
 
 
 def _decrease_function(c, f, direction):
     """phi(t) = f(r_c(t*direction)) - f(c) as a callable, for a field or
-    a ``_CheckedField`` direction on c.
+    a ``_CheckedField`` direction on c, used as given.
 
     The quadratic family uses the exactly differenced polar objective,
     whose step d*n it builds column-major so that the set-up reads the
@@ -165,7 +168,7 @@ def _decrease_function(c, f, direction):
     quadrature on the moved polygon, with inadmissible probes scored +inf
     so brackets shrink below them.
     """
-    checked = _CheckedField(c, direction, "direction")
+    checked = _CheckedField.of(c, direction, "direction")
     if f.is_quadratic_mso:
         d, normal = checked.values, c.geometry.normal
         step = np.empty((len(d), 2), order="F")
@@ -195,7 +198,7 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     LineSearchFailed when no probed step above the tolerance decreases
     the objective.  phi(t), the decrease at t, is probed at most once
     per t in one search.  The direction is validated once, unless it is
-    a ``_CheckedField`` already, and the probes take it as checked.
+    a ``_CheckedField`` already, used as given; the probes take it so.
 
     With h set, golden section stops early: once both bracket ends round
     to the same grid index k, every later bracket and its midpoint t_star
@@ -239,9 +242,9 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     where they do not, phi stops being unimodal.  The parabolic search's
     k*h is therefore returned only if the polygon that retract would
     build at k*h passes the star certificate of check_simple; otherwise
-    the search hands over.  That polygon stays on c as the retraction
-    candidate, which ``retract(c, direction, k*h)`` checks and returns
-    instead of building it again.
+    the search hands over.  That polygon stays on the checked direction,
+    and ``retract(c, direction, k*h)`` of that ``_CheckedField`` checks
+    and returns it instead of building it again.
 
     Each probe of the quadratic family costs 15 O(N) array passes:
     ``mso_step_objective`` computes once per search what does not depend
@@ -249,7 +252,7 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     docstring), so a decrease far below the objective's rounding noise
     is resolved to near full relative precision.
     """
-    checked = _CheckedField(c, direction, "direction")
+    checked = _CheckedField.of(c, direction, "direction")
     direction = checked.values
     if not direction.any():
         raise LineSearchFailed("zero direction")
@@ -272,8 +275,9 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     if step_resolution and t0 < bracket_max:
         t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
                                     step_resolution)
-        if t_snap is not None and (not f.is_quadratic_mso
-                                   or _star_certified_at(c, direction, t_snap)):
+        if t_snap is not None and (
+                not f.is_quadratic_mso
+                or _retraction_candidate(c, checked, t_snap).star_certified):
             return t_snap
 
     lo, a, fa = 0.0, t0, f0
@@ -417,14 +421,6 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
     return None
 
 
-def _star_certified_at(c, direction, t):
-    """True when the polygon that retract(c, direction, t) would build
-    passes the star certificate of check_simple.  That polygon is kept
-    on c as the retraction candidate, so the retract that follows an
-    accepted step admits it without building it again."""
-    return _retraction_candidate(c, direction, t).star_certified
-
-
 def _choose_step(c, f, direction, line_search):
     if isinstance(line_search, FixedStep):
         return line_search.t
@@ -464,6 +460,7 @@ def optimize(c0, f, config, reference=None):
     with a DimensionMismatch stop naming ``direction``.  The line search,
     the step norm and ``retract`` then take it as a ``_CheckedField`` and
     do not check it again; called directly, each validates its field.
+    The line search leaves its polygon on that field for ``retract``.
     """
     records = []
     c = c0
@@ -507,22 +504,21 @@ def convergence_diagnostics(records):
     that have one (the linear rate).  quadratic_coefficient: median
     quadratic_ratio (bounded iff convergence is quadratic).  omega_hat:
     2 max_k |step_{k+1}| / |step_k|^2, the empirical affine-invariant
-    curvature constant for Newton runs.  Raises InsufficientData for
-    fewer than three records.
+    curvature constant for Newton runs, None when no pair of consecutive
+    steps has a positive first norm.  Raises InsufficientData for fewer
+    than three records.
     """
     if len(records) < 3:
         raise InsufficientData(f"need >= 3 records, got {len(records)}")
     contractions = [r.contraction_ratio for r in records if r.contraction_ratio is not None]
     quad = [r.quadratic_ratio for r in records if r.quadratic_ratio is not None]
     steps = [r.step_norm for r in records if r.step_norm is not None]
-    omega = None
-    if len(steps) >= 2:
-        omega = 2.0 * max(b / a ** 2 for a, b in zip(steps, steps[1:]) if a > 0.0)
+    ratios = [b / a ** 2 for a, b in zip(steps, steps[1:]) if a > 0.0]
     return {
         "iterations": len(records) - 1,
         "geometric_factor": median(contractions[-5:]) if contractions else None,
         "quadratic_coefficient": median(quad) if quad else None,
-        "omega_hat": omega,
+        "omega_hat": 2.0 * max(ratios) if ratios else None,
         "final_objective": records[-1].objective,
         "final_distance": records[-1].distance,
     }

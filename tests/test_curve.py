@@ -15,7 +15,7 @@ from shapeopt import (CurveGeometry, DiscreteCurve, HessianOperator, VolumeFunct
 from shapeopt.curve import (_param_gaps, _segments_intersect, as_field, row_norm,
                             shift_next, shift_prev, signed_area)
 from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate, SingularHessian
-from shapeopt.functional import distance_bar, evaluate_mso
+from shapeopt.functional import _polar_pieces, distance_bar, evaluate_mso
 from shapeopt.harness import reference_ellipse
 from shapeopt.harness.properties import random_star_curve
 
@@ -56,6 +56,14 @@ def test_params_must_match_and_increase():
         DiscreteCurve(c.nodes, params=bad)
     with pytest.raises(DegenerateCurve):
         DiscreteCurve(c.nodes, params=c.params + 2.0 * np.pi)
+    # every comparison with nan is False, so the test must be written to
+    # fail on it; the same for an infinite first, inner or last value
+    for value in (np.nan, np.inf, -np.inf):
+        for k in (0, 3, 15):
+            bad = c.params.copy()
+            bad[k] = value
+            with pytest.raises(DegenerateCurve, match="strictly increasing"):
+                DiscreteCurve(c.nodes, params=bad)
 
 
 def test_clockwise_input_is_reoriented():
@@ -320,8 +328,7 @@ def test_angle_steps_are_shared_and_read_only():
         assert np.array_equal(c.angle_steps, _wrapped_angle_steps_roll(c.nodes))
         with pytest.raises(ValueError):
             c.angle_steps[0] = 1.0
-        evaluate_mso(c, 2.0)
-        assert c._polar[(2.0, "nodes")][0] is c.angle_steps
+        assert _polar_pieces(c, 2.0, "nodes", "evaluate_mso")[0] is c.angle_steps
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
         assert moved._angle_steps is not None
         fresh = DiscreteCurve(moved.nodes, params=c.params)
@@ -663,13 +670,14 @@ def test_stored_chords_match_recomputation():
 def test_stored_and_cached_arrays_are_read_only():
     c = circle(16)
     evaluate_mso(c, 2.0)
-    arrays = [c.nodes, c.params, c.chords, *c._polar[(2.0, "nodes")], *c._quadratic[2.0]]
+    # the record holds rho2, the radii of the polar quadratures
+    arrays = [c.nodes, c.params, c.chords, c.angle_steps, *c._quadratic[2.0]]
     moved = retract(c, np.full(16, 0.1))
     distance_bar(moved, 2.0)
     boundary_kernel(moved, VolumeFunctional.quadratic_mso(3.0))
-    arrays += [moved.nodes, moved.params, moved.chords, *moved._polar[(2.0, "nodes")],
+    arrays += [moved.nodes, moved.params, moved.chords, moved.angle_steps,
                *moved._quadratic[2.0], *moved._quadratic[3.0]]
-    assert len(arrays) == 28
+    assert len(arrays) == 26
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 5.0
@@ -678,11 +686,13 @@ def test_stored_and_cached_arrays_are_read_only():
 def test_retracted_curve_starts_empty_and_matches_a_fresh_curve():
     rng = np.random.default_rng(47)
     for c in _oracle_curves(rng):
-        evaluate_mso(c, 2.0)  # the parent's polar cache is filled first
+        evaluate_mso(c, 2.0)  # the parent's record is filled first
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
-        assert moved._geometry is None and moved._polar == {} and moved._quadratic == {}
-        assert moved._candidate is None and c._candidate is None
+        assert moved._geometry is None and moved._quadratic == {}
         assert moved.params is c.params and moved._stencil is c._stencil
+        # what it keeps: what its nodes and params determine, nothing of a step
+        assert set(vars(moved)) == {"nodes", "params", "chords", "_area", "_angle_steps",
+                                    "_star", "_geometry", "_stencil", "_quadratic"}
         # the arrays it carries: those of the admission, nothing more
         carried = {name for name, value in vars(moved).items()
                    if isinstance(value, np.ndarray)}
@@ -720,7 +730,7 @@ def test_retract_rejects_coincident_and_overflowing_nodes():
 
 def test_retract_checks_a_kept_candidate_as_a_fresh_polygon():
     # a candidate that the line search built at the step still runs every
-    # check of retract, which raises as without it and drops it
+    # check of retract, which raises as without it and leaves the field empty
     c = DiscreteCurve([(-1, 0), (0, 0), (1, 0), (0, 2), (-1, 2), (-2, 2), (-3, 2),
                        (-1.5, 1.5), (0, 1)])
     reversing, coincident = np.zeros(9), np.zeros(9)
@@ -737,32 +747,39 @@ def test_retract_checks_a_kept_candidate_as_a_fresh_polygon():
               "reversed|self-intersects")]
     with np.errstate(over="ignore", invalid="ignore"):
         for src, h, t, error, message in cases:
-            kept = curve._retraction_candidate(src, h, t)
-            assert src._candidate[2] is kept
+            field = curve._CheckedField(src, h, "h")
+            kept = curve._retraction_candidate(src, field, t)
+            assert field._candidate[0] is src and field._candidate[2] is kept
             with pytest.raises(error, match=message):
-                retract(src, h, t)
-            assert src._candidate is None
+                retract(src, field, t)
+            assert field._candidate is None
 
 
 def test_retract_reuses_a_candidate_only_at_its_own_step():
+    # a field's polygon is taken only by a retract of its own curve at its
+    # own t; any other retract builds the polygon afresh, with the same
+    # bits, and every retract of the field leaves it empty
     rng = np.random.default_rng(59)
     c = random_star_curve(64, rng, amplitude=0.2)
+    twin = DiscreteCurve(c.nodes, params=c.params)
+    other = random_star_curve(64, rng, amplitude=0.2)
     h = 0.05 * rng.standard_normal(64)
-    h[5] = 0.0
-    signed = h.copy()
-    signed[5] = -0.0
-    mutated = h.copy()
-    for other_h, other_t in ((h, 0.7000000000000001), (h, 0.69), (2.0 * h, 0.7),
-                             (signed, 0.7), (mutated, 0.7)):
-        kept = curve._retraction_candidate(c, h, 0.7)
-        if other_h is mutated:
-            mutated[7] += 1e-3  # the kept copy holds h as it was
-        moved = retract(c, other_h, other_t)
-        assert moved is not kept and c._candidate is None
-        fresh = retract(c, other_h, other_t)
+    field = curve._CheckedField(c, h, "h")
+    for src, step, t in ((c, field, 0.7000000000000001), (c, field, 0.69),
+                         (twin, field, 0.7), (other, field, 0.7), (c, h.copy(), 0.7),
+                         (c, curve._CheckedField(c, h, "h"), 0.7)):
+        kept = curve._retraction_candidate(c, field, 0.7)
+        moved = retract(src, step, t)
+        assert moved is not kept
+        assert (field._candidate is None) is (step is field)
+        fresh = retract(src, h, t)
         assert np.array_equal(moved.nodes.view(np.int64), fresh.nodes.view(np.int64))
-    kept = curve._retraction_candidate(c, h, 0.7)
-    assert retract(c, h.copy(), 0.7) is kept
+        assert np.array_equal(moved.angle_steps.view(np.int64),
+                              fresh.angle_steps.view(np.int64))
+    kept = curve._retraction_candidate(c, field, 0.7)
+    assert retract(c, field, 0.7) is kept
+    assert field._candidate is None
+    assert retract(c, field, 0.7) is not kept
 
 
 def test_retracted_curves_share_the_stencil_weights():

@@ -56,8 +56,9 @@ def test_mso_rejects_curve_away_from_origin():
         evaluate_mso(circle(64, 0.3, center=(2.0, 0.0)), 1.0)
 
 
-# The polar formulas as written before the pieces were kept on the curve;
-# the cached evaluate_mso and distance_bar must reproduce them bit for bit.
+# The polar formulas as written before the angle steps and radii were
+# kept on the curve; evaluate_mso and distance_bar, which read them there,
+# must reproduce them bit for bit.
 
 def _polar_pieces_uncached(c, mu, angles):
     nodes = c.nodes
@@ -91,17 +92,22 @@ def test_polar_pieces_cache_matches_uncached_formulas():
                     oracle = (_evaluate_mso_uncached if fn is evaluate_mso
                               else _distance_bar_uncached)
                     assert fn(c, mu, angles) == oracle(c, mu, angles), (n, fn, mu, angles)
-            assert sorted(c._polar) == sorted(combos)
+            for mu, _ in combos:
+                # the node-angle pieces are the arrays the curve keeps
+                dang, rho2 = functional._polar_pieces(c, mu, "nodes", "evaluate_mso")
+                assert dang is c.angle_steps and rho2 is c._quadratic[mu].rho2
 
 
 def test_polar_pieces_failures_are_not_cached():
+    # each call that fails raises again, naming its own caller, in either
+    # angle convention
     nodes = circle(64, 0.3, center=(2.0, 0.0)).nodes
-    for first, second in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
-        c = DiscreteCurve(nodes)
-        for fn in (first, first, second):
-            with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: "):
-                fn(c, 2.0)
-        assert c._polar == {}
+    for angles in ("nodes", "stretched"):
+        for first, second in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
+            c = DiscreteCurve(nodes)
+            for fn in (first, first, second):
+                with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: "):
+                    fn(c, 2.0, angles)
 
 
 def _bits(a):
@@ -166,10 +172,10 @@ def test_record_is_shared_and_never_raises_not_star_shaped():
             boundary_kernel(c, VolumeFunctional.quadratic_mso(2.0))
             with pytest.raises(NotStarShaped):
                 evaluate_mso(c, 2.0)
-            assert c._polar == {} and list(c._quadratic) == [2.0]
+            assert list(c._quadratic) == [2.0]
             continue
         evaluate_mso(c, 2.0)
-        assert c._polar[(2.0, "nodes")][1] is c._quadratic[2.0].rho2
+        assert functional._polar_pieces(c, 2.0, "nodes", "evaluate_mso")[1] is c._quadratic[2.0].rho2
 
 
 def test_step_objective_from_a_curve_matches_raw_nodes_bit_for_bit():

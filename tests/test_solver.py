@@ -1,6 +1,8 @@
 """Step directions, the exact line search, the descent loop, and the
 late-phase rate diagnostics."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,7 +23,8 @@ from shapeopt.curve import as_field
 from shapeopt.errors import (InsufficientData, LineSearchFailed, NotStarShaped,
                              ShapeOptError)
 from shapeopt.functional import boundary_kernel
-from shapeopt.harness import initial_shape, reference_ellipse
+from shapeopt.harness import experiment, initial_shape, reference_ellipse
+from shapeopt.harness.experiment import solve_and_write
 from shapeopt.harness.properties import low_frequency_field, random_star_curve
 from shapeopt.solver import GOLDEN, _decrease_function
 
@@ -315,37 +318,43 @@ def test_line_search_star_guard_hands_over(monkeypatch):
     c0 = initial_shape(100)
     d = step_direction(c0, f3, SolverConfig(method=STEEPEST_DESCENT, A=0.5))
     guarded = []
-    guard = solver._star_certified_at
-    monkeypatch.setattr(solver, "_star_certified_at",
-                        lambda *args: guarded.append((args[2], guard(*args))) or guarded[-1][1])
+    candidate = solver._retraction_candidate
+
+    def guard(c, field, t):
+        moved = candidate(c, field, t)
+        guarded.append((t, moved.star_certified))
+        return moved
+
+    monkeypatch.setattr(solver, "_retraction_candidate", guard)
     assert (_outcome(line_search_exact, c0, f3, d)
             == _outcome(_line_search_exact_oracle, c0, f3, d))
     assert guarded == [(0.31, False)]
 
 
 def test_retract_admits_the_line_search_candidate():
-    # the polygon that the star check built at the returned step is the
-    # iterate, with the nodes, angle steps, star flag and chords of a
-    # retract from scratch, bit for bit
+    # the polygon that the star check built at the returned step, kept on
+    # the checked direction, is the iterate, with the nodes, angle steps,
+    # star flag and chords of a retract from scratch, bit for bit
     taken = 0
     for n in (100, 400):
         for c in [initial_shape(n)] + _warm_starts(n, 4):
             for method in METHODS:
                 d = step_direction(c, F2, SolverConfig(method=method))
+                checked = curve._CheckedField(c, d, "direction")
                 try:
-                    t = line_search_exact(c, F2, d)
+                    t = line_search_exact(c, F2, checked)
                 except LineSearchFailed:
                     continue
-                kept = c._candidate
+                kept = checked._candidate
                 try:
-                    moved = retract(c, d, t)
+                    moved = retract(c, checked, t)
                 except ShapeOptError:
-                    assert c._candidate is None
+                    assert checked._candidate is None
                     continue
-                assert c._candidate is None
+                assert checked._candidate is None
                 if kept is None or kept[1] != t:
                     continue
-                assert moved is kept[2]
+                assert kept[0] is c and moved is kept[2]
                 taken += 1
                 fresh = retract(c, d, t)
                 assert fresh is not moved
@@ -551,7 +560,9 @@ def test_optimize_stops_on_an_invalid_direction(monkeypatch):
 
 def test_optimize_checks_each_direction_once(monkeypatch):
     # the line search, the step norm and retract take the direction that
-    # optimize checked without checking it again
+    # optimize checked without checking it again, and each step direction
+    # checks the kernel's psi (as psi or g) and its normal derivative (as
+    # dpsi_dn or nu) once
     checked, directions = [], []
     original, original_direction = curve.as_field, solver.step_direction
 
@@ -575,9 +586,55 @@ def test_optimize_checks_each_direction_once(monkeypatch):
                 records = optimize(initial_shape(100), f,
                                    SolverConfig(method=method, max_iterations=3,
                                                 line_search=rule))
-                assert any(r.step_scale is not None for r in records), (f, method, rule)
-                assert checked.count("direction") == len(directions), (f, method, rule)
-                assert not {"alpha", "beta", "h"} & set(checked), (f, method, rule)
+                case = (f, method, rule)
+                assert any(r.step_scale is not None for r in records), case
+                assert checked.count("direction") == len(directions), case
+                assert not {"alpha", "beta", "h"} & set(checked), case
+                assert checked.count("psi") + checked.count("g") == len(directions), case
+                normal = 0 if method == STEEPEST_DESCENT else len(directions)
+                assert checked.count("dpsi_dn") + checked.count("nu") == normal, case
+
+
+def test_optimize_frees_each_iterate_after_its_step(monkeypatch):
+    # the candidate that the line search leaves on the step's direction
+    # holds the iterate it was built from until retract drops it: by the
+    # next step direction no earlier iterate but the caller's start lives
+    seen, alive = [], []
+    original = solver.step_direction
+
+    def direction(c, *args):
+        alive.append([ref() is not None for ref in seen[1:]])
+        seen.append(weakref.ref(c))
+        return original(c, *args)
+
+    monkeypatch.setattr(solver, "step_direction", direction)
+    checked = 0
+    for method in METHODS:
+        for c0 in (initial_shape(100), _warm_starts(100, 1)[0]):
+            seen.clear()
+            alive.clear()
+            optimize(c0, F2, SolverConfig(method=method, max_iterations=6))
+            assert not any(flag for flags in alive for flag in flags), (method, alive)
+            checked += sum(len(flags) for flags in alive)
+    assert checked >= 20
+
+
+def test_diagnostics_without_a_positive_step_norm(monkeypatch, tmp_path):
+    # psi = 0 has a zero gradient, so every fixed step has norm 0 and the
+    # reference distance never falls: the run ends at max_iterations, and
+    # solve_and_write reports it
+    zero = VolumeFunctional.custom(lambda p: np.zeros(len(p)),
+                                   lambda p: np.zeros((len(p), 2)))
+    config = SolverConfig(max_iterations=4, line_search=FixedStep(0.5))
+    monkeypatch.setattr(experiment, "optimize",
+                        lambda c0, f, config: optimize(c0, f, config,
+                                                       reference=circle(32, 1.05)))
+    records, out = solve_and_write(circle(32), zero, config,
+                                   tmp_path / "run.csv", tmp_path / "run.svg")
+    assert records[-1].stop == "max_iterations"
+    assert all(r.step_norm == 0.0 for r in records[:-1])
+    assert out == convergence_diagnostics(records)
+    assert out["omega_hat"] is None and out["iterations"] == 4
 
 
 def test_diagnostics_require_three_records():
