@@ -80,8 +80,11 @@ def _build_spec(args, **defaults):
                     raise ValueError(f"config {key} must be {description}, got {value!r}")
                 values[key] = value
         if "methods" in raw:
+            names = raw["methods"]
+            if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
+                raise ValueError(f"config methods must be a list of names, got {names!r}")
             try:
-                values["methods"] = tuple(CLI_METHODS[m] for m in raw["methods"])
+                values["methods"] = tuple(CLI_METHODS[m] for m in names)
             except KeyError as exc:
                 raise ValueError(f"unknown method {exc.args[0]!r} in config; "
                                  f"expected among {sorted(CLI_METHODS)}") from exc

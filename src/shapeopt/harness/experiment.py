@@ -58,6 +58,10 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected among {METHODS}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods {list(self.methods)} name a method twice")
         if not self.stop_distance > 0.0:
             raise ValueError("stop_distance must be positive")
 
@@ -170,8 +174,7 @@ def run_table1(spec):
         fh.write(_comparison_text(per_method))
     json_path = out / "table1.json"
     with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=1) + "\n")
     report["records"] = per_method
     report["table_text"] = str(text_path)
     report["table_json"] = str(json_path)

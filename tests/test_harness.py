@@ -9,13 +9,14 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import (ExperimentSpec, IterationRecord, initial_shape,
-                      reference_ellipse, run_table1)
+from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, ExperimentSpec,
+                      IterationRecord, initial_shape, reference_ellipse,
+                      run_table1)
 from shapeopt.harness import properties
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
 from shapeopt.harness.properties import random_star_curve
-from shapeopt.harness.svg import _polyline, render_curves
+from shapeopt.harness.svg import _polyline, _ramp, render_curves
 
 
 def polyline_count(path):
@@ -36,6 +37,10 @@ def test_spec_validation():
             ExperimentSpec(A=A)
     with pytest.raises(ValueError):
         ExperimentSpec(methods=("downhill-simplex",))
+    with pytest.raises(ValueError, match="at least one method"):
+        ExperimentSpec(methods=())
+    with pytest.raises(ValueError, match="twice"):
+        ExperimentSpec(methods=(STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT))
     with pytest.raises(ValueError):
         ExperimentSpec(stop_distance=0.0)
 
@@ -96,12 +101,21 @@ def test_render_curves(tmp_path):
 
 
 def test_render_curves_rejects_non_finite_nodes(tmp_path):
-    bad = circle(20).nodes.copy()
-    bad[3, 1] = np.nan
     out = tmp_path / "fig.svg"
-    with pytest.raises(ValueError, match="curve 1 "):
-        render_curves([circle(20).nodes, bad], out)
-    assert not out.exists()
+    for value in (np.nan, np.inf, -np.inf, 1e14, -1e14):
+        bad = circle(20).nodes.copy()
+        bad[3, 1] = value
+        with pytest.raises(ValueError, match="curve 1 has a node that is not finite"):
+            render_curves([circle(20).nodes, bad, circle(20).nodes], out)
+        assert not out.exists(), value
+
+
+def test_render_curves_without_curves(tmp_path):
+    render_curves([], tmp_path / "empty.svg")
+    assert (tmp_path / "empty.svg").read_bytes() == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<svg xmlns="http://www.w3.org/2000/svg" '
+        b'viewBox="-120000 -120000 240000 240000">\n</svg>\n')
 
 
 def test_polyline_points_format():
@@ -128,10 +142,34 @@ def _largest_drawable():
     return float(x)
 
 
+def _render_float_format(node_arrays):
+    # the SVG file as render_curves writes it, with the points of the oracle
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" '
+             'viewBox="-120000 -120000 240000 240000">']
+    for i, nodes in enumerate(node_arrays):
+        lines.append(_polyline_float_format(nodes, _ramp(i, len(node_arrays))))
+    return ("\n".join(lines) + "\n</svg>\n").encode("ascii")
+
+
 def test_polyline_matches_float_format():
     rng = np.random.default_rng(59)
     top = _largest_drawable()
-    curves = [random_star_curve(n, rng).nodes for n in (8, 100, 1600)]
+    # the scaled values 10**k - 1 and 10**k, of both signs in both columns:
+    # every digit count from 1 to 19 next to smaller ones in one curve
+    scaled = [v for k in range(19) for v in (10 ** k - 1, 10 ** k)]
+    edges = np.array([[v / 1e5, -v / 1e5] for v in scaled]
+                     + [[-v / 1e5, v / 1e5] for v in scaled]
+                     + [[0.0, -0.0], [-0.0, 0.0], [top, -top], [-top, top]])
+    tokens = _polyline(edges, "red").split('"')[1].replace(",", " ").split()
+    assert {len(t.lstrip("-")) for t in tokens} == set(range(1, 20))
+    for v in scaled:
+        if v < 2 ** 53:  # exactly representable, so rint(1e5 * v / 1e5) == v
+            assert {str(v), str(-v)} <= set(tokens), v
+    curves = [edges]
+    curves += [random_star_curve(n, rng).nodes for n in (8, 100, 1600)]
+    curves += [scale * rng.standard_normal((64, 2)) for scale in 10.0 ** np.arange(-6, 13)]
+    curves += [np.array([[v / 1e5, 0.5], [-0.5, -v / 1e5], [0.0, 0.0]]) for v in scaled]
     curves.append(np.array([[-0.0, -0.0], [0.0, 1e-17], [-4e-6, 6e-6], [-5e-6, 5e-6],
                             [1.5e-5, -2.5e-5], [-1e-300, 1.0]]))
     curves.append(np.array([[top, -top], [-top, top], [9.2e13, -9e13],
@@ -142,6 +180,13 @@ def test_polyline_matches_float_format():
     for bad in (too_far, -too_far):
         with pytest.raises(ValueError, match="not finite or beyond"):
             _polyline(np.array([[0.0, 1.0], [bad, 0.0], [0.0, 0.0]]), "red")
+
+
+def test_render_curves_matches_float_format_on_table1_iterates(tmp_path):
+    report = run_table1(ExperimentSpec(N=1600, output_dir=str(tmp_path)))
+    for slug, records in report["records"].items():
+        expected = _render_float_format([r.nodes for r in records])
+        assert (tmp_path / f"iterates_{slug}.svg").read_bytes() == expected, slug
 
 
 def test_render_curves_int64_range(tmp_path):
@@ -282,10 +327,21 @@ def test_cli_bad_inputs(tmp_path, capsys):
     for bad in ({"mu": "2", "A": "0"}, {"mu": "2"}, {"A": "0"}, {"mu": True},
                 {"stop_distance": "1e-3"}, {"N": "100"}, {"N": 100.0}, {"N": True},
                 {"seed": "1"}, {"seed": 1.5}, {"seed": False}, {"output_dir": 3},
-                {"output_dir": None}):
+                {"output_dir": None}, {"methods": 3}, {"methods": "sd"},
+                {"methods": [["sd"]]}, {"methods": ["sd", None]}):
         cfg.write_text(json.dumps(bad))
         for command in ("table1", "verify"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3, bad
     assert main(["run", "--method", "sd", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "table1.json").exists()
     capsys.readouterr()
+
+
+def test_cli_rejects_empty_or_repeated_methods(tmp_path, capsys):
+    cfg = tmp_path / "methods.json"
+    for methods in ([], ["sd", "sd"], ["sd", "newton", "sd"]):
+        cfg.write_text(json.dumps({"methods": methods}))
+        out = tmp_path / "out"
+        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 3, methods
+        assert "bad input: methods" in capsys.readouterr().err
+        assert not out.exists(), methods
