@@ -1,8 +1,10 @@
 """Command line entry points.
 
-    shapeopt table1  [--mu F] [--nodes N] [--metric-a F] [--out DIR] ...
-    shapeopt run     --method {sd,newton,newton-general} ...
-    shapeopt verify  [--seed S] [--out DIR]
+    shapeopt table1  [--mu F] [--nodes N] [--metric-a F] [--out DIR] [--config FILE]
+    shapeopt run     --method {sd,newton,newton-general} [--mu F] [--nodes N]
+                     [--metric-a F] [--max-iterations K] [--stop-distance F]
+                     [--out DIR] [--config FILE]
+    shapeopt verify  [--seed S] [--out DIR] [--config FILE]
     shapeopt render  --input curve.csv --out fig.svg
 
 A JSON config file mirroring ExperimentSpec may supply defaults via
@@ -46,15 +48,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _add_spec_flags(p):
-    p.add_argument("--mu", type=float, default=None, help="stretch parameter (default 2)")
-    p.add_argument("--nodes", type=int, default=None, help="node count (default 100)")
-    p.add_argument("--metric-a", type=float, default=None,
-                   help="metric parameter A (default 0)")
-    p.add_argument("--seed", type=int, default=None, help="property-suite seed")
-    p.add_argument("--out", type=str, default=None, help="output directory")
+# each flag's dest is the ExperimentSpec field it overrides
+def _add_output_flags(p):
+    p.add_argument("--out", dest="output_dir", type=str, default=None,
+                   help="output directory")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with ExperimentSpec fields; flags override")
+
+
+def _add_shape_flags(p):
+    p.add_argument("--mu", type=float, default=None, help="stretch parameter (default 2)")
+    p.add_argument("--nodes", dest="N", type=int, default=None,
+                   help="node count (default 100)")
+    p.add_argument("--metric-a", dest="A", type=float, default=None,
+                   help="metric parameter A (default 0)")
+    _add_output_flags(p)
 
 
 # (JSON types, description) of each ExperimentSpec field a config file may
@@ -88,11 +96,8 @@ def _build_spec(args, **defaults):
             except KeyError as exc:
                 raise ValueError(f"unknown method {exc.args[0]!r} in config; "
                                  f"expected among {sorted(CLI_METHODS)}") from exc
-    overrides = {"mu": args.mu, "N": args.nodes, "A": args.metric_a,
-                 "seed": args.seed, "output_dir": args.out,
-                 # only `run` has --stop-distance
-                 "stop_distance": getattr(args, "stop_distance", None)}
-    for key, val in overrides.items():
+    for key in CONFIG_FIELDS:
+        val = getattr(args, key, None)  # each command has some of these flags
         if val is not None:
             values[key] = val
     return ExperimentSpec(**values)
@@ -174,18 +179,19 @@ def build_parser():
 
     p = sub.add_parser("table1", help="run the two-method benchmark and write "
                                       "the comparison table")
-    _add_spec_flags(p)
+    _add_shape_flags(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("run", help="run a single method")
-    _add_spec_flags(p)
+    _add_shape_flags(p)
     p.add_argument("--method", required=True, choices=sorted(CLI_METHODS))
     p.add_argument("--max-iterations", type=int, default=50)
     p.add_argument("--stop-distance", type=float, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="run the seeded property suite")
-    _add_spec_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="property-suite seed (default 0)")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="render a curve file to SVG")

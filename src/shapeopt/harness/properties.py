@@ -1,9 +1,12 @@
 """Seeded, named checks of the library's numerical claims.
 
-Each check measures one quantity (a worst case over random draws where
-randomness applies) and compares it against a fixed bound; the suite
-returns and writes a machine-readable report.  Failures are report
-entries, never exceptions, so a run always produces the full list.
+Each claim is measured by one function that returns its value(s) as
+floats (a worst case over random draws where randomness applies).
+`run_property_suite` compares every value against a fixed bound and
+returns and writes a machine-readable report; the acceptance tests assert
+the same functions' values, so `verify` and the tests share one
+implementation per claim.  Failures are report entries, never
+exceptions, so a run always produces the full list.
 """
 
 import json
@@ -68,7 +71,10 @@ def _entry(name, value, comparator, bound):
             "bound": bound, "passed": bool(passed)}
 
 
-def _hessian_symmetry(seed):
+def hessian_asymmetry(seed):
+    """Largest relative asymmetry |H(a,b) - H(b,a)| / max(|H(a,b)|, |H(b,a)|)
+    of the covariant Hessian form at A=1, over 100 seeded field pairs on
+    10 random star curves."""
     f = VolumeFunctional.quadratic_mso(2.0)
     worst = 0.0
     for i in range(10):
@@ -76,16 +82,17 @@ def _hessian_symmetry(seed):
         c = random_star_curve(100, rng)
         kernels = boundary_kernel(c, f)
         for _ in range(10):
-            alpha = rng.standard_normal(100)
-            beta = rng.standard_normal(100)
+            alpha, beta = rng.standard_normal((2, 100))
             ab = riemannian_hessian_form(c, 1.0, kernels, alpha, beta)
             ba = riemannian_hessian_form(c, 1.0, kernels, beta, alpha)
-            mag = max(abs(ab), abs(ba), 1e-300)
-            worst = max(worst, abs(ab - ba) / mag)
-    return [_entry("hessian_symmetry_max_relative_asymmetry", worst, "<", 1e-12)]
+            worst = max(worst, abs(ab - ba) / max(abs(ab), abs(ba), 1e-300))
+    return worst
 
 
-def _multiplication_consistency(seed):
+def multiplication_gaps(seed):
+    """(gap, nu range deviation) at the optimal ellipse for mu=2: the largest
+    relative gap between the Hessian form and the multiplication operator
+    nu over 50 seeded pairs, and the distance of nu's range from [2, 4]."""
     c = reference_ellipse(100, 2.0)
     f = VolumeFunctional.quadratic_mso(2.0)
     kernels = boundary_kernel(c, f)
@@ -94,19 +101,18 @@ def _multiplication_consistency(seed):
     rng = np.random.default_rng(seed + 500)
     worst = 0.0
     for _ in range(50):
-        alpha = rng.standard_normal(100)
-        beta = rng.standard_normal(100)
+        alpha, beta = rng.standard_normal((2, 100))
         form = riemannian_hessian_form(c, 0.0, kernels, alpha, beta)
         direct = float(np.sum(nu * alpha * beta * w))
         worst = max(worst, abs(form - direct) / max(abs(form), abs(direct), 1e-300))
     nu_dev = max(abs(float(nu.min()) - 2.0), abs(float(nu.max()) - 4.0))
-    return [
-        _entry("multiplication_consistency_max_relative_gap", worst, "<", 1e-6),
-        _entry("nu_range_deviation", nu_dev, "<=", 1e-3),
-    ]
+    return worst, nu_dev
 
 
-def _gradient_fd(seed):
+def gradient_fd_error(seed):
+    """Largest relative error of the forward difference (eps=1e-3) under
+    retraction against the boundary-kernel pairing, over 20 seeded
+    curve and direction draws at N=200."""
     f = VolumeFunctional.quadratic_mso(2.0)
     eps = 1e-3
     worst = 0.0
@@ -124,10 +130,12 @@ def _gradient_fd(seed):
             pred = inner(c, 0.0, g, h)
         fd = (evaluate_general(retract(c, h, eps), f) - evaluate_general(c, f)) / eps
         worst = max(worst, abs(fd - pred) / abs(pred))
-    return [_entry("gradient_fd_max_relative_error", worst, "<", 1e-2)]
+    return worst
 
 
-def _taylor_cubic(seed):
+def taylor_slopes(seed):
+    """Taylor-remainder slope at the optimal ellipse of each mu in
+    TAYLOR_MUS, along a seeded unit-norm direction at N=600."""
     slopes = []
     for i, mu in enumerate(TAYLOR_MUS):
         rng = np.random.default_rng(seed + 300 + i)
@@ -136,13 +144,10 @@ def _taylor_cubic(seed):
         h = low_frequency_field(600, rng)
         h = h / norm(c, 0.0, h)
         slopes.append(taylor_slope(f, c, 0.0, h))
-    return [
-        _entry("taylor_min_slope", min(slopes), ">=", 2.5),
-        _entry("taylor_max_slope", max(slopes), "<=", 3.5),
-    ]
+    return slopes
 
 
-def _mso_general_agreement(seed):
+def _mso_general_gap(seed):
     f = VolumeFunctional.quadratic_mso(2.0)
     worst = 0.0
     for s in range(20):
@@ -151,10 +156,10 @@ def _mso_general_agreement(seed):
         polar = evaluate_mso(c, 2.0, angles="stretched")
         fan = evaluate_general(c, f)
         worst = max(worst, abs(polar - fan) / abs(fan))
-    return [_entry("mso_general_max_relative_gap", worst, "<", 1e-6)]
+    return worst
 
 
-def _coercivity(seed):
+def _coercivity_min(seed):
     c = reference_ellipse(100, 2.0)
     f = VolumeFunctional.quadratic_mso(2.0)
     kernels = boundary_kernel(c, f)
@@ -165,36 +170,25 @@ def _coercivity(seed):
         alpha = rng.standard_normal(100)
         q = riemannian_hessian_form(c, 0.0, kernels, alpha, alpha)
         low = min(low, q / float(np.sum(alpha ** 2 * w)))
-    return [_entry("coercivity_min_rayleigh", low, ">=", 1.9)]
+    return low
 
 
-def _distance_zero():
-    value = distance_bar(reference_ellipse(100, 2.0), 2.0)
-    return [_entry("distance_bar_at_solution", value, "<", 1e-6)]
-
-
-def _discretization_order():
-    def circle(n):
-        t = 2.0 * np.pi * np.arange(n) / n
-        return DiscreteCurve(np.column_stack([np.cos(t), np.sin(t)]))
-
-    kappa_err = {}
-    perim_err = {}
-    obj_err = {}
+def discretization_ratios():
+    """(curvature, perimeter, objective) error ratios from N=100 to N=200:
+    curvature and perimeter of the unit circle, objective of the optimal
+    ellipse for mu=2; second order gives about 4."""
     f = VolumeFunctional.quadratic_mso(2.0)
+    err = {}
     for n in (100, 200):
-        geo = circle(n).geometry
-        kappa_err[n] = float(np.max(np.abs(geo.curvature - 1.0)))
-        perim_err[n] = abs(float(geo.weights.sum()) - 2.0 * np.pi)
-        obj_err[n] = abs(evaluate_general(reference_ellipse(n, 2.0), f) + np.pi / 4.0)
-    return [
-        _entry("curvature_error_ratio", kappa_err[100] / kappa_err[200], ">=", 3.5),
-        _entry("perimeter_error_ratio", perim_err[100] / perim_err[200], ">=", 3.5),
-        _entry("objective_error_ratio", obj_err[100] / obj_err[200], ">=", 3.5),
-    ]
+        t = 2.0 * np.pi * np.arange(n) / n
+        geo = DiscreteCurve(np.column_stack([np.cos(t), np.sin(t)])).geometry
+        err[n] = (float(np.max(np.abs(geo.curvature - 1.0))),
+                  abs(float(geo.weights.sum()) - 2.0 * np.pi),
+                  abs(evaluate_general(reference_ellipse(n, 2.0), f) + np.pi / 4.0))
+    return tuple(e100 / e200 for e100, e200 in zip(err[100], err[200]))
 
 
-def _retraction_rigidity():
+def _retraction_deviation():
     # Step small enough to stay inside the caustic of the normal map;
     # larger inward steps near the neck legitimately raise ShapeDegenerate.
     c = initial_shape(100)
@@ -202,8 +196,7 @@ def _retraction_rigidity():
     h = low_frequency_field(100, rng)
     moved = retract(c, h, 0.1)
     expect = c.nodes + 0.1 * h[:, None] * c.geometry.normal
-    value = float(np.max(np.abs(moved.nodes - expect)))
-    return [_entry("retraction_rigidity_max_deviation", value, "<=", 0.0)]
+    return float(np.max(np.abs(moved.nodes - expect)))
 
 
 def _solver_checks():
@@ -236,17 +229,28 @@ def run_property_suite(spec):
     """Execute every named check with the spec's seed and write the JSON
     report to spec.output_dir/properties.json.  Returns the report dict;
     failures appear as entries with passed = false."""
-    checks = []
-    checks += _hessian_symmetry(spec.seed)
-    checks += _multiplication_consistency(spec.seed)
-    checks += _gradient_fd(spec.seed)
-    checks += _taylor_cubic(spec.seed)
-    checks += _mso_general_agreement(spec.seed)
-    checks += _coercivity(spec.seed)
-    checks += _distance_zero()
-    checks += _discretization_order()
-    checks += _retraction_rigidity()
-    checks += _solver_checks()
+    seed = spec.seed
+    gap, nu_dev = multiplication_gaps(seed)
+    slopes = taylor_slopes(seed)
+    kappa_ratio, perimeter_ratio, objective_ratio = discretization_ratios()
+    checks = [
+        _entry("hessian_symmetry_max_relative_asymmetry", hessian_asymmetry(seed),
+               "<", 1e-12),
+        _entry("multiplication_consistency_max_relative_gap", gap, "<", 1e-6),
+        _entry("nu_range_deviation", nu_dev, "<=", 1e-3),
+        _entry("gradient_fd_max_relative_error", gradient_fd_error(seed), "<", 1e-2),
+        _entry("taylor_min_slope", min(slopes), ">=", 2.5),
+        _entry("taylor_max_slope", max(slopes), "<=", 3.5),
+        _entry("mso_general_max_relative_gap", _mso_general_gap(seed), "<", 1e-6),
+        _entry("coercivity_min_rayleigh", _coercivity_min(seed), ">=", 1.9),
+        _entry("distance_bar_at_solution",
+               distance_bar(reference_ellipse(100, 2.0), 2.0), "<", 1e-6),
+        _entry("curvature_error_ratio", kappa_ratio, ">=", 3.5),
+        _entry("perimeter_error_ratio", perimeter_ratio, ">=", 3.5),
+        _entry("objective_error_ratio", objective_ratio, ">=", 3.5),
+        _entry("retraction_rigidity_max_deviation", _retraction_deviation(), "<=", 0.0),
+        *_solver_checks(),
+    ]
     report = {"seed": spec.seed, "passed": all(e["passed"] for e in checks),
               "checks": checks}
     out = Path(spec.output_dir)

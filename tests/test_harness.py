@@ -259,6 +259,38 @@ def test_cli_verify(tmp_path, capsys):
     assert "FAIL" not in out
     report = json.loads((tmp_path / "properties.json").read_text())
     assert report["passed"] is True
+    # dropping, reordering or loosening a check changes this list
+    assert [(e["name"], e["comparator"], e["bound"]) for e in report["checks"]] == [
+        ("hessian_symmetry_max_relative_asymmetry", "<", 1e-12),
+        ("multiplication_consistency_max_relative_gap", "<", 1e-6),
+        ("nu_range_deviation", "<=", 1e-3),
+        ("gradient_fd_max_relative_error", "<", 1e-2),
+        ("taylor_min_slope", ">=", 2.5),
+        ("taylor_max_slope", "<=", 3.5),
+        ("mso_general_max_relative_gap", "<", 1e-6),
+        ("coercivity_min_rayleigh", ">=", 1.9),
+        ("distance_bar_at_solution", "<", 1e-6),
+        ("curvature_error_ratio", ">=", 3.5),
+        ("perimeter_error_ratio", ">=", 3.5),
+        ("objective_error_ratio", ">=", 3.5),
+        ("retraction_rigidity_max_deviation", "<=", 0.0),
+        ("sd_final_gradient_norm", "<", 1e-5),
+        ("newton_final_gradient_norm", "<", 1e-5),
+        ("sd_monotone_min_early_decrease", ">", 0.0),
+        ("newton_contraction_monotone_max_diff", "<", 0.0),
+    ]
+
+
+def test_cli_rejects_flags_a_command_ignores(tmp_path, capsys):
+    # verify's suite fixes its own shapes; table1 and run draw nothing at random
+    for argv in (["verify", "--nodes", "400"], ["verify", "--mu", "3"],
+                 ["verify", "--metric-a", "1"], ["table1", "--seed", "5"],
+                 ["run", "--method", "sd", "--seed", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert info.value.code == 3, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_property_solver_checks_report_a_failed_solve(monkeypatch):
