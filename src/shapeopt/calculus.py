@@ -152,7 +152,7 @@ class HessianOperator:
 
         # transpose of the second-difference stencil applied to E
         dp = curve.chords
-        dm = shift_prev(dp)
+        dm = dp.base[:-1]  # the chords keep chord N-1 first
         cm = 2.0 / (dm * (dm + dp))
         c0 = -2.0 / (dm * dp)
         cp = 2.0 / (dp * (dm + dp))

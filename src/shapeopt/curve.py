@@ -6,13 +6,28 @@ h = alpha * n.  Normal fields are passed around as plain 1-D float arrays;
 ``as_field`` validates them at operation boundaries, once per field: a
 field already validated against a curve travels as a ``_CheckedField``.
 
+Periodic stencils read ghost columns.  A curve keeps its nodes twice: as
+the (N, 2) array ``nodes`` and as ``columns``, a (2, N+2) array whose
+contiguous rows are x and y with node N-1 stored before node 0 and node 0
+after node N-1 (ghost cells, as for periodic finite-volume stencils).
+Row slices [2:], [1:-1] and [:-2] are then the next, own and previous
+node of every node, as views: the chords, the central chord, the
+curvature stencil, the angle steps and the star certificate's radii read
+them without copying.  An array derived from them that a periodic
+stencil shifts again is kept the same way, and handed out as the view of
+its node range, whose ``.base`` is the whole array: ``chords`` and
+``angle_steps`` (length N+1, entry N-1 first) and the rho2 and psi of
+the quadratic record (length N+2).
+
 A curve is immutable and keeps only what its nodes and params determine,
 computed once per curve and read-only:
 
-- ``chords``: the forward chord lengths |node_{i+1} - node_i|, computed by
-  the constructor's coincident-node check;
-- ``geometry``: unit tangent, outward unit normal, curvature and node
-  quadrature weights, computed on first use;
+- ``columns`` and ``chords``: the ghost columns above and the forward
+  chord lengths |node_{i+1} - node_i|, computed by the constructor's
+  coincident-node check;
+- ``geometry``: the unit tangent as contiguous columns tx and ty (the
+  outward normal is (ty, -tx)) and the node quadrature weights, computed
+  on first use; the curvature is computed on its own first read;
 - ``angle_steps``: the wrapped polar angle steps between consecutive
   nodes about the origin, computed on first use; ``check_simple``,
   ``functional.evaluate_mso``/``distance_bar`` (node-angle convention) and
@@ -21,10 +36,10 @@ computed once per curve and read-only:
   ``check_simple``, computed on first use; ``check_simple`` and the polar
   quadratures read it;
 - the quadratic record of ``functional._quadratic_record``: for the
-  quadratic family psi = x^2 + mu^2 y^2 - 1, the contiguous node columns
-  x and y, xx, yy, rho2 = xx + mu^2 yy and psi, one entry per mu on first
-  use; the polar quadratures (with the angle steps above),
-  ``functional.boundary_kernel`` and the set-up of
+  quadratic family psi = x^2 + mu^2 y^2 - 1, the node columns x and y
+  (views of ``columns``), xx, yy, rho2 = xx + mu^2 yy and psi, one entry
+  per mu on first use; the polar quadratures (with the angle steps
+  above), ``functional.boundary_kernel`` and the set-up of
   ``functional.mso_step_objective`` all read it;
 - the curvature stencil weights of its params, computed on first use of
   ``geometry`` and shared with every curve retracted from it, which
@@ -34,15 +49,17 @@ The polygon that the line search built and star-checked at its step
 belongs to the step, not to the curve: it travels on the step's
 ``_CheckedField`` to ``retract``, which admits or rejects it and drops it.
 
-A curve that ``retract`` returns carries its nodes, params, chords,
-angle steps and star flag, and shares the stencil weights; everything
-else is computed on first use.
+A curve that ``retract`` returns carries its nodes, columns, params,
+chords, angle steps and star flag, and shares the stencil weights;
+everything else is computed on first use.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 
+from ._files import in_place
 from .errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate
 
 MIN_NODES = 8
@@ -107,17 +124,37 @@ def row_norm(v):
     return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
+def _ghost_columns(nodes):
+    """The read-only (2, N+2) ghost columns of an (N, 2) node array: row 0
+    holds x and row 1 y, each with node N-1 stored before node 0 and node
+    0 after node N-1."""
+    columns = np.empty((2, len(nodes) + 2))
+    columns[:, 1:-1] = nodes.T
+    columns[:, 0], columns[:, -1] = nodes[-1], nodes[0]
+    columns.setflags(write=False)
+    return columns
+
+
 def signed_area(nodes):
     """Shoelace area of the closed polygon; positive for counterclockwise."""
-    x, y = nodes[:, 0], nodes[:, 1]
-    xn, yn = shift_next(x), shift_next(y)
+    columns = _ghost_columns(nodes)
+    (x, y), (xn, yn) = columns[:, 1:-1], columns[:, 2:]
     return 0.5 * float((x * yn - xn * y).sum())
 
 
 def _wrapped_angle_steps(nodes):
+    """The (N,) wrapped angle steps of ``_angle_steps`` for an (N, 2) node
+    array: entry i is the step from node i to node i+1."""
+    return _angle_steps(*_ghost_columns(nodes))[1:]
+
+
+def _angle_steps(x, y):
     """Polar angle increments about the origin between consecutive nodes,
-    wrapped into [-pi, pi): the arctan2 angle of each node, its forward
-    difference d, then (d + pi) mod 2*pi - pi.
+    wrapped into [-pi, pi), from the ghost columns x and y: the arctan2
+    angle of each node, its forward difference d, then
+    (d + pi) mod 2*pi - pi.  The result has length N+1: entry 0 is the
+    step from node N-1 to node 0 and entry i+1 the step from node i to
+    node i+1, so [1:] is the node range and [:-1] its periodic shift.
 
     The remainder is taken by branches: s = d + pi lies in [-pi, 3*pi]
     since arctan2 returns angles in [-pi, pi], and numpy's float
@@ -126,8 +163,8 @@ def _wrapped_angle_steps(nodes):
     lemma, +0.0 at 2*pi) and s otherwise (+0.0 at zero, where s is never
     -0.0).  Both masks are taken from s before either branch is applied.
     The result is the remainder form's, bit for bit, nan included."""
-    ang = np.arctan2(nodes[:, 1], nodes[:, 0])
-    s = shift_next(ang) - ang
+    ang = np.arctan2(y, x)
+    s = ang[1:] - ang[:-1]
     s += np.pi
     below, above = s < 0.0, s >= 2.0 * np.pi
     s[below] += 2.0 * np.pi
@@ -198,8 +235,8 @@ def _segments_intersect(nodes):
     in O(N + chunk) memory.
     """
     n = len(nodes)
-    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
-    xn, yn = shift_next(x), shift_next(y)
+    columns = _ghost_columns(nodes)
+    (x, y), (xn, yn) = columns[:, 1:-1], columns[:, 2:]
     dx, dy = xn - x, yn - y
 
     eps = np.finfo(float).eps
@@ -308,22 +345,50 @@ def check_simple(curve_or_nodes):
 class CurveGeometry:
     """Per-node geometric data of a DiscreteCurve.
 
-    tangent   : (N, 2) unit tangent from periodic central differences
-    normal    : (N, 2) outward unit normal (tangent rotated by -90 degrees)
-    curvature : (N,) signed curvature
+    tx, ty    : (N,) contiguous columns of the unit tangent from periodic
+                central differences
     weights   : (N,) quadrature weights for the length measure ds;
                 their sum is exactly the polygon perimeter
+    curvature : (N,) signed curvature, computed on first read by the
+                callable given in its place (which holds the curve's
+                ghost columns and stencil weights, not the curve) and
+                kept; DegenerateCurve there on a zero-speed stencil
+    tangent, normal : (N, 2) unit tangent and outward unit normal
+                (ty, -tx), the tangent rotated by -90 degrees, built from
+                the columns on each read
+
+    Every array is read-only.
     """
 
-    __slots__ = ("tangent", "normal", "curvature", "weights")
+    __slots__ = ("tx", "ty", "weights", "_curvature")
 
-    def __init__(self, tangent, normal, curvature, weights):
-        self.tangent = tangent
-        self.normal = normal
-        self.curvature = curvature
+    def __init__(self, tx, ty, weights, curvature):
+        self.tx = tx
+        self.ty = ty
         self.weights = weights
-        for arr in (tangent, normal, curvature, weights):
+        self._curvature = curvature
+        for arr in (tx, ty, weights):
             arr.setflags(write=False)
+
+    @property
+    def curvature(self):
+        if callable(self._curvature):
+            kappa = self._curvature()
+            kappa.setflags(write=False)
+            self._curvature = kappa
+        return self._curvature
+
+    @property
+    def tangent(self):
+        frame = np.column_stack([self.tx, self.ty])
+        frame.setflags(write=False)
+        return frame
+
+    @property
+    def normal(self):
+        frame = np.column_stack([self.ty, -self.tx])
+        frame.setflags(write=False)
+        return frame
 
 
 class DiscreteCurve:
@@ -341,7 +406,8 @@ class DiscreteCurve:
         rejected with ShapeDegenerate.  Pass False to build a
         non-admissible polygon on purpose, e.g. to feed check_simple.
 
-    ``nodes``, ``params``, ``chords`` (the (N,) forward chord lengths) and
+    ``nodes``, ``columns`` (the (2, N+2) ghost columns of the module
+    docstring), ``params``, ``chords`` (the (N,) forward chord lengths) and
     ``angle_steps`` are read-only arrays; ``star_certified`` is a bool.
     """
 
@@ -353,7 +419,8 @@ class DiscreteCurve:
         if n < MIN_NODES:
             raise DegenerateCurve(f"need at least {MIN_NODES} nodes, got {n}")
         _check_finite(nodes)
-        chords = _chords(nodes)
+        columns = _ghost_columns(nodes)
+        chords = _chords(columns)
 
         if params is None:
             params = 2.0 * np.pi * np.arange(n) / n
@@ -374,31 +441,32 @@ class DiscreteCurve:
             nodes = nodes[order]
             gaps = np.diff(np.append(params, params[0] + 2 * np.pi))
             params = params[0] + np.concatenate([[0.0], np.cumsum(gaps[::-1][:-1])])
-            # chord i of the reversed polygon is chord N-1-i of the input
-            chords = chords[::-1].copy()
+            columns = _ghost_columns(nodes)
+            chords = _chords(columns)
             # the reversed polygon sums its shoelace terms in another order
             area = None
 
-        self._set(nodes, params, area)
+        self._set(nodes, columns, params, area)
         self._set_chords(chords)
         if require_simple and not check_simple(self):
             raise ShapeDegenerate("polygon self-intersects")
 
     @classmethod
-    def _unchecked(cls, nodes, source):
-        """Curve on fresh nodes moved from the curve source, whose validated
-        read-only params and stencil weights it shares, with no chords yet:
-        retract runs its checks on it, then sets the chords with
-        _set_chords."""
+    def _unchecked(cls, nodes, columns, source):
+        """Curve on fresh nodes and their read-only ghost columns, moved
+        from the curve source, whose validated read-only params and stencil
+        weights it shares, with no chords yet: retract runs its checks on
+        it, then sets the chords with _set_chords."""
         c = cls.__new__(cls)
-        c._set(nodes, source.params)
+        c._set(nodes, columns, source.params)
         c._stencil = source._stencil
         return c
 
-    def _set(self, nodes, params, area=None):
+    def _set(self, nodes, columns, params, area=None):
         for arr in (nodes, params):
             arr.setflags(write=False)
         self.nodes = nodes
+        self.columns = columns
         self.params = params
         # signed_area(nodes) when the constructor has it, for check_simple
         self._area = area
@@ -411,8 +479,9 @@ class DiscreteCurve:
         self._quadratic = {}
 
     def _set_chords(self, chords):
-        chords.setflags(write=False)
-        self.chords = chords
+        """chords: the read-only (N+1,) array of _chords, kept as the base
+        of the node-range view ``chords``."""
+        self.chords = chords[1:]
 
     @property
     def n_nodes(self):
@@ -429,9 +498,9 @@ class DiscreteCurve:
         """(N,) read-only wrapped polar angle steps about the origin from
         node i to node i+1, computed on first use."""
         if self._angle_steps is None:
-            dang = _wrapped_angle_steps(self.nodes)
+            dang = _angle_steps(*self.columns)
             dang.setflags(write=False)
-            self._angle_steps = dang
+            self._angle_steps = dang[1:]
         return self._angle_steps
 
     @property
@@ -439,7 +508,8 @@ class DiscreteCurve:
         """True when ``angle_steps`` pass the star certificate of
         check_simple, computed on first use."""
         if self._star is None:
-            self._star = _star_certified(self.nodes, self.angle_steps)
+            # an (N, 2) view of the nodes whose columns are contiguous
+            self._star = _star_certified(self.columns[:, 1:-1].T, self.angle_steps)
         return self._star
 
     # -- serialization ----------------------------------------------------
@@ -448,8 +518,9 @@ class DiscreteCurve:
         """Write one ``x,y`` row per node.  repr() gives the shortest
         decimal that round-trips, so reading the file back reproduces the
         coordinates exactly."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
             fh.write("".join(f"{x!r},{y!r}\n" for x, y in self.nodes.tolist()))
+            fh.truncate()
 
     @classmethod
     def from_csv(cls, path, **kwargs):
@@ -464,9 +535,10 @@ class DiscreteCurve:
         return cls(np.array(rows), **kwargs)
 
     def to_json(self, path):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
             json.dump({"nodes": self.nodes.tolist()}, fh)
             fh.write("\n")
+            fh.truncate()
 
     @classmethod
     def from_json(cls, path, **kwargs):
@@ -480,12 +552,16 @@ def _check_finite(nodes):
         raise DegenerateCurve("nodes contain non-finite coordinates")
 
 
-def _chords(nodes):
-    """Forward chord lengths |node_{i+1} - node_i|; DegenerateCurve when
-    two consecutive nodes coincide."""
-    chords = row_norm(shift_next(nodes) - nodes)
+def _chords(columns):
+    """Chord lengths |node_{i+1} - node_i| from the ghost columns, as a
+    read-only (N+1,) array with chord N-1 first: [1:] is the node range
+    and [:-1] its periodic shift.  DegenerateCurve when two consecutive
+    nodes coincide."""
+    dx, dy = columns[:, 1:] - columns[:, :-1]
+    chords = np.sqrt(dx * dx + dy * dy)
     if (chords == 0.0).any():
         raise DegenerateCurve("consecutive nodes coincide")
+    chords.setflags(write=False)
     return chords
 
 
@@ -505,29 +581,27 @@ def _stencil_weights(params):
 
 
 def _compute_geometry(c):
-    # contiguous x and y columns: the same elementwise arithmetic as on the
-    # (N, 2) rows, so the same bits, with faster ufunc loops
-    nodes = c.nodes
-    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
-    xp, yp = shift_next(x), shift_next(y)
-    xm, ym = shift_prev(x), shift_prev(y)
-    cx, cy = xp - xm, yp - ym
+    """The frame and the weights of c; its curvature waits for a read."""
+    columns = c.columns
+    cx, cy = central = columns[:, 2:] - columns[:, :-2]
     norms = np.sqrt(cx * cx + cy * cy)
     if (norms == 0.0).any():
         raise DegenerateCurve("central difference stencil produced a zero tangent")
-    tx, ty = cx / norms, cy / norms
-    tangent = np.column_stack([tx, ty])
-    # rotate by -90 degrees: outward for counterclockwise orientation
-    normal = np.column_stack([ty, -tx])
+    tx, ty = central / norms
     # the backward chord at node i is the forward chord at node i-1
-    weights = 0.5 * (c.chords + shift_prev(c.chords))
-
-    # curvature kappa = (x'y'' - y'x'') / |(x', y')|^3 with three-point
-    # stencils in the parameter; the nonuniform weights reduce to the
-    # classical central differences on the equidistant grid
+    chords = c.chords.base
+    weights = 0.5 * (chords[1:] + chords[:-1])
     if c._stencil is None:
         c._stencil = _stencil_weights(c.params)
-    dm, dp, den, cp, cm, c0, s = c._stencil
+    return CurveGeometry(tx, ty, weights, partial(_curvature, columns, c._stencil))
+
+
+def _curvature(columns, stencil):
+    """Curvature kappa = (x'y'' - y'x'') / |(x', y')|^3 with three-point
+    stencils in the parameter; the nonuniform weights reduce to the
+    classical central differences on the equidistant grid."""
+    (xp, yp), (x, y), (xm, ym) = columns[:, 2:], columns[:, 1:-1], columns[:, :-2]
+    dm, dp, den, cp, cm, c0, s = stencil
     d1x = (cp * xp - cm * xm + c0 * x) / den
     d1y = (cp * yp - cm * ym + c0 * y) / den
     d2x = 2.0 * (dm * xp + dp * xm - s * x) / den
@@ -535,15 +609,25 @@ def _compute_geometry(c):
     speed = np.sqrt(d1x * d1x + d1y * d1y)
     if (speed == 0.0).any():
         raise DegenerateCurve("zero speed in curvature stencil")
-    curvature = (d1x * d2y - d1y * d2x) / speed ** 3
-    return CurveGeometry(tangent, normal, curvature, weights)
+    return (d1x * d2y - d1y * d2x) / speed ** 3
 
 
 def _moved(c, h, t):
     """The unchecked curve on the nodes of c moved by t*h_i along the
-    outward normals: the node update of ``retract``, for a validated
-    field h."""
-    return DiscreteCurve._unchecked(c.nodes + float(t) * h[:, None] * c.geometry.normal, c)
+    outward normals (ty, -tx): the node update of ``retract``, for a
+    validated field h.  It writes the moved ghost columns first and takes
+    the (N, 2) nodes from them."""
+    columns, geo = c.columns, c.geometry
+    th = float(t) * h
+    moved = np.empty_like(columns)
+    x, y = moved[:, 1:-1]
+    np.multiply(th, geo.ty, out=x)
+    np.add(columns[0, 1:-1], x, out=x)
+    np.multiply(th, geo.tx, out=y)
+    np.subtract(columns[1, 1:-1], y, out=y)
+    moved[:, 0], moved[:, -1] = moved[:, -2], moved[:, 1]
+    moved.setflags(write=False)
+    return DiscreteCurve._unchecked(moved[:, 1:-1].T.copy(), moved, c)
 
 
 def _retraction_candidate(c, field, t):
@@ -584,15 +668,14 @@ def retract(c, h, t=1.0):
         moved = kept[2]
     else:
         moved = _moved(c, h, t)
-    nodes = moved.nodes
-    chord = shift_next(nodes) - shift_prev(nodes)
-    tan = c.geometry.tangent
-    if (chord[:, 0] * tan[:, 0] + chord[:, 1] * tan[:, 1] <= 0.0).any():
+    columns, geo = moved.columns, c.geometry
+    cx, cy = columns[:, 2:] - columns[:, :-2]
+    if (cx * geo.tx + cy * geo.ty <= 0.0).any():
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
-    _check_finite(nodes)
+    _check_finite(moved.nodes)
     if not check_simple(moved):
         raise ShapeDegenerate("retracted polygon self-intersects")
-    moved._set_chords(_chords(nodes))
+    moved._set_chords(_chords(columns))
     return moved
 
 
@@ -608,7 +691,7 @@ def tangential_second_derivative(c, u):
     """
     u = as_field(c, u, "u")
     dp = c.chords
-    dm = shift_prev(dp)
+    dm = dp.base[:-1]
     up = shift_next(u)
     um = shift_prev(u)
     return 2.0 * (dm * up + dp * um - (dm + dp) * u) / (dm * dp * (dm + dp))

@@ -25,17 +25,22 @@ coincide for mu = 1 and at any curve whose stretched image is a circle.
 
 What an iterate of the quadratic family derives from its nodes is formed
 once and kept on the curve (``_quadratic_record``, one per mu): the node
-columns, their squares, rho^2 and psi.  The polar quadratures read rho^2
-from it (and the curve's own angle steps), ``boundary_kernel`` returns its
-psi with the exact normal derivative, and the line-search set-up of
-``mso_step_objective`` reads the columns, the squares and psi.
+columns, their squares, rho^2 and psi, in one pass over the curve's ghost
+columns (see ``curve``).  The polar quadratures read rho^2 from it (and
+the curve's own angle steps), ``boundary_kernel`` returns its psi with
+the exact normal derivative, and the line-search set-up of
+``mso_step_objective`` reads the columns, the squares and psi.  Where a
+periodic sum needs the next or the previous node of rho^2, psi or the
+angle steps, it reads a shifted view of the whole array, the ``.base``
+of the node-range view, instead of a shifted copy.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .curve import DiscreteCurve, _wrapped_angle_steps, shift_next, shift_prev
+from .curve import (DiscreteCurve, _angle_steps, _ghost_columns,
+                    _wrapped_angle_steps, shift_next)
 from .errors import NotStarShaped, ProjectionFailed
 
 
@@ -107,6 +112,11 @@ def _quadratic_record(curve_or_nodes, mu):
     at the nodes.  Every array is read-only and has the bits of the
     direct formulas (x ** 2 + mu ** 2 * y ** 2 - 1.0 for psi).
 
+    All six are node-range views, formed in one pass over the ghost
+    columns: x and y are views of them, and the others are the [1:-1] of
+    arrays of length N+2, which a periodic stencil reads shifted through
+    the view's ``.base``.
+
     A DiscreteCurve keeps its record per mu, so the polar pieces,
     boundary_kernel and the set-up of mso_step_objective of one iterate
     share it; a raw (N, 2) node array gets a fresh record on each call.
@@ -114,16 +124,19 @@ def _quadratic_record(curve_or_nodes, mu):
     if isinstance(curve_or_nodes, DiscreteCurve):
         kept = curve_or_nodes._quadratic
         if mu not in kept:
-            kept[mu] = _quadratic_record(curve_or_nodes.nodes, mu)
+            kept[mu] = _record_of_columns(curve_or_nodes.columns, mu)
         return kept[mu]
-    nodes = np.asarray(curve_or_nodes, dtype=float)
-    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
-    xx, yy = x * x, y * y
-    rho2 = xx + mu ** 2 * yy
-    rec = _QuadraticRecord(x, y, xx, yy, rho2, rho2 - 1.0)
-    for arr in rec:
+    return _record_of_columns(_ghost_columns(np.asarray(curve_or_nodes, dtype=float)), mu)
+
+
+def _record_of_columns(columns, mu):
+    squares = columns * columns
+    rho2 = squares[0] + mu ** 2 * squares[1]
+    psi = rho2 - 1.0
+    for arr in (squares, rho2, psi):
         arr.setflags(write=False)
-    return rec
+    (x, y), (xx, yy) = columns[:, 1:-1], squares[:, 1:-1]
+    return _QuadraticRecord(x, y, xx, yy, rho2[1:-1], psi[1:-1])
 
 
 def _polar_pieces(c, mu, angles, where):
@@ -140,8 +153,8 @@ def _polar_pieces(c, mu, angles, where):
         if not c.star_certified:
             _require_star(dang, where)
     else:
-        nodes = c.nodes
-        dang = _wrapped_angle_steps(np.column_stack([nodes[:, 0], mu * nodes[:, 1]]))
+        x, y = c.columns
+        dang = _angle_steps(x, mu * y)[1:]
         _require_star(dang, where)
     return dang, _quadratic_record(c, mu).rho2
 
@@ -157,8 +170,9 @@ def evaluate_mso(c, mu, angles="nodes"):
     NotStarShaped when the curve is not star-shaped about the origin.
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "evaluate_mso")
+    rho2 = rho2.base  # node N-1 first, node 0 last
     P = rho2 ** 2 / 4.0 - rho2 / 2.0
-    return float((dang * (shift_next(P) + P)).sum() / (2.0 * mu))
+    return float((dang * (P[2:] + P[1:-1])).sum() / (2.0 * mu))
 
 
 def evaluate_general(c, f):
@@ -187,18 +201,19 @@ def boundary_kernel(c, f):
 
     For the quadratic family g is the psi of the curve's quadratic record
     (read-only) and dpsi_dn = (2x) n1 + (2 mu^2 y) n2, the bits of
-    f.psi and of the row sum of f.grad_psi times the normals.
+    f.psi and of the row sum of f.grad_psi times the normals.  With the
+    normal (ty, -tx) both are formed as a1 ty - a2 tx, which is
+    a1 ty + a2 (-tx) to the bit.
     """
     if f.is_quadratic_mso:
-        rec = _quadratic_record(c, f.mu)
-        normal = c.geometry.normal
-        dpsi_dn = (2.0 * rec.x) * normal[:, 0] + (2.0 * f.mu ** 2 * rec.y) * normal[:, 1]
+        rec, geo = _quadratic_record(c, f.mu), c.geometry
+        dpsi_dn = (2.0 * rec.x) * geo.ty - (2.0 * f.mu ** 2 * rec.y) * geo.tx
         return rec.psi, dpsi_dn
     g = np.asarray(f.psi(c.nodes), dtype=float)
     if f.grad_psi is None:
         raise ValueError("functional has no gradient field; construct it with grad_psi")
-    gp = np.asarray(f.grad_psi(c.nodes), dtype=float)
-    dpsi_dn = (gp * c.geometry.normal).sum(axis=1)
+    gp, geo = np.asarray(f.grad_psi(c.nodes), dtype=float), c.geometry
+    dpsi_dn = gp[:, 0] * geo.ty - gp[:, 1] * geo.tx
     return g, dpsi_dn
 
 
@@ -210,8 +225,8 @@ def distance_bar(c, mu, angles="nodes"):
     radii.  Raises NotStarShaped like evaluate_mso.
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "distance_bar")
-    q = np.abs(np.sqrt(rho2) - 1.0)
-    return float((dang * (shift_next(q) + q)).sum() / (2.0 * mu))
+    q = np.abs(np.sqrt(rho2.base) - 1.0)  # node N-1 first, node 0 last
+    return float((dang * (q[2:] + q[1:-1])).sum() / (2.0 * mu))
 
 
 def distance_tilde(c, reference, window=2.0):
@@ -285,7 +300,9 @@ def mso_step_objective(curve_or_nodes, step, mu):
     Everything that does not depend on t is computed here, once per
     search: x*x + y*y, x*sx + y*sy, the cross product, the summed angle
     steps and D; r is the psi of the quadratic record, whose columns and
-    squares this reads as well.  The returned closure reuses buffers
+    squares this reads as well.  The previous angle step and the
+    neighbours' r are shifted views of the periodic arrays behind the
+    angle steps and psi.  The returned closure reuses buffers
     allocated here, so a probe makes no array allocation; each call still
     depends on t alone.
     """
@@ -306,8 +323,9 @@ def mso_step_objective(curve_or_nodes, step, mu):
     # dot and cross products of the moved node with the old one
     r2, xs = xx + yy, xsx + ysy
     cross0 = x * sy - y * sx
-    dang_sum = dang0 + shift_prev(dang0)
-    rm, rp = shift_prev(r), shift_next(r)
+    steps, r_ext = dang0.base, r.base  # step N-1 first; psi of N-1 first
+    dang_sum = steps[1:] + steps[:-1]
+    rm, rp = r_ext[:-2], r_ext[2:]
     D = (rm - rp) * (rm + rp) / 4.0
 
     n = len(x)

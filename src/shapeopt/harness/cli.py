@@ -7,10 +7,11 @@
     shapeopt verify  [--seed S] [--out DIR] [--config FILE]
     shapeopt render  --input curve.csv --out fig.svg
 
-A JSON config file mirroring ExperimentSpec may supply defaults via
---config; explicit flags override it.  Exit codes: 0 success, 1 property
-suite failure, 2 a run stopped on a solver error (outputs still written),
-3 bad input.
+A JSON config file may supply defaults via --config, with the
+ExperimentSpec fields that the command reads (CONFIG_KEYS); explicit
+flags override it, and any other key is bad input.  Exit codes: 0
+success, 1 property suite failure, 2 a run stopped on a solver error
+(outputs still written), 3 bad input.
 """
 
 import argparse
@@ -53,7 +54,8 @@ def _add_output_flags(p):
     p.add_argument("--out", dest="output_dir", type=str, default=None,
                    help="output directory")
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file with ExperimentSpec fields; flags override")
+                   help="JSON file with the ExperimentSpec fields the command "
+                        "reads; flags override")
 
 
 def _add_shape_flags(p):
@@ -71,16 +73,31 @@ _NUMBER = ((int, float), "a number")
 _INTEGER = (int, "an integer")
 CONFIG_FIELDS = {"mu": _NUMBER, "N": _INTEGER, "A": _NUMBER, "seed": _INTEGER,
                  "output_dir": (str, "a string"), "stop_distance": _NUMBER}
+# the config keys each command reads: verify's suite fixes its own shapes,
+# table1 and run draw nothing at random, and run takes its one method from
+# --method
+CONFIG_KEYS = {
+    "table1": ("mu", "N", "A", "methods", "output_dir", "stop_distance"),
+    "run": ("mu", "N", "A", "output_dir", "stop_distance"),
+    "verify": ("seed", "output_dir"),
+}
 
 
 def _build_spec(args, **defaults):
-    """ExperimentSpec from defaults, then the --config file, then flags."""
+    """ExperimentSpec from defaults, then the --config file, then flags.
+    A config key that the command does not read, a misspelt one
+    included, is a ValueError."""
     values = dict(defaults)
     if args.config is not None:
         with open(args.config, "r", encoding="ascii") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
+        accepted = CONFIG_KEYS[args.command]
+        ignored = sorted(key for key in raw if key not in accepted)
+        if ignored:
+            raise ValueError(f"config keys {ignored} are not read by {args.command}; "
+                             f"it reads {list(accepted)}")
         for key, (kind, description) in CONFIG_FIELDS.items():
             if key in raw:
                 value = raw[key]

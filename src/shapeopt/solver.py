@@ -163,17 +163,19 @@ def _decrease_function(c, f, direction):
     a ``_CheckedField`` direction on c, used as given.
 
     The quadratic family uses the exactly differenced polar objective,
-    whose step d*n it builds column-major so that the set-up reads the
-    columns without copying them; other functionals evaluate the fan
-    quadrature on the moved polygon, with inadmissible probes scored +inf
-    so brackets shrink below them.
+    whose step d*n = (d ty, -(d tx)) it builds column-major so that the
+    set-up reads the columns without copying them (-(d tx) is d (-tx) to
+    the bit); other functionals evaluate the fan quadrature on the moved
+    polygon, with inadmissible probes scored +inf so brackets shrink
+    below them.
     """
     checked = _CheckedField.of(c, direction, "direction")
     if f.is_quadratic_mso:
-        d, normal = checked.values, c.geometry.normal
+        d, geo = checked.values, c.geometry
         step = np.empty((len(d), 2), order="F")
-        np.multiply(d, normal[:, 0], out=step[:, 0])
-        np.multiply(d, normal[:, 1], out=step[:, 1])
+        np.multiply(d, geo.ty, out=step[:, 0])
+        np.multiply(d, geo.tx, out=step[:, 1])
+        np.negative(step[:, 1], out=step[:, 1])
         return mso_step_objective(c, step, f.mu)
     f0 = f.evaluate(c)
 

@@ -2,6 +2,7 @@
 rendering, the property suite, and the command-line interface."""
 
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,9 +10,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, ExperimentSpec,
-                      IterationRecord, initial_shape, reference_ellipse,
-                      run_table1)
+from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, DiscreteCurve,
+                      ExperimentSpec, IterationRecord, initial_shape,
+                      reference_ellipse, run_table1)
 from shapeopt.harness import properties
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
@@ -365,8 +366,104 @@ def test_cli_bad_inputs(tmp_path, capsys):
         for command in ("table1", "verify"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3, bad
     assert main(["run", "--method", "sd", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    # a key that the command does not read, misspelt or ignored, is bad
+    # input too, whatever its value
+    for command, keys in (("table1", ("nodes", "seed", "max_iterations")),
+                          ("run", ("nodes", "seed", "methods")),
+                          ("verify", ("nodes", "N", "mu", "A", "methods",
+                                      "stop_distance"))):
+        for key in keys:
+            cfg.write_text(json.dumps({key: ["sd"] if key == "methods" else 400}))
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+            if command == "run":
+                argv += ["--method", "sd"]
+            assert main(argv) == 3, (command, key)
+            assert f"config keys ['{key}'] are not read by {command}" \
+                in capsys.readouterr().err, (command, key)
     assert not (tmp_path / "table1.json").exists()
+    assert not (tmp_path / "properties.json").exists()
+    assert not (tmp_path / "run_sd.csv").exists()
     capsys.readouterr()
+
+
+def _file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_table1_rewrites_its_outputs_in_place(tmp_path):
+    # each file is overwritten from its first byte and cut to its new
+    # length: N=100 over the files of N=1600 (whose SVGs are larger), or
+    # over longer junk in every file, leaves the bytes of a fresh N=100
+    # run, in the same files
+    out = tmp_path / "out"
+    run_table1(ExperimentSpec(output_dir=str(out)))
+    fresh = _file_bytes(out)
+    inodes = {name: (out / name).stat().st_ino for name in fresh}
+    run_table1(ExperimentSpec(N=1600, output_dir=str(out)))
+    larger = _file_bytes(out)
+    assert sorted(larger) == sorted(fresh)
+    for name in ("iterates_sd.svg", "iterates_newton.svg"):
+        assert len(larger[name]) > 10 * len(fresh[name])
+    run_table1(ExperimentSpec(output_dir=str(out)))
+    assert _file_bytes(out) == fresh
+    for name, data in fresh.items():
+        (out / name).write_bytes(b"#" * (2 * len(data)))
+    run_table1(ExperimentSpec(output_dir=str(out)))
+    assert _file_bytes(out) == fresh
+    assert {name: (out / name).stat().st_ino for name in fresh} == inodes
+    # the curve files likewise
+    for suffix, write, read in ((".csv", DiscreteCurve.to_csv, DiscreteCurve.from_csv),
+                                (".json", DiscreteCurve.to_json, DiscreteCurve.from_json)):
+        path = tmp_path / f"curve{suffix}"
+        write(initial_shape(1600), path)
+        write(circle(40), path)
+        assert np.array_equal(read(path).nodes, circle(40).nodes)
+        write(circle(40), tmp_path / f"fresh{suffix}")
+        assert path.read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+
+
+def test_table1_outputs_write_through_links(tmp_path):
+    # a symlinked output writes its target, a hard-linked one keeps its
+    # links and mode, and a new file gets the mode of a plain open
+    run_table1(ExperimentSpec(output_dir=str(tmp_path / "fresh")))
+    fresh = _file_bytes(tmp_path / "fresh")
+    out = tmp_path / "out"
+    out.mkdir()
+    target, linked = tmp_path / "target.txt", tmp_path / "linked.csv"
+    for path in (target, linked):
+        path.write_text("stale\n" * 10000)
+    (out / "table1.txt").symlink_to(target)
+    os.link(linked, out / "table1_sd.csv")
+    linked.chmod(0o640)
+    run_table1(ExperimentSpec(output_dir=str(tmp_path / "out")))
+    assert (out / "table1.txt").is_symlink()
+    assert target.read_bytes() == fresh["table1.txt"]
+    assert linked.read_bytes() == fresh["table1_sd.csv"]
+    assert (out / "table1_sd.csv").stat().st_ino == linked.stat().st_ino
+    assert linked.stat().st_mode & 0o777 == 0o640
+    new_file = (out / "table1.json").stat().st_mode
+    assert new_file == (tmp_path / "fresh" / "table1.json").stat().st_mode
+
+
+def test_cli_unwritable_output_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "table1.json").mkdir()  # an output path that is a directory
+    assert main(["table1", "--out", str(out)]) == 3
+    assert "bad input" in capsys.readouterr().err
+
+
+def test_cli_read_only_output_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    locked = out / "table1.json"
+    locked.write_text("{}\n")
+    locked.chmod(0o444)
+    if os.access(locked, os.W_OK):
+        pytest.skip("this user may write a read-only file")
+    assert main(["table1", "--out", str(out)]) == 3
+    assert "Permission denied" in capsys.readouterr().err
+    assert locked.read_text() == "{}\n"
 
 
 def test_cli_rejects_empty_or_repeated_methods(tmp_path, capsys):

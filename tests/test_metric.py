@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import shapeopt.curve as curve
 from conftest import circle
 from shapeopt import (ExperimentSpec, HessianOperator, SolverConfig,
                       covariant_derivative, inner, norm,
-                      riemannian_hessian_form, riesz_gradient)
+                      initial_shape, riemannian_hessian_form, riesz_gradient)
 from shapeopt.errors import DimensionMismatch
+from shapeopt.harness.properties import random_star_curve
 from shapeopt.metric import check_A, metric_weight
 
 
@@ -102,3 +104,25 @@ def test_field_length_mismatch():
     c = circle(64)
     with pytest.raises(DimensionMismatch):
         inner(c, 0.0, np.ones(64), np.ones(63))
+
+
+def test_zero_a_forms_no_weight_and_keeps_the_bits(monkeypatch):
+    # at A = 0 inner and riesz_gradient read no curvature; on finite
+    # curvature they equal the weighted forms bit for bit (1*x and x/1
+    # are exact)
+    reads = []
+    stencil = curve._curvature
+    monkeypatch.setattr(curve, "_curvature", lambda *args: reads.append(1) or stencil(*args))
+    rng = np.random.default_rng(73)
+    for c in (circle(16), initial_shape(100), random_star_curve(400, rng, amplitude=0.3)):
+        g, h = rng.standard_normal((2, c.n_nodes))
+        product, gradient = inner(c, 0.0, g, h), riesz_gradient(c, 0.0, g)
+        assert norm(c, 0.0, g) ** 2 == pytest.approx(inner(c, 0.0, g, g))
+        assert reads == []
+        geo = c.geometry
+        weight = 1.0 + 0.0 * geo.curvature ** 2
+        assert np.isfinite(geo.curvature).all() and reads == [1]
+        assert product.hex() == float((weight * (g * h) * geo.weights).sum()).hex()
+        assert np.array_equal(gradient.view(np.int64), (g / weight).view(np.int64))
+        assert gradient is not g and gradient.flags.writeable
+        reads.clear()
