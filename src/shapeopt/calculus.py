@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (as_field, retract, shift_next, shift_prev,
+from .curve import (_periodic, as_field, retract, shift_next, shift_prev,
                     tangential_second_derivative)
 from .errors import SingularHessian
 from .functional import VolumeFunctional, boundary_kernel, evaluate_general
@@ -152,7 +152,7 @@ class HessianOperator:
 
         # transpose of the second-difference stencil applied to E
         dp = curve.chords
-        dm = dp.base[:-1]  # the chords keep chord N-1 first
+        dm = _periodic(dp)[:-1]  # the chords keep chord N-1 first
         cm = 2.0 / (dm * (dm + dp))
         c0 = -2.0 / (dm * dp)
         cp = 2.0 / (dp * (dm + dp))

@@ -6,25 +6,26 @@ h = alpha * n.  Normal fields are passed around as plain 1-D float arrays;
 ``as_field`` validates them at operation boundaries, once per field: a
 field already validated against a curve travels as a ``_CheckedField``.
 
-Periodic stencils read ghost columns.  A curve keeps its nodes twice: as
-the (N, 2) array ``nodes`` and as ``columns``, a (2, N+2) array whose
-contiguous rows are x and y with node N-1 stored before node 0 and node 0
-after node N-1 (ghost cells, as for periodic finite-volume stencils).
-Row slices [2:], [1:-1] and [:-2] are then the next, own and previous
-node of every node, as views: the chords, the central chord, the
-curvature stencil, the angle steps and the star certificate's radii read
-them without copying.  An array derived from them that a periodic
-stencil shifts again is kept the same way, and handed out as the view of
-its node range, whose ``.base`` is the whole array: ``chords`` and
-``angle_steps`` (length N+1, entry N-1 first) and the rho2 and psi of
-the quadratic record (length N+2).
+Periodic stencils read ghost columns.  A curve stores its nodes once,
+as ``columns``, a (2, N+2) array whose contiguous rows are x and y with
+node N-1 stored before node 0 and node 0 after node N-1 (ghost cells, as
+for periodic finite-volume stencils); ``nodes`` is the (N, 2) view
+``columns[:, 1:-1].T``.  Row slices [2:], [1:-1] and [:-2] are the next,
+own and previous node of every node, as views: the chords, the central
+chord, the curvature stencil, the angle steps and the star certificate's
+radii read them without copying.  An array derived from them that a
+periodic stencil shifts again is kept the same way, and handed out as
+the view of its node range: ``chords`` and ``angle_steps`` (length N+1,
+entry N-1 first) and the rho2 and psi of the quadratic record (length
+N+2, entry 0 also last).  ``_periodic`` returns the whole array behind
+such a view, so the shifted neighbours are views too.
 
 A curve is immutable and keeps only what its nodes and params determine,
 computed once per curve and read-only:
 
-- ``columns`` and ``chords``: the ghost columns above and the forward
-  chord lengths |node_{i+1} - node_i|, computed by the constructor's
-  coincident-node check;
+- ``columns`` (with its view ``nodes``) and ``chords``: the ghost
+  columns above and the forward chord lengths |node_{i+1} - node_i|,
+  computed by the constructor's coincident-node check;
 - ``geometry``: the unit tangent as contiguous columns tx and ty (the
   outward normal is (ty, -tx)) and the node quadrature weights, computed
   on first use; the curvature is computed on its own first read;
@@ -49,8 +50,8 @@ The polygon that the line search built and star-checked at its step
 belongs to the step, not to the curve: it travels on the step's
 ``_CheckedField`` to ``retract``, which admits or rejects it and drops it.
 
-A curve that ``retract`` returns carries its nodes, columns, params,
-chords, angle steps and star flag, and shares the stencil weights;
+A curve that ``retract`` returns carries its columns, params, chords,
+angle steps and star flag, and shares the stencil weights;
 everything else is computed on first use.
 """
 
@@ -59,7 +60,6 @@ from functools import partial
 
 import numpy as np
 
-from ._files import in_place
 from .errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate
 
 MIN_NODES = 8
@@ -135,9 +135,32 @@ def _ghost_columns(nodes):
     return columns
 
 
+def _columns_of(nodes):
+    """nodes itself when it is already a (2, N+2) array of ghost columns
+    (its second axis is not 2), else the ghost columns of the (N, 2)
+    node array."""
+    return nodes if nodes.shape[1] != 2 else _ghost_columns(nodes)
+
+
+def _periodic(view):
+    """The periodic array behind a node-range view handed out by this
+    module or by ``functional._quadratic_record``: ``chords`` and
+    ``angle_steps`` have N+1 entries and the record's rho2 and psi N+2;
+    each stores entry N-1 first and the view as [1:N+1], and the N+2
+    arrays store entry 0 last.  So [:N] of the result is the previous
+    entry of every node and, of the N+2 arrays, [2:] the next, both as
+    views.  ValueError when view is not a view of such an array (a copy,
+    or a view into a larger buffer)."""
+    base = view.base
+    if base is None or base.ndim != 1 or not 1 <= len(base) - len(view) <= 2:
+        raise ValueError("expected the node-range view of a periodic array")
+    return base
+
+
 def signed_area(nodes):
-    """Shoelace area of the closed polygon; positive for counterclockwise."""
-    columns = _ghost_columns(nodes)
+    """Shoelace area of the closed polygon; positive for counterclockwise.
+    nodes is an (N, 2) node array or the (2, N+2) ghost columns of one."""
+    columns = _columns_of(nodes)
     (x, y), (xn, yn) = columns[:, 1:-1], columns[:, 2:]
     return 0.5 * float((x * yn - xn * y).sum())
 
@@ -232,10 +255,11 @@ def _segments_intersect(nodes):
     smooth curves the solvers produce.  Pairs are generated in chunks of
     at most ``_PAIR_CHUNK`` and the function returns on the first hit,
     so the worst case (all pairs overlapping in x and y) is O(N^2) time
-    in O(N + chunk) memory.
+    in O(N + chunk) memory.  nodes is an (N, 2) node array or the
+    (2, N+2) ghost columns of one.
     """
-    n = len(nodes)
-    columns = _ghost_columns(nodes)
+    columns = _columns_of(nodes)
+    n = columns.shape[1] - 2
     (x, y), (xn, yn) = columns[:, 1:-1], columns[:, 2:]
     dx, dy = xn - x, yn - y
 
@@ -244,7 +268,7 @@ def _segments_intersect(nodes):
     diam = float(np.hypot(np.ptp(x), np.ptp(y)))
     grow = 8.0 * eps / (_SIN_MIN * (1.0 - 4.0 * eps) - 8.0 * eps)
     pad = ((grow * (diam + seglen) + eps * seglen) / (1.0 - grow)
-           + 8.0 * eps * float(np.abs(nodes).max()))
+           + 8.0 * eps * float(np.abs(columns).max()))
     xlo, xhi = np.minimum(x, xn) - pad, np.maximum(x, xn) + pad
     ylo, yhi = np.minimum(y, yn) - pad, np.maximum(y, yn) + pad
 
@@ -326,20 +350,21 @@ def check_simple(curve_or_nodes):
     time in bounded chunks.
     """
     if isinstance(curve_or_nodes, DiscreteCurve):
-        nodes, area = curve_or_nodes.nodes, curve_or_nodes._area
+        columns, area = curve_or_nodes.columns, curve_or_nodes._area
         certified = curve_or_nodes.star_certified
     else:
         nodes = np.asarray(curve_or_nodes, dtype=float)
         if not np.isfinite(nodes).all():
             return False
-        certified, area = _star_certified(nodes, _wrapped_angle_steps(nodes)), None
+        columns, area = _ghost_columns(nodes), None
+        certified = _star_certified(columns[:, 1:-1].T, _angle_steps(*columns)[1:])
     if certified:
         return True
     if area is None:
-        area = signed_area(nodes)
+        area = signed_area(columns)
     if area <= 0.0:
         return False
-    return not _segments_intersect(nodes)
+    return not _segments_intersect(columns)
 
 
 class CurveGeometry:
@@ -406,13 +431,14 @@ class DiscreteCurve:
         rejected with ShapeDegenerate.  Pass False to build a
         non-admissible polygon on purpose, e.g. to feed check_simple.
 
-    ``nodes``, ``columns`` (the (2, N+2) ghost columns of the module
-    docstring), ``params``, ``chords`` (the (N,) forward chord lengths) and
-    ``angle_steps`` are read-only arrays; ``star_certified`` is a bool.
+    ``columns`` (the (2, N+2) ghost columns of the module docstring),
+    ``nodes`` (its (N, 2) view), ``params``, ``chords`` (the (N,) forward
+    chord lengths) and ``angle_steps`` are read-only arrays;
+    ``star_certified`` is a bool.
     """
 
     def __init__(self, nodes, params=None, require_simple=True):
-        nodes = np.array(nodes, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise DegenerateCurve(f"nodes must be (N, 2), got {nodes.shape}")
         n = nodes.shape[0]
@@ -433,42 +459,42 @@ class DiscreteCurve:
                     and params[-1] < 2 * np.pi):
                 raise DegenerateCurve("params must be strictly increasing in [0, 2*pi)")
 
-        area = signed_area(nodes)
+        area = signed_area(columns)
         if area < 0.0:
             # reverse traversal so orientation is counterclockwise; keep the
             # first node first and mirror the parameter gaps
             order = np.concatenate([[0], np.arange(n - 1, 0, -1)])
-            nodes = nodes[order]
             gaps = np.diff(np.append(params, params[0] + 2 * np.pi))
             params = params[0] + np.concatenate([[0.0], np.cumsum(gaps[::-1][:-1])])
-            columns = _ghost_columns(nodes)
+            columns = _ghost_columns(nodes[order])
             chords = _chords(columns)
             # the reversed polygon sums its shoelace terms in another order
             area = None
 
-        self._set(nodes, columns, params, area)
+        self._set(columns, params, area)
         self._set_chords(chords)
         if require_simple and not check_simple(self):
             raise ShapeDegenerate("polygon self-intersects")
 
     @classmethod
-    def _unchecked(cls, nodes, columns, source):
-        """Curve on fresh nodes and their read-only ghost columns, moved
-        from the curve source, whose validated read-only params and stencil
-        weights it shares, with no chords yet: retract runs its checks on
-        it, then sets the chords with _set_chords."""
+    def _unchecked(cls, columns, source):
+        """Curve on fresh read-only ghost columns, moved from the curve
+        source, whose validated read-only params and stencil weights it
+        shares, with no chords yet: retract runs its checks on it, then
+        sets the chords with _set_chords."""
         c = cls.__new__(cls)
-        c._set(nodes, columns, source.params)
+        c._set(columns, source.params)
         c._stencil = source._stencil
         return c
 
-    def _set(self, nodes, columns, params, area=None):
-        for arr in (nodes, params):
-            arr.setflags(write=False)
-        self.nodes = nodes
+    def _set(self, columns, params, area=None):
+        """columns: read-only ghost columns, whose node range becomes
+        ``nodes``."""
+        params.setflags(write=False)
         self.columns = columns
+        self.nodes = columns[:, 1:-1].T
         self.params = params
-        # signed_area(nodes) when the constructor has it, for check_simple
+        # signed_area(columns) when the constructor has it, for check_simple
         self._area = area
         self._angle_steps = None
         self._star = None
@@ -508,8 +534,7 @@ class DiscreteCurve:
         """True when ``angle_steps`` pass the star certificate of
         check_simple, computed on first use."""
         if self._star is None:
-            # an (N, 2) view of the nodes whose columns are contiguous
-            self._star = _star_certified(self.columns[:, 1:-1].T, self.angle_steps)
+            self._star = _star_certified(self.nodes, self.angle_steps)
         return self._star
 
     # -- serialization ----------------------------------------------------
@@ -518,9 +543,8 @@ class DiscreteCurve:
         """Write one ``x,y`` row per node.  repr() gives the shortest
         decimal that round-trips, so reading the file back reproduces the
         coordinates exactly."""
-        with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("".join(f"{x!r},{y!r}\n" for x, y in self.nodes.tolist()))
-            fh.truncate()
 
     @classmethod
     def from_csv(cls, path, **kwargs):
@@ -535,10 +559,9 @@ class DiscreteCurve:
         return cls(np.array(rows), **kwargs)
 
     def to_json(self, path):
-        with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
             json.dump({"nodes": self.nodes.tolist()}, fh)
             fh.write("\n")
-            fh.truncate()
 
     @classmethod
     def from_json(cls, path, **kwargs):
@@ -589,7 +612,7 @@ def _compute_geometry(c):
         raise DegenerateCurve("central difference stencil produced a zero tangent")
     tx, ty = central / norms
     # the backward chord at node i is the forward chord at node i-1
-    chords = c.chords.base
+    chords = _periodic(c.chords)
     weights = 0.5 * (chords[1:] + chords[:-1])
     if c._stencil is None:
         c._stencil = _stencil_weights(c.params)
@@ -615,8 +638,8 @@ def _curvature(columns, stencil):
 def _moved(c, h, t):
     """The unchecked curve on the nodes of c moved by t*h_i along the
     outward normals (ty, -tx): the node update of ``retract``, for a
-    validated field h.  It writes the moved ghost columns first and takes
-    the (N, 2) nodes from them."""
+    validated field h.  It writes the moved ghost columns, whose node
+    range is the moved curve's ``nodes``."""
     columns, geo = c.columns, c.geometry
     th = float(t) * h
     moved = np.empty_like(columns)
@@ -627,7 +650,7 @@ def _moved(c, h, t):
     np.subtract(columns[1, 1:-1], y, out=y)
     moved[:, 0], moved[:, -1] = moved[:, -2], moved[:, 1]
     moved.setflags(write=False)
-    return DiscreteCurve._unchecked(moved[:, 1:-1].T.copy(), moved, c)
+    return DiscreteCurve._unchecked(moved, c)
 
 
 def _retraction_candidate(c, field, t):
@@ -672,7 +695,7 @@ def retract(c, h, t=1.0):
     cx, cy = columns[:, 2:] - columns[:, :-2]
     if (cx * geo.tx + cy * geo.ty <= 0.0).any():
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
-    _check_finite(moved.nodes)
+    _check_finite(columns)
     if not check_simple(moved):
         raise ShapeDegenerate("retracted polygon self-intersects")
     moved._set_chords(_chords(columns))
@@ -691,7 +714,7 @@ def tangential_second_derivative(c, u):
     """
     u = as_field(c, u, "u")
     dp = c.chords
-    dm = dp.base[:-1]
+    dm = _periodic(dp)[:-1]
     up = shift_next(u)
     um = shift_prev(u)
     return 2.0 * (dm * up + dp * um - (dm + dp) * u) / (dm * dp * (dm + dp))

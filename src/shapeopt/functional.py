@@ -31,15 +31,16 @@ the curve's own angle steps), ``boundary_kernel`` returns its psi with
 the exact normal derivative, and the line-search set-up of
 ``mso_step_objective`` reads the columns, the squares and psi.  Where a
 periodic sum needs the next or the previous node of rho^2, psi or the
-angle steps, it reads a shifted view of the whole array, the ``.base``
-of the node-range view, instead of a shifted copy.
+angle steps, it reads a shifted view of the whole periodic array that
+``curve._periodic`` returns for the node-range view, instead of a
+shifted copy.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .curve import (DiscreteCurve, _angle_steps, _ghost_columns,
+from .curve import (DiscreteCurve, _angle_steps, _ghost_columns, _periodic,
                     _wrapped_angle_steps, shift_next)
 from .errors import NotStarShaped, ProjectionFailed
 
@@ -115,7 +116,7 @@ def _quadratic_record(curve_or_nodes, mu):
     All six are node-range views, formed in one pass over the ghost
     columns: x and y are views of them, and the others are the [1:-1] of
     arrays of length N+2, which a periodic stencil reads shifted through
-    the view's ``.base``.
+    ``curve._periodic``.
 
     A DiscreteCurve keeps its record per mu, so the polar pieces,
     boundary_kernel and the set-up of mso_step_objective of one iterate
@@ -170,7 +171,7 @@ def evaluate_mso(c, mu, angles="nodes"):
     NotStarShaped when the curve is not star-shaped about the origin.
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "evaluate_mso")
-    rho2 = rho2.base  # node N-1 first, node 0 last
+    rho2 = _periodic(rho2)  # node N-1 first, node 0 last
     P = rho2 ** 2 / 4.0 - rho2 / 2.0
     return float((dang * (P[2:] + P[1:-1])).sum() / (2.0 * mu))
 
@@ -184,7 +185,8 @@ def evaluate_general(c, f):
     """
     nodes = c.nodes
     psi = f.psi if isinstance(f, VolumeFunctional) else f
-    z = nodes.mean(axis=0)
+    # a mean over the column-major node view would sum in another order
+    z = np.ascontiguousarray(nodes).mean(axis=0)
     a = nodes
     b = shift_next(nodes)
     area2 = (a[:, 0] - z[0]) * (b[:, 1] - z[1]) - (a[:, 1] - z[1]) * (b[:, 0] - z[0])
@@ -225,7 +227,7 @@ def distance_bar(c, mu, angles="nodes"):
     radii.  Raises NotStarShaped like evaluate_mso.
     """
     dang, rho2 = _polar_pieces(c, float(mu), angles, "distance_bar")
-    q = np.abs(np.sqrt(rho2.base) - 1.0)  # node N-1 first, node 0 last
+    q = np.abs(np.sqrt(_periodic(rho2)) - 1.0)  # node N-1 first, node 0 last
     return float((dang * (q[2:] + q[1:-1])).sum() / (2.0 * mu))
 
 
@@ -323,7 +325,7 @@ def mso_step_objective(curve_or_nodes, step, mu):
     # dot and cross products of the moved node with the old one
     r2, xs = xx + yy, xsx + ysy
     cross0 = x * sy - y * sx
-    steps, r_ext = dang0.base, r.base  # step N-1 first; psi of N-1 first
+    steps, r_ext = _periodic(dang0), _periodic(r)  # step N-1 first; psi of N-1 first
     dang_sum = steps[1:] + steps[:-1]
     rm, rp = r_ext[:-2], r_ext[2:]
     D = (rm - rp) * (rm + rp) / 4.0

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .._files import in_place
 from ..curve import DiscreteCurve
 from ..functional import VolumeFunctional
 from ..metric import check_A
@@ -92,11 +91,10 @@ def _fmt(value):
 
 
 def _write_csv(path, records):
-    with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
             fh.write(",".join(_fmt(getattr(r, attr)) for _, attr in COLUMNS) + "\n")
-        fh.truncate()
 
 
 def _rows_json(records):
@@ -144,11 +142,10 @@ def run_table1(spec):
     <out>/iterates_<slug>.svg (all iterates, blue start to red finish).
     Across methods: table1.txt (side-by-side) and table1.json (full
     precision rows, late-phase diagnostics and each run's stop reason).
-    Outputs are byte-stable for a fixed spec; an existing file is
-    overwritten in place and cut to its new length (see ``_files``).  A
-    run that a solver error ends still writes every artifact, and its
-    stop names the error.  Returns a report dict with the records, stop
-    reasons, diagnostics, and output paths.
+    Outputs are byte-stable for a fixed spec.  A run that a solver error
+    ends still writes every artifact, and its stop names the error.
+    Returns a report dict with the records, stop reasons, diagnostics,
+    and output paths.
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,13 +170,11 @@ def run_table1(spec):
         }
 
     text_path = out / "table1.txt"
-    with open(text_path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+    with open(text_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(_comparison_text(per_method))
-        fh.truncate()
     json_path = out / "table1.json"
-    with open(json_path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+    with open(json_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(report, indent=1) + "\n")
-        fh.truncate()
     report["records"] = per_method
     report["table_text"] = str(text_path)
     report["table_json"] = str(json_path)

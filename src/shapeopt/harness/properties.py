@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .._files import in_place
 from ..calculus import (hessian_at_solution, riemannian_hessian_form,
                         taylor_remainder_probe)
 from ..curve import DiscreteCurve, retract
@@ -257,9 +256,8 @@ def run_property_suite(spec):
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "properties.json"
-    with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-        fh.truncate()
     report["path"] = str(path)
     return report

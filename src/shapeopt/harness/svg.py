@@ -23,8 +23,6 @@ the curve's largest magnitude, so one path covers 1 to 19 digits.
 
 import numpy as np
 
-from .._files import in_place
-
 
 def _chunk_words():
     """Word of chunk c at c (inner), 10**4 + c (leading) and 2 * 10**4 + c
@@ -93,7 +91,6 @@ def render_curves(node_arrays, path):
              'viewBox="-120000 -120000 240000 240000">']
     for i, nodes in enumerate(node_arrays):
         lines.append(_polyline(nodes, _ramp(i, len(node_arrays)), f"curve {i}"))
-    with open(path, "w", encoding="ascii", newline="\n", opener=in_place) as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n</svg>\n")
-        fh.truncate()
     return path

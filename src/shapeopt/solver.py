@@ -470,7 +470,7 @@ def optimize(c0, f, config, reference=None):
     try:
         for k in range(config.max_iterations + 1):
             rec = IterationRecord(index=k, objective=f.evaluate(c),
-                                  nodes=np.array(c.nodes),
+                                  nodes=c.nodes.copy(),
                                   distance=_iterate_distance(c, f, reference))
             records.append(rec)
             if rec.distance is not None and rec.distance < config.stop_distance:

@@ -723,6 +723,35 @@ def test_retracted_curve_starts_empty_and_matches_a_fresh_curve():
             assert distance_bar(moved, mu) == distance_bar(fresh, mu)
 
 
+def test_nodes_are_a_view_of_the_ghost_columns():
+    # each node is stored once: nodes is the node range of columns, on a
+    # constructed, a reversed and a retracted curve
+    c = circle(16)
+    reversed_ = DiscreteCurve(c.nodes[::-1])
+    moved = retract(c, np.full(16, 0.1))
+    for cc in (c, reversed_, moved):
+        assert cc.nodes.base is cc.columns
+        assert np.array_equal(cc.nodes, cc.columns[:, 1:-1].T)
+        assert np.array_equal(cc.columns[:, 0], cc.nodes[-1])
+        assert np.array_equal(cc.columns[:, -1], cc.nodes[0])
+
+
+def test_periodic_array_behind_a_node_range_view():
+    c = circle(16)
+    evaluate_mso(c, 2.0)
+    rec = c._quadratic[2.0]
+    for view, ghosts in ((c.chords, 1), (c.angle_steps, 1), (rec.rho2, 2), (rec.psi, 2)):
+        whole = curve._periodic(view)
+        assert len(whole) == 16 + ghosts and np.shares_memory(whole, view)
+        assert np.array_equal(whole[1:17], view) and whole[0] == view[-1]
+        if ghosts == 2:
+            assert whole[-1] == view[0]
+    # a copy, a view into a larger buffer and a row of the 2-D columns
+    for bad in (c.chords.copy(), np.arange(40.0)[1:17], c.columns[0, 1:-1]):
+        with pytest.raises(ValueError):
+            curve._periodic(bad)
+
+
 def test_retract_rejects_coincident_and_overflowing_nodes():
     # node 2's normal is exactly (1, -0), so h = -1 moves it onto node 1; the
     # moved polygon passes the tangent test and check_simple

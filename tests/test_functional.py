@@ -199,6 +199,21 @@ def test_evaluate_dispatches_by_family():
     assert AREA.evaluate(c) == evaluate_general(c, AREA)
 
 
+def test_general_quadrature_matches_the_row_major_fan_bit_for_bit():
+    # the fan on a C-ordered copy of the nodes: a curve's nodes are a
+    # column-major view, whose plain mean would round differently
+    f = VolumeFunctional.custom(lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0)
+    rng = np.random.default_rng(9)
+    for n in (8, 101, 1600):
+        c = random_star_curve(n, rng, amplitude=0.3)
+        a = np.array(c.nodes, order="C")
+        z = a.mean(axis=0)
+        b = np.roll(a, -1, axis=0)
+        area2 = (a[:, 0] - z[0]) * (b[:, 1] - z[1]) - (a[:, 1] - z[1]) * (b[:, 0] - z[0])
+        vals = f.psi((a + b) / 2.0) + f.psi((b + z) / 2.0) + f.psi((z + a) / 2.0)
+        assert evaluate_general(c, f) == float((area2 * vals).sum() / 6.0), n
+
+
 def test_general_quadrature_area_oracles():
     assert abs(evaluate_general(circle(200), AREA) - np.pi) < 1e-3
     assert abs(evaluate_general(reference_ellipse(200, 2.0), AREA) - np.pi / 2.0) < 1e-3

@@ -13,7 +13,7 @@ from conftest import circle
 from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, DiscreteCurve,
                       ExperimentSpec, IterationRecord, initial_shape,
                       reference_ellipse, run_table1)
-from shapeopt.harness import properties
+from shapeopt.harness import experiment, properties
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
 from shapeopt.harness.properties import random_star_curve
@@ -390,11 +390,10 @@ def _file_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-def test_table1_rewrites_its_outputs_in_place(tmp_path):
-    # each file is overwritten from its first byte and cut to its new
-    # length: N=100 over the files of N=1600 (whose SVGs are larger), or
-    # over longer junk in every file, leaves the bytes of a fresh N=100
-    # run, in the same files
+def test_table1_rewrites_its_outputs(tmp_path):
+    # each file is rewritten at its new length: N=100 over the files of
+    # N=1600 (whose SVGs are larger), or over longer junk in every file,
+    # leaves the bytes of a fresh N=100 run, in the same files
     out = tmp_path / "out"
     run_table1(ExperimentSpec(output_dir=str(out)))
     fresh = _file_bytes(out)
@@ -420,6 +419,30 @@ def test_table1_rewrites_its_outputs_in_place(tmp_path):
         assert np.array_equal(read(path).nodes, circle(40).nodes)
         write(circle(40), tmp_path / f"fresh{suffix}")
         assert path.read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+
+
+def test_a_writer_that_raises_leaves_no_old_bytes(tmp_path, monkeypatch):
+    # a CSV whose row formatting raises partway holds a prefix of its new
+    # bytes and nothing of the longer file it replaced
+    run_table1(ExperimentSpec(output_dir=str(tmp_path / "fresh")))
+    fresh = (tmp_path / "fresh" / "table1_sd.csv").read_bytes()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "table1_sd.csv").write_bytes(b"#" * (2 * len(fresh)))
+    calls = []
+    fmt = experiment._fmt
+
+    def failing(value):
+        calls.append(value)
+        if len(calls) > 3 * len(experiment.COLUMNS):
+            raise RuntimeError("formatting failed")
+        return fmt(value)
+
+    monkeypatch.setattr(experiment, "_fmt", failing)
+    with pytest.raises(RuntimeError):
+        run_table1(ExperimentSpec(output_dir=str(out)))
+    left = (out / "table1_sd.csv").read_bytes()
+    assert fresh.startswith(left) and len(left) < len(fresh)
 
 
 def test_table1_outputs_write_through_links(tmp_path):
