@@ -88,13 +88,16 @@ class _CheckedField:
     it and passes it on like this to the line search, the step norm and
     the retraction, none of which changes its values.  Its only other
     content is the retraction candidate, which ``retract`` drops, so an
-    iterate is freed as soon as the loop moves on."""
+    iterate is freed as soon as the loop moves on, and the model of the
+    decrease function along it, which ``solver.line_search_exact`` takes
+    off."""
 
-    __slots__ = ("values", "_candidate")
+    __slots__ = ("values", "_candidate", "_model")
 
     def __init__(self, curve, values, name="field"):
         self.values = as_field(curve, values, name)
         self._candidate = None  # (curve, t, moved) of _retraction_candidate
+        self._model = None  # [phi'(0), phi''(0)] of solver._decrease_function
 
     @classmethod
     def of(cls, curve, values, name="field"):
@@ -115,13 +118,6 @@ def shift_prev(a):
     """Row i of the result is row i-1 of a, periodically.  Equal to numpy's
     roll(a, 1, axis=0)."""
     return np.concatenate((a[-1:], a[:-1]))
-
-
-def row_norm(v):
-    """Euclidean length of each row of an (N, 2) array.  The same bits as
-    numpy's linalg.norm(v, axis=1), which computes sqrt(add.reduce(v*v,
-    axis=1)), and a two-term reduce is exactly v0*v0 + v1*v1."""
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
 def _ghost_columns(nodes):

