@@ -83,6 +83,12 @@ def standard_shape_hessian_form(c, psi_kernels, alpha, beta, dW_normal):
                          + g * dW_normal) * geo.weights))
 
 
+def _hessian_coefficient(A, kappa, g, dpsi_dn):
+    """The pointwise factor dpsi_dn + (kappa/2) psi - A kappa^3 psi /
+    (1 + A kappa^2) of the covariant Hessian form, for psi = g."""
+    return dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
+
+
 def riemannian_hessian_form(c, A, psi_kernels, alpha, beta):
     """Covariant (extension-free) Hessian form of a volume functional.
 
@@ -96,7 +102,7 @@ def riemannian_hessian_form(c, A, psi_kernels, alpha, beta):
     geo = c.geometry
     kappa = geo.curvature
     prod = alpha * beta
-    coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
+    coeff = _hessian_coefficient(A, kappa, g, dpsi_dn)
     second = g * A * kappa * tangential_second_derivative(c, prod)
     return float(np.sum((coeff * prod - second) * geo.weights))
 
@@ -148,7 +154,7 @@ class HessianOperator:
         dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
         geo = curve.geometry
         kappa, w = geo.curvature, geo.weights
-        coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
+        coeff = _hessian_coefficient(A, kappa, g, dpsi_dn)
 
         # transpose of the second-difference stencil applied to E
         dp = curve.chords

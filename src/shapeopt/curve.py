@@ -46,10 +46,6 @@ computed once per curve and read-only:
   ``geometry`` and shared with every curve retracted from it, which
   keeps the params.
 
-The polygon that the line search built and star-checked at its step
-belongs to the step, not to the curve: it travels on the step's
-``_CheckedField`` to ``retract``, which admits or rejects it and drops it.
-
 A curve that ``retract`` returns carries its columns, params, chords,
 angle steps and star flag, and shares the stencil weights;
 everything else is computed on first use.
@@ -86,26 +82,12 @@ class _CheckedField:
     functions that take fields on that curve so that they do not validate
     it again: ``solver.optimize`` checks each direction where it receives
     it and passes it on like this to the line search, the step norm and
-    the retraction, none of which changes its values.  Its only other
-    content is the retraction candidate, which ``retract`` drops, so an
-    iterate is freed as soon as the loop moves on, and the model of the
-    decrease function along it, which ``solver.line_search_exact`` takes
-    off."""
+    the retraction, none of which changes its values."""
 
-    __slots__ = ("values", "_candidate", "_model")
+    __slots__ = ("values",)
 
     def __init__(self, curve, values, name="field"):
         self.values = as_field(curve, values, name)
-        self._candidate = None  # (curve, t, moved) of _retraction_candidate
-        self._model = None  # [phi'(0), phi''(0)] of solver._decrease_function
-
-    @classmethod
-    def of(cls, curve, values, name="field"):
-        """values itself when it is a _CheckedField of curve's length, so
-        that a candidate set on it reaches ``retract``, else a new one."""
-        if type(values) is cls and values.values.shape[0] == curve.n_nodes:
-            return values
-        return cls(curve, values, name)
 
 
 def shift_next(a):
@@ -631,35 +613,6 @@ def _curvature(columns, stencil):
     return (d1x * d2y - d1y * d2x) / speed ** 3
 
 
-def _moved(c, h, t):
-    """The unchecked curve on the nodes of c moved by t*h_i along the
-    outward normals (ty, -tx): the node update of ``retract``, for a
-    validated field h.  It writes the moved ghost columns, whose node
-    range is the moved curve's ``nodes``."""
-    columns, geo = c.columns, c.geometry
-    th = float(t) * h
-    moved = np.empty_like(columns)
-    x, y = moved[:, 1:-1]
-    np.multiply(th, geo.ty, out=x)
-    np.add(columns[0, 1:-1], x, out=x)
-    np.multiply(th, geo.tx, out=y)
-    np.subtract(columns[1, 1:-1], y, out=y)
-    moved[:, 0], moved[:, -1] = moved[:, -2], moved[:, 1]
-    moved.setflags(write=False)
-    return DiscreteCurve._unchecked(moved, c)
-
-
-def _retraction_candidate(c, field, t):
-    """The unchecked curve that retract(c, field, t) admits or rejects,
-    for a ``_CheckedField`` field.  It is kept on the field, with c and
-    t, until the next retract of that field: a retract of c by this field
-    at this t runs its checks on this very curve, so the nodes, angle
-    steps and star flag computed here are not computed again."""
-    moved = _moved(c, field.values, t)
-    field._candidate = (c, float(t), moved)
-    return moved
-
-
 def retract(c, h, t=1.0):
     """Move every node of c by t*h_i along its outward normal.
 
@@ -674,20 +627,21 @@ def retract(c, h, t=1.0):
     DegenerateCurve is raised when a moved node is not finite or two
     consecutive moved nodes coincide.
 
-    When h is a ``_CheckedField`` that holds the moved curve of c at this
-    t (``_retraction_candidate``), that curve is the one checked and
-    returned; every check runs on it all the same.  Either way h keeps
-    no candidate after the call.
+    Each call builds the moved curve once, on fresh ghost columns written
+    from the outward normals (ty, -tx), and runs every check on it.
     """
-    kept = None
-    if type(h) is _CheckedField:
-        kept, h._candidate = h._candidate, None
     h = as_field(c, h, "h")
-    if kept is not None and kept[0] is c and kept[1] == t:
-        moved = kept[2]
-    else:
-        moved = _moved(c, h, t)
-    columns, geo = moved.columns, c.geometry
+    geo = c.geometry
+    th = float(t) * h
+    columns = np.empty_like(c.columns)
+    x, y = columns[:, 1:-1]
+    np.multiply(th, geo.ty, out=x)
+    np.add(c.columns[0, 1:-1], x, out=x)
+    np.multiply(th, geo.tx, out=y)
+    np.subtract(c.columns[1, 1:-1], y, out=y)
+    columns[:, 0], columns[:, -1] = columns[:, -2], columns[:, 1]
+    columns.setflags(write=False)
+    moved = DiscreteCurve._unchecked(columns, c)
     cx, cy = columns[:, 2:] - columns[:, :-2]
     if (cx * geo.tx + cy * geo.ty <= 0.0).any():
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")

@@ -24,9 +24,8 @@ decreases the objective.
 Either way the snapped step is the one the full-precision search would
 return when the objective is unimodal along the step, and a parabolic
 search that cannot certify its grid point hands over to golden section.
-The polygon that the parabolic search star-certifies at its step travels
-on the step's checked direction to ``retract``, which admits it, so an
-accepted step builds it once.
+The line search only chooses the step; ``retract`` builds the iterate at
+it and admits or rejects it, once per step.
 """
 
 import math
@@ -37,7 +36,7 @@ from statistics import median
 import numpy as np
 
 from .calculus import HessianOperator, solve_hessian
-from .curve import _CheckedField, _retraction_candidate, retract
+from .curve import _CheckedField, retract
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      NotStarShaped, ProjectionFailed, ShapeDegenerate,
                      ShapeOptError)
@@ -166,26 +165,26 @@ def step_direction(c, f, config):
 
 
 def _decrease_function(c, f, direction):
-    """phi(t) = f(r_c(t*direction)) - f(c) as a callable, for a field or
-    a ``_CheckedField`` direction on c, used as given.
+    """(phi, model): phi(t) = f(r_c(t*direction)) - f(c) as a callable,
+    for a field or a ``_CheckedField`` direction on c, used as given, and
+    the model [phi'(0), phi''(0)] of the decrease, or None without one.
 
     The quadratic family uses the exactly differenced polar objective,
     whose step d*n = (d ty, -(d tx)) it builds column-major so that the
     set-up reads the columns without copying them (-(d tx) is d (-tx) to
-    the bit).  Its model [phi'(0), phi''(0)] is kept on the checked
-    direction, where ``line_search_exact`` takes it.  Other functionals
+    the bit); its set-up gives the exact model.  Other functionals
     evaluate the fan quadrature on the moved polygon, with inadmissible
-    probes scored +inf so brackets shrink below them.
+    probes scored +inf so brackets shrink below them, and have no model.
     """
-    checked = _CheckedField.of(c, direction, "direction")
+    checked = _CheckedField(c, direction, "direction")
     if f.is_quadratic_mso:
         d, geo = checked.values, c.geometry
         step = np.empty((len(d), 2), order="F")
         np.multiply(d, geo.ty, out=step[:, 0])
         np.multiply(d, geo.tx, out=step[:, 1])
         np.negative(step[:, 1], out=step[:, 1])
-        checked._model = []
-        return mso_step_objective(c, step, f.mu, checked._model)
+        model = []
+        return mso_step_objective(c, step, f.mu, model), model
     f0 = f.evaluate(c)
 
     def phi(t):
@@ -195,7 +194,7 @@ def _decrease_function(c, f, direction):
         except (DegenerateCurve, ShapeDegenerate, NotStarShaped):
             return np.inf
 
-    return phi
+    return phi, None
 
 
 def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
@@ -234,8 +233,8 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     runs after it, when t0 lies below bracket_max, opening at the unit
     step.  It hands over to the search for t0, the bracketing and golden
     section above, which run unchanged on the probes already made, when
-    no probe decreases phi, k is 0, a probe is nan, the snap fails, the
-    probe budget SNAP_PROBES is spent, or (below) the star check fails.
+    no probe decreases phi, k is 0, a probe is nan, the snap fails or the
+    probe budget SNAP_PROBES is spent.
 
     The parabolic search returns golden section's float whenever phi is
     unimodal on [0, bracket_max]: strictly decreasing up to its first
@@ -257,12 +256,9 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     For the quadratic family the probes skip admissibility checks (the
     loop validates the accepted step when retracting), so bracket_max
     should be kept small enough that probed polygons stay star-shaped;
-    where they do not, phi stops being unimodal.  The parabolic search's
-    k*h is therefore returned only if the polygon that retract would
-    build at k*h passes the star certificate of check_simple; otherwise
-    the search hands over.  That polygon stays on the checked direction,
-    and ``retract(c, direction, k*h)`` of that ``_CheckedField`` checks
-    and returns it instead of building it again.
+    where they do not, phi stops being unimodal.  The search builds no
+    polygon: ``retract`` builds the iterate at the returned step and
+    admits or rejects it.
 
     Each probe of the quadratic family costs four O(N) array passes, one
     of them an arctan2, and a (5, N) matrix-vector product:
@@ -271,13 +267,10 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     docstring), so a decrease far below the objective's rounding noise
     is resolved to near full relative precision.
     """
-    checked = _CheckedField.of(c, direction, "direction")
-    direction = checked.values
-    if not direction.any():
+    checked = _CheckedField(c, direction, "direction")
+    if not checked.values.any():
         raise LineSearchFailed("zero direction")
-    checked._model = None
-    decrease = _decrease_function(c, f, checked)
-    model, checked._model = checked._model, None
+    decrease, model = _decrease_function(c, f, checked)
     probed = {}
 
     def phi(t):
@@ -285,18 +278,12 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
             probed[t] = decrease(t)
         return probed[t]
 
-    def snap(model):
+    seeded = bool(step_resolution) and model is not None and model[0] < 0.0
+    if seeded:
         t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
                                     step_resolution, model)
-        if t_snap is not None and (
-                not f.is_quadratic_mso
-                or _retraction_candidate(c, checked, t_snap).star_certified):
+        if t_snap is not None:
             return t_snap
-        return None
-
-    seeded = bool(step_resolution) and model is not None and model[0] < 0.0
-    if seeded and (t_snap := snap(model)) is not None:
-        return t_snap
 
     t0, f0 = 1e-3, phi(1e-3)
     while f0 >= 0.0 and t0 > tolerance:
@@ -306,9 +293,11 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
         raise LineSearchFailed(
             f"no decrease along the direction for any t >= {tolerance:g}")
 
-    if step_resolution and t0 < bracket_max and not seeded and (
-            t_snap := snap(None)) is not None:
-        return t_snap
+    if step_resolution and t0 < bracket_max and not seeded:
+        t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
+                                    step_resolution)
+        if t_snap is not None:
+            return t_snap
 
     lo, a, fa = 0.0, t0, f0
     b = min(2.0 * t0, bracket_max)
@@ -328,9 +317,9 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
             k = round(lo / step_resolution)
             if round(hi / step_resolution) == k:
                 snap_open = False  # k is decided; try it once
-                t_snap = k * step_resolution
-                if 0.0 < t_snap <= bracket_max and phi(t_snap) < 0.0:
-                    return float(t_snap)
+                t_snap = _grid_step(phi, k, step_resolution, bracket_max)
+                if t_snap is not None:
+                    return t_snap
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
@@ -344,10 +333,21 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
         raise LineSearchFailed("bracket collapsed without decrease")
 
     if step_resolution:
-        t_snap = round(t_star / step_resolution) * step_resolution
-        if 0.0 < t_snap <= bracket_max and phi(t_snap) < 0.0:
-            return float(t_snap)
+        t_snap = _grid_step(phi, round(t_star / step_resolution), step_resolution,
+                            bracket_max)
+        if t_snap is not None:
+            return t_snap
     return float(t_star)
+
+
+def _grid_step(phi, k, h, bracket_max):
+    """k*h as a float when 0 < k*h <= bracket_max and phi(k*h) < 0, else
+    None: the test that accepts every snapped step.  phi is probed only
+    at a k*h in range."""
+    t = k * h
+    if 0.0 < t <= bracket_max and phi(t) < 0.0:
+        return float(t)
+    return None
 
 
 def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution,
@@ -439,10 +439,7 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution,
         left_in = round((p1 - margin) / h) == k
         right_in = round(right_end / h) == k
         if left_in and right_in:
-            t_snap = k * h
-            if 0 < k and t_snap <= bracket_max and phi(t_snap) < 0.0:
-                return float(t_snap)
-            return None
+            return _grid_step(phi, k, h, bracket_max)
         if p2 == bracket_max:
             # the left edge of bracket_max's cell, inset into it
             u = (k - 0.5) * h + inset
@@ -570,7 +567,7 @@ def optimize(c0, f, config, reference=None):
     with a DimensionMismatch stop naming ``direction``.  The line search,
     the step norm and ``retract`` then take it as a ``_CheckedField`` and
     do not check it again; called directly, each validates its field.
-    The line search leaves its polygon on that field for ``retract``.
+    ``retract`` builds the one polygon of each step.
     """
     records = []
     c = c0

@@ -779,60 +779,6 @@ def test_retract_rejects_coincident_and_overflowing_nodes():
                 retract(c, h, 10.0)
 
 
-def test_retract_checks_a_kept_candidate_as_a_fresh_polygon():
-    # a candidate that the line search built at the step still runs every
-    # check of retract, which raises as without it and leaves the field empty
-    c = DiscreteCurve([(-1, 0), (0, 0), (1, 0), (0, 2), (-1, 2), (-2, 2), (-3, 2),
-                       (-1.5, 1.5), (0, 1)])
-    reversing, coincident = np.zeros(9), np.zeros(9)
-    reversing[[0, 2]] = -1.0
-    coincident[2] = -1.0
-    one = np.zeros(32)
-    one[3] = 1e308
-    cases = [(c, reversing, 1.0, ShapeDegenerate, "reversed"),
-             (c, coincident, 1.0, DegenerateCurve, "consecutive nodes coincide"),
-             (circle(32), one, 10.0, DegenerateCurve, "non-finite"),
-             (circle(32), np.full(32, 1e308), 10.0, DegenerateCurve, "non-finite"),
-             (circle(100), -np.ones(100), 1.5, ShapeDegenerate, "reversed"),
-             (circle(100), 5.0 * np.sin(7.0 * circle(100).params), 1.0, ShapeDegenerate,
-              "reversed|self-intersects")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for src, h, t, error, message in cases:
-            field = curve._CheckedField(src, h, "h")
-            kept = curve._retraction_candidate(src, field, t)
-            assert field._candidate[0] is src and field._candidate[2] is kept
-            with pytest.raises(error, match=message):
-                retract(src, field, t)
-            assert field._candidate is None
-
-
-def test_retract_reuses_a_candidate_only_at_its_own_step():
-    # a field's polygon is taken only by a retract of its own curve at its
-    # own t; any other retract builds the polygon afresh, with the same
-    # bits, and every retract of the field leaves it empty
-    rng = np.random.default_rng(59)
-    c = random_star_curve(64, rng, amplitude=0.2)
-    twin = DiscreteCurve(c.nodes, params=c.params)
-    other = random_star_curve(64, rng, amplitude=0.2)
-    h = 0.05 * rng.standard_normal(64)
-    field = curve._CheckedField(c, h, "h")
-    for src, step, t in ((c, field, 0.7000000000000001), (c, field, 0.69),
-                         (twin, field, 0.7), (other, field, 0.7), (c, h.copy(), 0.7),
-                         (c, curve._CheckedField(c, h, "h"), 0.7)):
-        kept = curve._retraction_candidate(c, field, 0.7)
-        moved = retract(src, step, t)
-        assert moved is not kept
-        assert (field._candidate is None) is (step is field)
-        fresh = retract(src, h, t)
-        assert np.array_equal(moved.nodes.view(np.int64), fresh.nodes.view(np.int64))
-        assert np.array_equal(moved.angle_steps.view(np.int64),
-                              fresh.angle_steps.view(np.int64))
-    kept = curve._retraction_candidate(c, field, 0.7)
-    assert retract(c, field, 0.7) is kept
-    assert field._candidate is None
-    assert retract(c, field, 0.7) is not kept
-
-
 def test_retracted_curves_share_the_stencil_weights():
     rng = np.random.default_rng(61)
     for c in _oracle_curves(rng):

@@ -1,6 +1,7 @@
 """Step directions, the exact line search, the descent loop, and the
 late-phase rate diagnostics."""
 
+import re
 import weakref
 
 import numpy as np
@@ -67,7 +68,7 @@ def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     direction = as_field(c, direction, "direction")
     if not np.any(direction):
         raise LineSearchFailed("zero direction")
-    phi = _decrease_function(c, f, direction)
+    phi, _ = _decrease_function(c, f, direction)
 
     t0, f0 = 1e-3, phi(1e-3)
     while f0 >= 0.0 and t0 > tolerance:
@@ -240,7 +241,7 @@ def test_line_search_rejected_grid_step_returns_bracket_midpoint(monkeypatch):
     # every probe past t = 0.0152 is inadmissible (+inf), so the decided
     # snap 0.02 of the minimizer 0.0151 is rejected and golden section goes on
     def cliff(c, f, direction):
-        return lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf
+        return lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf, None
 
     monkeypatch.setattr(solver, "_decrease_function", cliff)
     t = line_search_exact(initial_shape(100), F2, np.ones(100))
@@ -292,8 +293,8 @@ def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     # the decided snap 0.02 of the minimizer 0.0151 lies beyond the cliff
     cases.append((0.0151, lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf))
     current = None
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: current)
-    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: current)
+    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, None))
+    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
     decided = []
     snap = solver._snap_by_parabolas
     monkeypatch.setattr(solver, "_snap_by_parabolas",
@@ -327,12 +328,8 @@ def test_seeded_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
              for m in minimizers for kind in ("asymmetric", "flat4", "cliff")]
     current = model = None
 
-    def decrease(c, f, d):
-        d._model = model
-        return current
-
-    monkeypatch.setattr(solver, "_decrease_function", decrease)
-    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: current)
+    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, model))
+    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
     decided = []
     snap = solver._snap_by_parabolas
     monkeypatch.setattr(solver, "_snap_by_parabolas",
@@ -352,59 +349,15 @@ def test_seeded_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
 
 
-def test_line_search_star_guard_hands_over(monkeypatch):
+def test_line_search_matches_oracle_from_the_mu3_packaged_start():
     # from the packaged start at mu=3, A=0.5 the parabolas decide 0.31,
     # where the moved polygon is not certified star-shaped; the search
-    # hands over and returns the full search's float
+    # returns the full search's float
     f3 = VolumeFunctional.quadratic_mso(3.0)
     c0 = initial_shape(100)
     d = step_direction(c0, f3, SolverConfig(method=STEEPEST_DESCENT, A=0.5))
-    guarded = []
-    candidate = solver._retraction_candidate
-
-    def guard(c, field, t):
-        moved = candidate(c, field, t)
-        guarded.append((t, moved.star_certified))
-        return moved
-
-    monkeypatch.setattr(solver, "_retraction_candidate", guard)
     assert (_outcome(line_search_exact, c0, f3, d)
             == _outcome(_line_search_exact_oracle, c0, f3, d))
-    assert guarded == [(0.31, False)]
-
-
-def test_retract_admits_the_line_search_candidate():
-    # the polygon that the star check built at the returned step, kept on
-    # the checked direction, is the iterate, with the nodes, angle steps,
-    # star flag and chords of a retract from scratch, bit for bit
-    taken = 0
-    for n in (100, 400):
-        for c in [initial_shape(n)] + _warm_starts(n, 4):
-            for method in METHODS:
-                d = step_direction(c, F2, SolverConfig(method=method))
-                checked = curve._CheckedField(c, d, "direction")
-                try:
-                    t = line_search_exact(c, F2, checked)
-                except LineSearchFailed:
-                    continue
-                kept = checked._candidate
-                try:
-                    moved = retract(c, checked, t)
-                except ShapeOptError:
-                    assert checked._candidate is None
-                    continue
-                assert checked._candidate is None
-                if kept is None or kept[1] != t:
-                    continue
-                assert kept[0] is c and moved is kept[2]
-                taken += 1
-                fresh = retract(c, d, t)
-                assert fresh is not moved
-                for name in ("nodes", "angle_steps", "chords"):
-                    assert np.array_equal(getattr(moved, name).view(np.int64),
-                                          getattr(fresh, name).view(np.int64)), name
-                assert moved.star_certified is fresh.star_certified
-    assert taken >= 20
 
 
 def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
@@ -472,6 +425,81 @@ def test_line_search_probe_count(monkeypatch):
 def test_table1_step_scales_are_pinned():
     for method, expected in TABLE1_STEP_SCALES.items():
         assert [r.step_scale for r in _table1_run(method)[:-1]] == expected, method
+
+
+def test_optimize_builds_one_polygon_per_step(monkeypatch):
+    # the line search of the quadratic family builds no polygon, and each
+    # step makes one retract call, which builds one polygon whether it
+    # admits it or not: the events of a run read (L l (R P)?)* with one R
+    # per step, L and l the entry and exit of a line search, R a retract
+    # and P a polygon
+    starts = _warm_starts(100, 8)
+    events = []
+    unchecked = DiscreteCurve._unchecked
+    search, move = solver.line_search_exact, solver.retract
+
+    def build(cls, *args):
+        events.append("P")
+        return unchecked(*args)
+
+    def line_search(*args):
+        events.append("L")
+        try:
+            return search(*args)
+        finally:
+            events.append("l")
+
+    def retract_spy(*args):
+        events.append("R")
+        return move(*args)
+
+    monkeypatch.setattr(DiscreteCurve, "_unchecked", classmethod(build))
+    monkeypatch.setattr(solver, "line_search_exact", line_search)
+    monkeypatch.setattr(solver, "retract", retract_spy)
+    runs = [_table1_run(method) for method in TABLE1_STEP_SCALES]
+    assert "".join(events) == "LlRP" * sum(len(records) - 1 for records in runs)
+    steps = 0
+    for c0 in starts:
+        for method in METHODS:
+            events.clear()
+            records = optimize(c0, F2, SolverConfig(method=method))
+            assert re.fullmatch("(Ll(RP)?)*", "".join(events)), (method, events)
+            taken = sum(r.step_scale is not None for r in records)
+            assert events.count("R") == events.count("P") == taken, method
+            steps += taken
+    assert steps >= 100
+
+
+# (stop class, iterations) of every packaged-start run at N=100, by
+# (method, mu, A), with the default stop distance 1e-7
+PACKAGED_STOPS_N100 = {
+    (STEEPEST_DESCENT, 2.0, 0.0): ("distance", 14),
+    (STEEPEST_DESCENT, 2.0, 0.5): ("NotStarShaped", 1),
+    (STEEPEST_DESCENT, 2.0, 1.0): ("NotStarShaped", 1),
+    (STEEPEST_DESCENT, 3.0, 0.0): ("ShapeDegenerate", 0),
+    (STEEPEST_DESCENT, 3.0, 0.5): ("NotStarShaped", 0),
+    (STEEPEST_DESCENT, 3.0, 1.0): ("NotStarShaped", 1),
+    (NEWTON_MULTIPLICATIVE, 2.0, 0.0): ("distance", 4),
+    (NEWTON_MULTIPLICATIVE, 2.0, 0.5): ("distance", 4),
+    (NEWTON_MULTIPLICATIVE, 2.0, 1.0): ("distance", 4),
+    (NEWTON_MULTIPLICATIVE, 3.0, 0.0): ("ShapeDegenerate", 1),
+    (NEWTON_MULTIPLICATIVE, 3.0, 0.5): ("ShapeDegenerate", 1),
+    (NEWTON_MULTIPLICATIVE, 3.0, 1.0): ("ShapeDegenerate", 1),
+    (NEWTON_GENERAL_FORM, 2.0, 0.0): ("ShapeDegenerate", 0),
+    (NEWTON_GENERAL_FORM, 2.0, 0.5): ("LineSearchFailed", 1),
+    (NEWTON_GENERAL_FORM, 2.0, 1.0): ("NotStarShaped", 0),
+    (NEWTON_GENERAL_FORM, 3.0, 0.0): ("NotStarShaped", 0),
+    (NEWTON_GENERAL_FORM, 3.0, 0.5): ("LineSearchFailed", 1),
+    (NEWTON_GENERAL_FORM, 3.0, 1.0): ("NotStarShaped", 1),
+}
+
+
+def test_packaged_start_stops_are_pinned():
+    for (method, mu, A), expected in PACKAGED_STOPS_N100.items():
+        records = optimize(initial_shape(100), VolumeFunctional.quadratic_mso(mu),
+                           SolverConfig(method=method, A=A))
+        got = (records[-1].stop.split(":")[0], len(records) - 1)
+        assert got == expected, (method, mu, A)
 
 def test_optimize_monotone_descent_and_record_shape():
     records = optimize(initial_shape(100), F2, SolverConfig(method=STEEPEST_DESCENT))
@@ -650,9 +678,9 @@ def test_optimize_checks_each_direction_once(monkeypatch):
 
 
 def test_optimize_frees_each_iterate_after_its_step(monkeypatch):
-    # the candidate that the line search leaves on the step's direction
-    # holds the iterate it was built from until retract drops it: by the
-    # next step direction no earlier iterate but the caller's start lives
+    # nothing the loop keeps from a step holds the iterate it moved from:
+    # by the next step direction no earlier iterate but the caller's
+    # start lives
     seen, alive = [], []
     original = solver.step_direction
 
