@@ -113,13 +113,6 @@ def _ghost_columns(nodes):
     return columns
 
 
-def _columns_of(nodes):
-    """nodes itself when it is already a (2, N+2) array of ghost columns
-    (its second axis is not 2), else the ghost columns of the (N, 2)
-    node array."""
-    return nodes if nodes.shape[1] != 2 else _ghost_columns(nodes)
-
-
 def _periodic(view):
     """The periodic array behind a node-range view handed out by this
     module or by ``functional._quadratic_record``: ``chords`` and
@@ -135,18 +128,11 @@ def _periodic(view):
     return base
 
 
-def signed_area(nodes):
-    """Shoelace area of the closed polygon; positive for counterclockwise.
-    nodes is an (N, 2) node array or the (2, N+2) ghost columns of one."""
-    columns = _columns_of(nodes)
+def signed_area(columns):
+    """Shoelace area of the closed polygon with the (2, N+2) ghost
+    columns ``columns``; positive for counterclockwise."""
     (x, y), (xn, yn) = columns[:, 1:-1], columns[:, 2:]
     return 0.5 * float((x * yn - xn * y).sum())
-
-
-def _wrapped_angle_steps(nodes):
-    """The (N,) wrapped angle steps of ``_angle_steps`` for an (N, 2) node
-    array: entry i is the step from node i to node i+1."""
-    return _angle_steps(*_ghost_columns(nodes))[1:]
 
 
 def _angle_steps(x, y):
@@ -202,15 +188,16 @@ _PAIR_CHUNK = 1 << 16
 _SIN_MIN = 1e-10
 
 
-def _segments_intersect(nodes):
-    """True if any two non-adjacent closed-polygon segments properly cross.
+def _segments_intersect(columns):
+    """True if any two non-adjacent segments of the closed polygon with
+    the (2, N+2) ghost columns ``columns`` properly cross.
 
     Sort-and-sweep broad phase on segment bounding boxes (the sweep of
     Shamos-Hoey and Bentley-Ottmann): the boxes are sorted by xmin,
     ``searchsorted`` on xmax yields every pair that overlaps in x, and
     pairs that miss in y or are adjacent are dropped.  The exact test
     then runs on the survivors with the arithmetic of an all-pairs loop
-    over i < j: r = nodes[j] - nodes[i], den = d_i x d_j with
+    over i < j: r = node_j - node_i, den = d_i x d_j with
     |den| > _SIN_MIN * |d_i| * |d_j| (lengths from hypot) and t, u
     strictly inside (0, 1).
 
@@ -233,10 +220,8 @@ def _segments_intersect(nodes):
     smooth curves the solvers produce.  Pairs are generated in chunks of
     at most ``_PAIR_CHUNK`` and the function returns on the first hit,
     so the worst case (all pairs overlapping in x and y) is O(N^2) time
-    in O(N + chunk) memory.  nodes is an (N, 2) node array or the
-    (2, N+2) ghost columns of one.
+    in O(N + chunk) memory.
     """
-    columns = _columns_of(nodes)
     n = columns.shape[1] - 2
     (x, y), (xn, yn) = columns[:, 1:-1], columns[:, 2:]
     dx, dy = xn - x, yn - y

@@ -14,14 +14,16 @@ handles arbitrary integrands by fanning the polygon into triangles from
 the node centroid with a three-midpoint rule per triangle, exact for
 quadratic psi.
 
-Angle convention: ``evaluate_mso`` and ``distance_bar`` measure node
-angles by default in the original plane (``angles="nodes"``) while radii
-are taken in the stretched plane.  Pass ``angles="stretched"`` to measure
-angles of the stretched nodes as well; that variant is the consistent
-quadrature of the area integral (it matches ``evaluate_general`` as the
-node count grows), whereas the default matches the convention used by the
-reference optimizer runs that the regression suite pins down.  The two
-coincide for mu = 1 and at any curve whose stretched image is a circle.
+Angle convention: ``evaluate_mso``, ``distance_bar`` and
+``mso_step_objective`` measure node angles in the original plane, the
+curve's own ``angle_steps``, while radii are taken in the stretched
+plane: the convention of the reference optimizer runs that the
+regression suite pins down.  Measuring the angles of the stretched nodes
+as well (``_evaluate_mso_stretched``, the same polar sum) is the
+consistent quadrature of the area integral, which matches
+``evaluate_general`` as the node count grows; the property suite
+compares the two quadratures with it.  The two conventions coincide for
+mu = 1 and at any curve whose stretched image is a circle.
 
 What an iterate of the quadratic family derives from its nodes is formed
 once and kept on the curve (``_quadratic_record``, one per mu): the node
@@ -40,9 +42,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from .curve import (DiscreteCurve, _angle_steps, _ghost_columns, _periodic,
-                    _wrapped_angle_steps, shift_next)
+from .curve import _angle_steps, _periodic, shift_next
 from .errors import NotStarShaped, ProjectionFailed
+
+# distance_tilde discards normal offsets beyond this window
+TILDE_WINDOW = 2.0
 
 
 class VolumeFunctional:
@@ -106,7 +110,7 @@ def _require_star(dang, where):
 _QuadraticRecord = namedtuple("_QuadraticRecord", "x y xx yy rho2 psi")
 
 
-def _quadratic_record(curve_or_nodes, mu):
+def _quadratic_record(c, mu):
     """What an iterate of the quadratic family derives from its nodes:
     the contiguous columns x and y, xx = x*x, yy = y*y, the stretched
     squared radius rho2 = xx + mu^2 yy and psi = rho2 - 1, the integrand
@@ -118,60 +122,61 @@ def _quadratic_record(curve_or_nodes, mu):
     arrays of length N+2, which a periodic stencil reads shifted through
     ``curve._periodic``.
 
-    A DiscreteCurve keeps its record per mu, so the polar pieces,
+    A DiscreteCurve c keeps its record per mu, so the polar sums,
     boundary_kernel and the set-up of mso_step_objective of one iterate
-    share it; a raw (N, 2) node array gets a fresh record on each call.
-    Pure arithmetic: it raises no NotStarShaped, whatever the nodes."""
-    if isinstance(curve_or_nodes, DiscreteCurve):
-        kept = curve_or_nodes._quadratic
-        if mu not in kept:
-            kept[mu] = _record_of_columns(curve_or_nodes.columns, mu)
-        return kept[mu]
-    return _record_of_columns(_ghost_columns(np.asarray(curve_or_nodes, dtype=float)), mu)
+    share it.  Pure arithmetic: it raises no NotStarShaped, whatever the
+    nodes."""
+    kept = c._quadratic
+    if mu not in kept:
+        columns = c.columns
+        squares = columns * columns
+        rho2 = squares[0] + mu ** 2 * squares[1]
+        psi = rho2 - 1.0
+        for arr in (squares, rho2, psi):
+            arr.setflags(write=False)
+        (x, y), (xx, yy) = columns[:, 1:-1], squares[:, 1:-1]
+        kept[mu] = _QuadraticRecord(x, y, xx, yy, rho2[1:-1], psi[1:-1])
+    return kept[mu]
 
 
-def _record_of_columns(columns, mu):
-    squares = columns * columns
-    rho2 = squares[0] + mu ** 2 * squares[1]
-    psi = rho2 - 1.0
-    for arr in (squares, rho2, psi):
-        arr.setflags(write=False)
-    (x, y), (xx, yy) = columns[:, 1:-1], squares[:, 1:-1]
-    return _QuadraticRecord(x, y, xx, yy, rho2[1:-1], psi[1:-1])
-
-
-def _polar_pieces(c, mu, angles, where):
-    """Angle steps and stretched squared radii of c.  The node-angle
-    steps are the curve's own ``angle_steps`` and the radii the rho2 of
-    its quadratic record, both kept on the curve; the stretched-angle
-    steps are computed on each call.  The node-angle steps skip
-    _require_star when the curve is ``star_certified``: the certificate's
-    steps all exceed 1e-12 and sum to 2*pi within 1e-9, which passes both
-    of its tests.  A call that fails raises NotStarShaped naming its
-    caller ``where``."""
-    if angles == "nodes":
-        dang = c.angle_steps
-        if not c.star_certified:
-            _require_star(dang, where)
-    else:
-        x, y = c.columns
-        dang = _angle_steps(x, mu * y)[1:]
+def _node_angle_steps(c, where):
+    """The curve's own ``angle_steps``, which skip _require_star when the
+    curve is ``star_certified``: the certificate's steps all exceed 1e-12
+    and sum to 2*pi within 1e-9, which passes both of its tests.  A call
+    that fails raises NotStarShaped naming its caller ``where``."""
+    dang = c.angle_steps
+    if not c.star_certified:
         _require_star(dang, where)
-    return dang, _quadratic_record(c, mu).rho2
+    return dang
 
 
-def evaluate_mso(c, mu, angles="nodes"):
+def evaluate_mso(c, mu):
     """Polar-trapezoid value of the quadratic objective on curve c.
 
     With rho the stretched node radius and P(rho) = rho^4/4 - rho^2/2,
 
-        f ~ (1/2mu) sum_i dang_i (P_{i+1} + P_i).
+        f ~ (1/2mu) sum_i dang_i (P_{i+1} + P_i),
 
-    See the module docstring for the ``angles`` convention.  Raises
+    dang_i the node-angle steps (see the module docstring).  Raises
     NotStarShaped when the curve is not star-shaped about the origin.
     """
-    dang, rho2 = _polar_pieces(c, float(mu), angles, "evaluate_mso")
-    rho2 = _periodic(rho2)  # node N-1 first, node 0 last
+    return _polar_sum(c, mu, _node_angle_steps(c, "evaluate_mso"))
+
+
+def _evaluate_mso_stretched(c, mu):
+    """evaluate_mso with the angle steps of the stretched nodes
+    (x, mu*y), computed on each call; equal to evaluate_mso to the bit at
+    mu = 1.  Raises NotStarShaped like evaluate_mso."""
+    x, y = c.columns
+    dang = _angle_steps(x, mu * y)[1:]
+    _require_star(dang, "evaluate_mso")
+    return _polar_sum(c, mu, dang)
+
+
+def _polar_sum(c, mu, dang):
+    """(1/2mu) sum_i dang_i (P_{i+1} + P_i) over the rho2 of c's
+    quadratic record."""
+    rho2 = _periodic(_quadratic_record(c, float(mu)).rho2)  # node N-1 first, node 0 last
     P = rho2 ** 2 / 4.0 - rho2 / 2.0
     return float((dang * (P[2:] + P[1:-1])).sum() / (2.0 * mu))
 
@@ -219,25 +224,26 @@ def boundary_kernel(c, f):
     return g, dpsi_dn
 
 
-def distance_bar(c, mu, angles="nodes"):
+def distance_bar(c, mu):
     """First distance surrogate: the angular integral of the stretched
     radial defect, (1/2mu) sum_i dang_i (|rho_{i+1} - 1| + |rho_i - 1|).
 
     Zero exactly when the stretched image of the curve has unit node
     radii.  Raises NotStarShaped like evaluate_mso.
     """
-    dang, rho2 = _polar_pieces(c, float(mu), angles, "distance_bar")
+    dang = _node_angle_steps(c, "distance_bar")
+    rho2 = _quadratic_record(c, float(mu)).rho2
     q = np.abs(np.sqrt(_periodic(rho2)) - 1.0)  # node N-1 first, node 0 last
     return float((dang * (q[2:] + q[1:-1])).sum() / (2.0 * mu))
 
 
-def distance_tilde(c, reference, window=2.0):
+def distance_tilde(c, reference):
     """Second distance surrogate: represent c as reference + alpha*n and
     integrate |alpha| over the reference curve.
 
     alpha is recovered per reference node by intersecting the node's
     normal line with the polygon c and keeping the intersection closest
-    to the node; offsets beyond ``window`` are discarded.  Intended for
+    to the node; offsets beyond TILDE_WINDOW are discarded.  Intended for
     nearby shapes.  Raises ProjectionFailed when some normal line finds
     no admissible intersection, which happens when the shapes are far
     apart or the normal rays of the reference do not cover c.
@@ -256,7 +262,8 @@ def distance_tilde(c, reference, window=2.0):
             u = (ap[:, 0] * n[1] - ap[:, 1] * n[0]) / den
         # slack on the segment-parameter test so an intersection at a
         # polygon vertex is claimed by exactly one of the two segments
-        ok = (np.abs(den) > 1e-14) & (u >= -1e-9) & (u < 1.0 - 1e-9) & (np.abs(s) <= window)
+        ok = ((np.abs(den) > 1e-14) & (u >= -1e-9) & (u < 1.0 - 1e-9)
+              & (np.abs(s) <= TILDE_WINDOW))
         if not ok.any():
             misses += 1
             offsets[i] = np.nan
@@ -266,23 +273,23 @@ def distance_tilde(c, reference, window=2.0):
     if misses:
         raise ProjectionFailed(
             f"{misses} of {reference.n_nodes} reference normal lines miss the "
-            f"curve within window {window}; the shapes are too far apart for "
-            "a normal-field representation")
+            f"curve within window {TILDE_WINDOW}; the shapes are too far apart "
+            "for a normal-field representation")
     return float(np.sum(np.abs(offsets) * geo.weights))
 
 
-def mso_step_objective(curve_or_nodes, step, mu, model=None):
+def mso_step_objective(c, step, mu, model=None):
     """Exact decrease function t -> f(nodes + t*step) - f(nodes) for the
-    quadratic family, in the default node-angle convention.
+    quadratic family, in the node-angle convention.
 
     Built for line searches near optimality: the difference is assembled
     from per-node increments (radial and angular) instead of subtracting
     two nearly equal objective values, so minima far below the rounding
-    noise of evaluate_mso remain resolvable.  ``curve_or_nodes`` is a
-    DiscreteCurve, whose ``angle_steps`` and quadratic record are reused,
-    or a raw (N, 2) node array; ``step`` is a raw (N, 2) array, whose
-    columns are copied unless they are contiguous already (a column-major
-    step).  The caller guarantees the probed polygons stay star-shaped.
+    noise of evaluate_mso remain resolvable.  c is a DiscreteCurve, whose
+    ``angle_steps`` and quadratic record are reused; ``step`` is a raw
+    (N, 2) array, whose columns are copied unless they are contiguous
+    already (a column-major step).  The caller guarantees the probed
+    polygons stay star-shaped.
 
     With dP_i = P(rho_i(t)) - P(rho_i(0)) and a_i the angle that node i
     turns through, the angle step dang_i of evaluate_mso becomes
@@ -323,12 +330,8 @@ def mso_step_objective(curve_or_nodes, step, mu, model=None):
     a'' = -2 cross (x.s)/|x|^4 the derivatives of a_i at 0,
     2 mu phi'(0) = S_1 + D . a' and 2 mu phi''(0) = 2 S_2 + 2 dC_1 . a' + D . a''.
     """
-    if isinstance(curve_or_nodes, DiscreteCurve):
-        dang0 = curve_or_nodes.angle_steps
-    else:
-        curve_or_nodes = np.asarray(curve_or_nodes, dtype=float)
-        dang0 = _wrapped_angle_steps(curve_or_nodes)
-    x, y, xx, yy, _, r = _quadratic_record(curve_or_nodes, mu)
+    dang0 = c.angle_steps
+    x, y, xx, yy, _, r = _quadratic_record(c, mu)
     step = np.asarray(step, dtype=float)
     # contiguous columns: the ufuncs run faster on them
     sx, sy = np.ascontiguousarray(step[:, 0]), np.ascontiguousarray(step[:, 1])

@@ -5,7 +5,10 @@ An iteration is direction -> line search -> retract.  Directions are the
 negative Riesz gradient (steepest descent) or a Newton step from one of
 the two Hessian representations in ``calculus``, solved against the
 derivative density and so free of the metric.  The exact line search
-brackets by doubling and refines by golden section; for the quadratic
+chooses a step parameter in (0, BRACKET_MAX] on the STEP_RESOLUTION grid
+(0.01): a short safeguarded parabolic search decides that snapped step
+first, and bracketing by doubling plus golden section, run to a bracket
+TOLERANCE (1e-10) wide, takes over when it cannot.  For the quadratic
 objective family it minimizes an exactly differenced objective, so step
 lengths remain meaningful even when the objective decrease is far below
 the rounding noise of the objective value itself.  That objective
@@ -14,13 +17,12 @@ radial change of P, a quartic in t, and the turn of each node's angle,
 weighted by constants of the search set up once, with no telescoping sum
 of nearly equal terms left to cancel; a probe is one angular pass and a
 (5, N) matrix-vector product.  Its set-up also gives the exact slope and
-curvature of the decrease at t = 0.  With a step grid set (the default),
-a short safeguarded parabolic search decides the snapped step first: it
-opens at the grid point that this quadratic model (Nocedal and Wright,
-Numerical Optimization, section 3.5) puts the minimizer at, and takes
-about 3.7 probes on the packaged runs.  Golden section stops as soon as
-both ends of its bracket round to the same grid point and that point
-decreases the objective.
+curvature of the decrease at t = 0.  The parabolic search opens at the
+grid point that this quadratic model (Nocedal and Wright, Numerical
+Optimization, section 3.5) puts the minimizer at, and takes about 3.7
+probes on the packaged runs.  Golden section stops as soon as both ends
+of its bracket round to the same grid point and that point decreases
+the objective.
 Either way the snapped step is the one the full-precision search would
 return when the objective is unimodal along the step, and a parabolic
 search that cannot certify its grid point hands over to golden section.
@@ -51,6 +53,15 @@ METHODS = (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE, NEWTON_GENERAL_FORM)
 STOP_REASONS = ("distance", "step", "max_iterations")
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# the exact line search probes step parameters in (0, BRACKET_MAX],
+# snaps the step it returns to the STEP_RESOLUTION grid unless that
+# destroys the decrease, and runs golden section to a bracket TOLERANCE
+# wide.  The 0.01 grid suppresses sub-noise variation of the step
+# parameter and matches the granularity of the recorded reference
+# trajectories the regression tests compare against.
+BRACKET_MAX = 2.0
+TOLERANCE = 1e-10
+STEP_RESOLUTION = 0.01
 # probes the parabolic search for the snapped step may spend, in its
 # model-seeded opening and again in its loop, before it hands over to
 # bracketing and golden section
@@ -59,34 +70,9 @@ SNAP_PROBES = 12
 
 @dataclass(frozen=True)
 class ExactLineSearch:
-    """Exact minimization along the step: a parabolic search for the
-    snapped step, then bracketing plus golden section.
-
-    bracket_max bounds the probed step parameter.  step_resolution, when
-    set, snaps the minimizer to that grid before it is applied (skipped
-    if snapping would destroy the decrease), and the search stops once
-    its probes have decided the snapped step: by safeguarded parabolic
-    interpolation, opened by the decrease function's quadratic model at
-    t = 0 where it has one and at the unit step otherwise, or else by
-    golden section (see ``line_search_exact``).  tolerance is the final
-    golden-section bracket width in t; it governs only searches that run
-    unsnapped (step_resolution None) or that the parabolic search handed
-    over.
-    The default 0.01 grid suppresses sub-noise variation of the step
-    parameter and matches the granularity of the recorded reference
-    trajectories the regression tests compare against.
-    """
-    bracket_max: float = 2.0
-    tolerance: float = 1e-10
-    step_resolution: float | None = 0.01
-
-    def __post_init__(self):
-        if not self.bracket_max > 0.0:
-            raise ValueError("bracket_max must be positive")
-        if not 0.0 < self.tolerance < self.bracket_max:
-            raise ValueError("tolerance must lie in (0, bracket_max)")
-        if self.step_resolution is not None and not self.step_resolution > 0.0:
-            raise ValueError("step_resolution must be positive or None")
+    """Exact minimization along the step (``line_search_exact``): a
+    parabolic search for the snapped step, then bracketing plus golden
+    section, on the module's BRACKET_MAX, TOLERANCE and STEP_RESOLUTION."""
 
 
 @dataclass(frozen=True)
@@ -197,64 +183,64 @@ def _decrease_function(c, f, direction):
     return phi, None
 
 
-def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
-                      step_resolution=0.01):
+def line_search_exact(c, f, direction):
     """Step parameter minimizing f along the retracted direction.
 
     Finds a decrease at t0 = 1e-3, halving t0 while it fails to decrease.
-    Then brackets a descent interval by doubling from t0, refines with
-    golden section to the requested bracket width, and snaps to the
-    step_resolution grid h when that preserves the decrease.  Raises
-    LineSearchFailed when no probed step above the tolerance decreases
-    the objective.  phi(t), the decrease at t, is probed at most once
-    per t in one search.  The direction is validated once, unless it is
-    a ``_CheckedField`` already, used as given; the probes take it so.
+    Then brackets a descent interval by doubling from t0 up to
+    BRACKET_MAX, refines with golden section to a bracket TOLERANCE wide,
+    and snaps to the grid h = STEP_RESOLUTION when that preserves the
+    decrease.  Raises LineSearchFailed when no probed step above
+    TOLERANCE decreases the objective.  phi(t), the decrease at t, is
+    probed at most once per t in one search.  The direction is validated
+    once, unless it is a ``_CheckedField`` already, used as given; the
+    probes take it so.
 
-    With h set, golden section stops early: once both bracket ends round
-    to the same grid index k, every later bracket and its midpoint t_star
-    round to k too (the brackets are nested and rounding is monotone), so
-    k*h is tried at once and returned if it decreases the objective.  If
-    it does not, the search runs on to the tolerance exactly as without
-    the early stop.  That result is the same float as the full search's,
-    with one exception: an accepted early snap skips the final check
-    that phi(t_star) < 0, so a search whose collapsed bracket midpoint
-    fails to decrease returns the snapped step instead of raising.
+    Golden section stops early: once both bracket ends round to the same
+    grid index k, every later bracket and its midpoint t_star round to k
+    too (the brackets are nested and rounding is monotone), so k*h is
+    tried at once and returned if it decreases the objective.  If it does
+    not, the search runs on to TOLERANCE exactly as without the early
+    stop.  That result is the same float as the full search's, with one
+    exception: an accepted early snap skips the final check that
+    phi(t_star) < 0, so a search whose collapsed bracket midpoint fails
+    to decrease returns the snapped step instead of raising.
 
-    With h set, a parabolic search (``_snap_by_parabolas``) runs first.
-    It probes until the lowest probe p2 and its probed neighbours
-    p1 < p2 < p3 satisfy round((p1 - 2*tolerance)/h) ==
-    round((p3 + 2*tolerance)/h) == k, then returns k*h if
-    0 < k*h <= bracket_max and phi(k*h) < 0.  When p2 is the largest
-    probe, bracket_max stands in for p3, without the margin: golden
-    section's brackets never pass bracket_max.  When the decrease
+    A parabolic search (``_snap_by_parabolas``) runs first.  With
+    tol = TOLERANCE, it probes until the lowest probe p2 and its probed
+    neighbours p1 < p2 < p3 satisfy round((p1 - 2*tol)/h) ==
+    round((p3 + 2*tol)/h) == k, then returns k*h if
+    0 < k*h <= BRACKET_MAX and phi(k*h) < 0.  When p2 is the largest
+    probe, BRACKET_MAX stands in for p3, without the margin: golden
+    section's brackets never pass BRACKET_MAX.  When the decrease
     function comes with a model whose slope phi'(0) is negative (the
     quadratic family's does), the search runs before the search for t0,
     opening at the grid point nearest the model's minimizer; else it
-    runs after it, when t0 lies below bracket_max, opening at the unit
+    runs after it, when t0 lies below BRACKET_MAX, opening at the unit
     step.  It hands over to the search for t0, the bracketing and golden
     section above, which run unchanged on the probes already made, when
     no probe decreases phi, k is 0, a probe is nan, the snap fails or the
     probe budget SNAP_PROBES is spent.
 
     The parabolic search returns golden section's float whenever phi is
-    unimodal on [0, bracket_max]: strictly decreasing up to its first
+    unimodal on [0, BRACKET_MAX]: strictly decreasing up to its first
     minimizer A and non-decreasing after it, +inf included.  Every
     golden-section bracket then contains A, since its tie rule keeps the
     left part; and A lies in (p1, p3), since p2 is the leftmost lowest
-    probe and p1 lies left of it and higher (A <= bracket_max when
-    bracket_max stands in for p3).  The last bracket golden section
-    checks is about tolerance/GOLDEN < 2*tolerance wide at most, so it
-    lies inside [p1 - 2*tolerance, p3 + 2*tolerance], and inside
-    [p1 - 2*tolerance, bracket_max] when bracket_max stands in for p3,
-    which rounds to k as a whole; any bracket it stops at rounds as a
-    whole to the index of a float in both intervals, which is k.  Golden
-    section so decides the same k and tries the same k*h, with the same
-    test.  None of this depends on where the probes lie, so the seeded
-    and the unit-step openings return the same float.  A handover
-    returns exactly what the search without the parabolic step returns.
+    probe and p1 lies left of it and higher (A <= BRACKET_MAX when
+    BRACKET_MAX stands in for p3).  The last bracket golden section
+    checks is about tol/GOLDEN < 2*tol wide at most, so it lies inside
+    [p1 - 2*tol, p3 + 2*tol], and inside [p1 - 2*tol, BRACKET_MAX] when
+    BRACKET_MAX stands in for p3, which rounds to k as a whole; any
+    bracket it stops at rounds as a whole to the index of a float in
+    both intervals, which is k.  Golden section so decides the same k and
+    tries the same k*h, with the same test.  None of this depends on
+    where the probes lie, so the seeded and the unit-step openings return
+    the same float.  A handover returns exactly what the search without
+    the parabolic step returns.
 
     For the quadratic family the probes skip admissibility checks (the
-    loop validates the accepted step when retracting), so bracket_max
+    loop validates the accepted step when retracting), so BRACKET_MAX
     should be kept small enough that probed polygons stay star-shaped;
     where they do not, phi stops being unimodal.  The search builds no
     polygon: ``retract`` builds the iterate at the returned step and
@@ -278,46 +264,45 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
             probed[t] = decrease(t)
         return probed[t]
 
-    seeded = bool(step_resolution) and model is not None and model[0] < 0.0
+    seeded = model is not None and model[0] < 0.0
     if seeded:
-        t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
-                                    step_resolution, model)
+        t_snap = _snap_by_parabolas(phi, probed, model)
         if t_snap is not None:
             return t_snap
 
     t0, f0 = 1e-3, phi(1e-3)
-    while f0 >= 0.0 and t0 > tolerance:
+    while f0 >= 0.0 and t0 > TOLERANCE:
         t0 *= 0.5
         f0 = phi(t0)
     if f0 >= 0.0 or not math.isfinite(f0):
         raise LineSearchFailed(
-            f"no decrease along the direction for any t >= {tolerance:g}")
+            f"no decrease along the direction for any t >= {TOLERANCE:g}")
 
-    if step_resolution and t0 < bracket_max and not seeded:
-        t_snap = _snap_by_parabolas(phi, probed, bracket_max, tolerance,
-                                    step_resolution)
+    if t0 < BRACKET_MAX and not seeded:
+        t_snap = _snap_by_parabolas(phi, probed)
         if t_snap is not None:
             return t_snap
 
     lo, a, fa = 0.0, t0, f0
-    b = min(2.0 * t0, bracket_max)
+    b = min(2.0 * t0, BRACKET_MAX)
     fb = phi(b)
-    while fb < fa and b < bracket_max:
+    while fb < fa and b < BRACKET_MAX:
         lo, a, fa = a, b, fb
-        b = min(2.0 * b, bracket_max)
+        b = min(2.0 * b, BRACKET_MAX)
         fb = phi(b)
     hi = b
 
+    h = STEP_RESOLUTION
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
-    snap_open = bool(step_resolution)
-    while hi - lo > tolerance:
+    snap_open = True
+    while hi - lo > TOLERANCE:
         if snap_open:
-            k = round(lo / step_resolution)
-            if round(hi / step_resolution) == k:
+            k = round(lo / h)
+            if round(hi / h) == k:
                 snap_open = False  # k is decided; try it once
-                t_snap = _grid_step(phi, k, step_resolution, bracket_max)
+                t_snap = _grid_step(phi, k)
                 if t_snap is not None:
                     return t_snap
         if f1 <= f2:
@@ -332,82 +317,79 @@ def line_search_exact(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     if phi(t_star) >= 0.0:
         raise LineSearchFailed("bracket collapsed without decrease")
 
-    if step_resolution:
-        t_snap = _grid_step(phi, round(t_star / step_resolution), step_resolution,
-                            bracket_max)
-        if t_snap is not None:
-            return t_snap
+    t_snap = _grid_step(phi, round(t_star / h))
+    if t_snap is not None:
+        return t_snap
     return float(t_star)
 
 
-def _grid_step(phi, k, h, bracket_max):
-    """k*h as a float when 0 < k*h <= bracket_max and phi(k*h) < 0, else
-    None: the test that accepts every snapped step.  phi is probed only
-    at a k*h in range."""
-    t = k * h
-    if 0.0 < t <= bracket_max and phi(t) < 0.0:
+def _grid_step(phi, k):
+    """k*h as a float, h = STEP_RESOLUTION, when 0 < k*h <= BRACKET_MAX
+    and phi(k*h) < 0, else None: the test that accepts every snapped
+    step.  phi is probed only at a k*h in range."""
+    t = k * STEP_RESOLUTION
+    if 0.0 < t <= BRACKET_MAX and phi(t) < 0.0:
         return float(t)
     return None
 
 
-def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution,
-                       model=None):
-    """The snapped step k * step_resolution decided by safeguarded
+def _snap_by_parabolas(phi, probed, model=None):
+    """The snapped step k * STEP_RESOLUTION decided by safeguarded
     parabolic interpolation, or None to hand over to bracketing and golden
     section.  probed maps every t that phi has evaluated to phi(t).
 
     The opening depends on ``model``.  Without one, the unit step is
-    probed first and doubled, up to bracket_max, while it is the lowest
+    probed first and doubled, up to BRACKET_MAX, while it is the lowest
     probe.  A model [phi'(0), phi''(0)] with phi'(0) < 0 seeds the search
     instead (``_open_by_model``); when none of its opening probes
     decreases phi, None is returned.
 
     Let p2 be the lowest probe (the leftmost of equal ones) and p1 < p2 < p3
     its probed neighbours, with p1 = 0, where phi is 0, when p2 is the
-    smallest probe, and p3 = bracket_max when p2 is the largest: golden
-    section's brackets never pass bracket_max.  With h = step_resolution,
-    k = round(p2 / h) is decided once [p1 - 2*tolerance, p3 + 2*tolerance]
-    rounds to k as a whole, or [p1 - 2*tolerance, bracket_max] when p3
-    stands in for a neighbour.  Until then each probe is the vertex of the
-    parabola through the three lowest probes (Brent's choice), with these
-    safeguards:
+    smallest probe, and p3 = BRACKET_MAX when p2 is the largest: golden
+    section's brackets never pass BRACKET_MAX.  With h = STEP_RESOLUTION
+    and tol = TOLERANCE, k = round(p2 / h) is decided once
+    [p1 - 2*tol, p3 + 2*tol] rounds to k as a whole, or
+    [p1 - 2*tol, BRACKET_MAX] when BRACKET_MAX stands in for p3.  Until
+    then each probe is the vertex of the parabola through the three
+    lowest probes (Brent's choice), with these safeguards:
 
     - a vertex within h of p2 gives way to the far edge of its own grid
       cell, and one within h/8 of p2 (which confirms p2) to the edge of
       p2's cell on a side whose neighbour is still outside it; each edge
-      is inset by h/1024 + 2*tolerance.  The bracket so closes on a cell
+      is inset by h/1024 + 2*tol.  The bracket so closes on a cell
       instead of creeping up on the minimizer from one side.
     - a vertex h or more away from p2 gives way to its nearest grid
       point, which the snap would probe anyway, unless that is probed
       already or outside (p1, p3).
     - the wider side of p2 is bisected when the vertex is not finite,
       not strictly inside (p1, p3) or already probed, or when the last
-      two probes have not halved p3 - p1; when bracket_max stands in for
+      two probes have not halved p3 - p1; when BRACKET_MAX stands in for
       p3, the probe steps right from p2 by p2 - p1 instead, at most half
-      way to bracket_max.
-    - when p2 is at bracket_max, the left edge of its cell, inset as
+      way to BRACKET_MAX.
+    - when p2 is at BRACKET_MAX, the left edge of its cell, inset as
       above, is probed, which decides k = round(p2 / h) if it is higher
-      than p2: the first minimizer then lies in (edge, bracket_max],
+      than p2: the first minimizer then lies in (edge, BRACKET_MAX],
       which rounds to k as a whole.
 
     None is returned when a probe is nan, k is 0, k*h lies above
-    bracket_max or does not decrease phi, the inset edge of bracket_max's
-    cell is not below bracket_max, or SNAP_PROBES probes leave k
+    BRACKET_MAX or does not decrease phi, the inset edge of BRACKET_MAX's
+    cell is not below BRACKET_MAX, or SNAP_PROBES probes leave k
     undecided.  Where the probes lie does not matter to the proof in
     ``line_search_exact``, only that p2 is the lowest probe and p1, p3
     its neighbours.
     """
-    h = step_resolution
-    margin = 2.0 * tolerance
+    h = STEP_RESOLUTION
+    margin = 2.0 * TOLERANCE
     inset = h / 1024.0 + margin
     if model is not None:
-        if not _open_by_model(phi, bracket_max, tolerance, h, inset, *model):
+        if not _open_by_model(phi, inset, *model):
             return None
     else:
-        t = min(1.0, bracket_max)
+        t = min(1.0, BRACKET_MAX)
         phi(t)
-        while t < bracket_max and min(probed, key=probed.get) == max(probed):
-            t = min(2.0 * t, bracket_max)
+        while t < BRACKET_MAX and min(probed, key=probed.get) == max(probed):
+            t = min(2.0 * t, BRACKET_MAX)
             phi(t)
     # the probes in increasing t, with phi(0) = 0 first, kept sorted
     ts = [0.0] + sorted(probed)
@@ -428,20 +410,20 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution,
     for _ in range(SNAP_PROBES):
         j = fs.index(min(fs))
         p1, p2 = ts[j - 1:j + 1]
-        # bracket_max stands in for the right neighbour of the largest
+        # BRACKET_MAX stands in for the right neighbour of the largest
         # probe, with no margin: golden section's brackets never pass it
         if j + 1 < len(ts):
             p3, right_end = ts[j + 1], ts[j + 1] + margin
         else:
-            p3 = right_end = bracket_max
+            p3 = right_end = BRACKET_MAX
         f2 = fs[j]
         k = round(p2 / h)
         left_in = round((p1 - margin) / h) == k
         right_in = round(right_end / h) == k
         if left_in and right_in:
-            return _grid_step(phi, k, h, bracket_max)
-        if p2 == bracket_max:
-            # the left edge of bracket_max's cell, inset into it
+            return _grid_step(phi, k)
+        if p2 == BRACKET_MAX:
+            # the left edge of BRACKET_MAX's cell, inset into it
             u = (k - 0.5) * h + inset
             if not p1 < u < p2 or not probe(u):
                 return None
@@ -477,22 +459,24 @@ def _snap_by_parabolas(phi, probed, bracket_max, tolerance, step_resolution,
     return None
 
 
-def _open_by_model(phi, bracket_max, tolerance, h, inset, slope, curvature):
+def _open_by_model(phi, inset, slope, curvature):
     """The opening of a parabolic search seeded by the model phi'(0) =
-    slope < 0 and phi''(0) = curvature.  It probes the grid point nearest
-    the model's minimizer -slope/curvature, clamped to [h, bracket_max]
-    (bracket_max itself without a positive curvature).  While the probe t
-    does not decrease phi, it backs off to the minimizer of the cubic with
-    phi's value, slope and curvature at 0 through (t, phi(t)), kept in
-    [t/10, t/2].  From the decreasing probe, that cubic's minimizer is the
-    next probe, at its nearest grid point, when it lies in another grid
-    cell; else the inset edge of the probe's cell on the minimizer's side
-    is.  False when no probe above tolerance decreases phi within
-    SNAP_PROBES probes, or a probe is nan."""
+    slope < 0 and phi''(0) = curvature.  With h = STEP_RESOLUTION, it
+    probes the grid point nearest the model's minimizer -slope/curvature,
+    clamped to [h, BRACKET_MAX] (BRACKET_MAX itself without a positive
+    curvature).  While the probe t does not decrease phi, it backs off to
+    the minimizer of the cubic with phi's value, slope and curvature at 0
+    through (t, phi(t)), kept in [t/10, t/2].  From the decreasing probe,
+    that cubic's minimizer is the next probe, at its nearest grid point,
+    when it lies in another grid cell; else the inset edge of the probe's
+    cell on the minimizer's side is.  False when no probe above TOLERANCE
+    decreases phi within SNAP_PROBES probes, or a probe is nan."""
+    h = STEP_RESOLUTION
+
     def grid(u):
-        if not u < bracket_max:
-            return bracket_max
-        return min(max(round(u / h), 1) * h, bracket_max)
+        if not u < BRACKET_MAX:
+            return BRACKET_MAX
+        return min(max(round(u / h), 1) * h, BRACKET_MAX)
 
     t = grid(-slope / curvature if curvature > 0.0 else math.inf)
     for _ in range(SNAP_PROBES):
@@ -502,15 +486,15 @@ def _open_by_model(phi, bracket_max, tolerance, h, inset, slope, curvature):
         if ft != ft:
             return False
         t = min(max(_cubic_minimizer(slope, curvature, t, ft), 0.1 * t), 0.5 * t)
-        if not t > tolerance:
+        if not t > TOLERANCE:
             return False
     else:
         return False
     aim, k = _cubic_minimizer(slope, curvature, t, ft), round(t / h)
     u = grid(aim)
     if round(u / h) == k:
-        if aim > t and t < bracket_max:
-            u = min((k + 0.5) * h - inset, bracket_max)
+        if aim > t and t < BRACKET_MAX:
+            u = min((k + 0.5) * h - inset, BRACKET_MAX)
         else:
             u = (k - 0.5) * h + inset
     if u != t and u > 0.0:
@@ -531,8 +515,7 @@ def _cubic_minimizer(slope, curvature, t, ft):
 def _choose_step(c, f, direction, line_search):
     if isinstance(line_search, FixedStep):
         return line_search.t
-    return line_search_exact(c, f, direction, line_search.bracket_max,
-                             line_search.tolerance, line_search.step_resolution)
+    return line_search_exact(c, f, direction)
 
 
 def _iterate_distance(c, f, reference):

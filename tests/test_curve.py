@@ -12,10 +12,11 @@ from conftest import circle, figure_eight
 import shapeopt.curve as curve
 from shapeopt import (DiscreteCurve, HessianOperator, VolumeFunctional,
                       boundary_kernel, check_simple, retract, tangential_second_derivative)
-from shapeopt.curve import (_param_gaps, _segments_intersect, as_field,
-                            shift_next, shift_prev, signed_area)
+from shapeopt.curve import (_angle_steps, _ghost_columns, _param_gaps,
+                            _segments_intersect, as_field, shift_next,
+                            shift_prev, signed_area)
 from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate, SingularHessian
-from shapeopt.functional import _polar_pieces, distance_bar, evaluate_mso
+from shapeopt.functional import _node_angle_steps, distance_bar, evaluate_mso
 from shapeopt.harness import reference_ellipse
 from shapeopt.harness.properties import random_star_curve
 
@@ -69,7 +70,7 @@ def test_params_must_match_and_increase():
 def test_clockwise_input_is_reoriented():
     c = circle(32)
     cw = DiscreteCurve(c.nodes[::-1].copy())
-    assert signed_area(cw.nodes) > 0.0
+    assert signed_area(cw.columns) > 0.0
     npt.assert_allclose(np.sort(cw.nodes, axis=0), np.sort(c.nodes, axis=0))
 
 
@@ -143,7 +144,7 @@ def test_segments_intersect_matches_all_pairs_oracle():
         if len(nodes) < 8:
             continue
         expected = _segments_intersect_oracle(nodes)
-        assert _segments_intersect(nodes) is expected, (s, kind, len(nodes))
+        assert _segments_intersect(_ghost_columns(nodes)) is expected, (s, kind, len(nodes))
         outcomes[kind].add(expected)
         tested += 1
     assert tested >= 600
@@ -156,7 +157,7 @@ def test_segments_intersect_vertex_on_segment_is_not_a_crossing():
     nodes = np.array([[0, 0], [4, 0], [4, 4], [3, 4], [2, 0], [1, 4], [0, 4], [0, 2]],
                      dtype=float)
     assert not _segments_intersect_oracle(nodes)
-    assert not _segments_intersect(nodes)
+    assert not _segments_intersect(_ghost_columns(nodes))
     assert check_simple(nodes)
 
 
@@ -165,12 +166,12 @@ def test_segments_intersect_collinear_overlap_is_not_a_crossing():
     nodes = np.array([[0, 0], [4, 0], [4, 2], [3, 2], [3, 0], [1, 0], [1, 2], [0, 2]],
                      dtype=float)
     assert not _segments_intersect_oracle(nodes)
-    assert not _segments_intersect(nodes)
+    assert not _segments_intersect(_ghost_columns(nodes))
 
 
 def test_segments_intersect_minimal_polygon():
-    assert not _segments_intersect(circle(8).nodes)
-    assert _segments_intersect(figure_eight(8))
+    assert not _segments_intersect(circle(8).columns)
+    assert _segments_intersect(_ghost_columns(figure_eight(8)))
     assert _segments_intersect_oracle(figure_eight(8))
 
 
@@ -189,8 +190,8 @@ def _zigzag_comb(m, close_across):
 def test_segments_intersect_comb_is_chunked():
     tracemalloc.start()
     try:
-        assert not _segments_intersect(_zigzag_comb(4000, close_across=False))
-        assert _segments_intersect(_zigzag_comb(4000, close_across=True))
+        assert not _segments_intersect(_ghost_columns(_zigzag_comb(4000, close_across=False)))
+        assert _segments_intersect(_ghost_columns(_zigzag_comb(4000, close_across=True)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -200,7 +201,14 @@ def test_segments_intersect_comb_is_chunked():
 
 def _check_simple_oracle(nodes):
     """check_simple as the shoelace sign and the all-pairs crossing loop."""
-    return bool(signed_area(nodes) > 0.0 and not _segments_intersect_oracle(nodes))
+    return bool(signed_area(_ghost_columns(nodes)) > 0.0
+                and not _segments_intersect_oracle(nodes))
+
+
+def _wrapped_angle_steps(nodes):
+    """The (N,) wrapped angle steps of ``curve._angle_steps`` for an
+    (N, 2) node array: entry i is the step from node i to node i+1."""
+    return _angle_steps(*_ghost_columns(nodes))[1:]
 
 
 def _wrapped_angle_steps_roll(nodes):
@@ -259,7 +267,7 @@ def test_check_simple_matches_area_and_all_pairs_oracle():
             polygons.append(nodes)
     # the certified ones again at the extreme scales; the others run the
     # general test
-    certified = [p for p in polygons if curve._star_certified(p, curve._wrapped_angle_steps(p))]
+    certified = [p for p in polygons if curve._star_certified(p, _wrapped_angle_steps(p))]
     scaled = [p * scale for p in certified for scale in (1e-8, 1e6)]
     rng = np.random.default_rng(1203)
     adversarial = [_adversarial_star(rng) for _ in range(400)]
@@ -267,15 +275,15 @@ def test_check_simple_matches_area_and_all_pairs_oracle():
         for i, nodes in enumerate(cases):
             assert check_simple(nodes) is _check_simple_oracle(nodes), (family, i)
     assert len(certified) >= 40
-    assert sum(curve._star_certified(p, curve._wrapped_angle_steps(p)) for p in scaled) \
+    assert sum(curve._star_certified(p, _wrapped_angle_steps(p)) for p in scaled) \
         == len(scaled)
-    assert sum(curve._star_certified(p, curve._wrapped_angle_steps(p))
+    assert sum(curve._star_certified(p, _wrapped_angle_steps(p))
                for p in adversarial) >= 150
 
 
 def test_star_certificate_margin_and_origin():
     nodes = circle(32).nodes
-    dang = curve._wrapped_angle_steps(nodes)
+    dang = _wrapped_angle_steps(nodes)
     assert curve._star_certified(nodes, dang)
     for step, certified in ((2e-12, True), (np.pi - 2e-12, True), (1e-12, False),
                             (np.pi - 1e-12, False), (0.0, False), (-1e-3, False),
@@ -314,7 +322,7 @@ def test_check_simple_rejects_non_finite_raw_nodes():
             assert check_simple(nodes) is False, (value, k)
     nodes = np.array(c.nodes)
     nodes[diagonal] = np.inf
-    assert curve._star_certified(nodes, curve._wrapped_angle_steps(nodes)) is False
+    assert curve._star_certified(nodes, _wrapped_angle_steps(nodes)) is False
     with np.errstate(over="ignore"):
         assert check_simple(c.nodes * 1e308 * 10) is False
 
@@ -324,11 +332,11 @@ def test_angle_steps_are_shared_and_read_only():
     for c in _oracle_curves(rng):
         # the constructor's check_simple computed them
         assert c._angle_steps is not None
-        assert np.array_equal(c.angle_steps, curve._wrapped_angle_steps(c.nodes))
+        assert np.array_equal(c.angle_steps, _wrapped_angle_steps(c.nodes))
         assert np.array_equal(c.angle_steps, _wrapped_angle_steps_roll(c.nodes))
         with pytest.raises(ValueError):
             c.angle_steps[0] = 1.0
-        assert _polar_pieces(c, 2.0, "nodes", "evaluate_mso")[0] is c.angle_steps
+        assert _node_angle_steps(c, "evaluate_mso") is c.angle_steps
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
         assert moved._angle_steps is not None
         fresh = DiscreteCurve(moved.nodes, params=c.params)
@@ -357,7 +365,7 @@ def test_wrapped_angle_steps_match_the_remainder_form_bit_for_bit():
     pairs = np.column_stack([np.repeat(np.arange(m), m), np.tile(np.arange(m), m)])
     nodes = grid[pairs.ravel()]
     with np.errstate(invalid="ignore"):
-        branch, remainder = curve._wrapped_angle_steps(nodes), _wrapped_angle_steps_roll(nodes)
+        branch, remainder = _wrapped_angle_steps(nodes), _wrapped_angle_steps_roll(nodes)
     assert np.array_equal(branch.view(np.int64), remainder.view(np.int64))
     # the steps reach both branches, the edges 0 and 2*pi of s = d + pi,
     # and d = -0.0
@@ -375,9 +383,9 @@ def test_constructor_computes_signed_area_once(monkeypatch):
     calls = []
     original = curve.signed_area
 
-    def counted(nodes):
-        calls.append(len(nodes))
-        return original(nodes)
+    def counted(columns):
+        calls.append(columns.shape)
+        return original(columns)
 
     monkeypatch.setattr(curve, "signed_area", counted)
     # not certified (a node at the origin), so the general test runs
@@ -392,7 +400,8 @@ def test_constructor_computes_signed_area_once(monkeypatch):
     # out along the x axis and back: no proper crossing, area exactly 0
     calls.clear()
     flat = np.column_stack([[0, 1, 2, 3, 4, 3.5, 2.5, 1.5, 0.5], np.zeros(9)])
-    assert original(flat) == 0.0 and not _segments_intersect(flat)
+    flat_columns = _ghost_columns(flat)
+    assert original(flat_columns) == 0.0 and not _segments_intersect(flat_columns)
     with pytest.raises(ShapeDegenerate):
         DiscreteCurve(flat)
     assert len(calls) == 1
@@ -412,7 +421,7 @@ def test_retract_checks_crossings_before_coincident_nodes():
 
 
 def test_signed_area_circle():
-    assert abs(signed_area(circle(400, 1.5).nodes) - np.pi * 1.5 ** 2) < 2e-4 * np.pi
+    assert abs(signed_area(circle(400, 1.5).columns) - np.pi * 1.5 ** 2) < 2e-4 * np.pi
 
 
 def test_as_field_validation():
@@ -598,7 +607,7 @@ def _oracle_curves(rng):
         yield c
         yield DiscreteCurve(c.nodes, params=params)
         clockwise = c.nodes[::-1]
-        assert signed_area(clockwise) < 0.0
+        assert signed_area(_ghost_columns(clockwise)) < 0.0
         yield DiscreteCurve(clockwise, params=params)
 
 
@@ -838,4 +847,4 @@ def test_json_roundtrip_exact(tmp_path):
 
 
 def test_segments_intersect_is_scale_invariant():
-    assert _segments_intersect(figure_eight() * 1e-8)
+    assert _segments_intersect(_ghost_columns(figure_eight() * 1e-8))

@@ -14,9 +14,9 @@ from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, DiscreteCurve,
                       VolumeFunctional, check_simple, optimize, retract,
                       step_direction)
 from shapeopt.errors import NotStarShaped, ProjectionFailed
-from shapeopt.functional import (boundary_kernel, distance_bar, distance_tilde,
-                                 evaluate_general, evaluate_mso,
-                                 mso_step_objective)
+from shapeopt.functional import (_evaluate_mso_stretched, boundary_kernel,
+                                 distance_bar, distance_tilde, evaluate_general,
+                                 evaluate_mso, mso_step_objective)
 from shapeopt.harness import initial_shape, reference_ellipse
 from shapeopt.harness.properties import low_frequency_field, random_star_curve
 
@@ -75,40 +75,54 @@ def _evaluate_mso_uncached(c, mu, angles):
     return float(np.sum(dang * (np.roll(P, -1) + P)) / (2.0 * mu))
 
 
-def _distance_bar_uncached(c, mu, angles):
-    dang, rho2 = _polar_pieces_uncached(c, mu, angles)
+def _distance_bar_uncached(c, mu):
+    dang, rho2 = _polar_pieces_uncached(c, mu, "nodes")
     q = np.abs(np.sqrt(rho2) - 1.0)
     return float(np.sum(dang * (np.roll(q, -1) + q)) / (2.0 * mu))
 
 
 def test_polar_pieces_cache_matches_uncached_formulas():
     rng = np.random.default_rng(53)
-    combos = [(mu, angles) for mu in (2.0, 3.0) for angles in ("nodes", "stretched")]
     for n in (8, 101, 1600):
         nodes = random_star_curve(n, rng, amplitude=0.3).nodes
         for order in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
             c = DiscreteCurve(nodes)
-            for mu, angles in combos:
+            for mu in (2.0, 3.0):
                 for fn in order + order:
-                    oracle = (_evaluate_mso_uncached if fn is evaluate_mso
-                              else _distance_bar_uncached)
-                    assert fn(c, mu, angles) == oracle(c, mu, angles), (n, fn, mu, angles)
-            for mu, _ in combos:
-                # the node-angle pieces are the arrays the curve keeps
-                dang, rho2 = functional._polar_pieces(c, mu, "nodes", "evaluate_mso")
-                assert dang is c.angle_steps and rho2 is c._quadratic[mu].rho2
+                    expected = (_evaluate_mso_uncached(c, mu, "nodes") if fn is evaluate_mso
+                                else _distance_bar_uncached(c, mu))
+                    assert fn(c, mu) == expected, (n, fn, mu)
+                assert (_evaluate_mso_stretched(c, mu)
+                        == _evaluate_mso_uncached(c, mu, "stretched")), (n, mu)
+            # the node-angle steps and the radii are the arrays the curve keeps
+            assert functional._node_angle_steps(c, "evaluate_mso") is c.angle_steps
+            assert sorted(c._quadratic) == [2.0, 3.0]
+
+
+def test_stretched_angles_equal_node_angles_at_mu_one():
+    # at mu = 1 the stretched plane is the original one, so the two angle
+    # conventions give the same value to the bit
+    rng = np.random.default_rng(59)
+    for n in (8, 9, 16, 101, 400, 1600):
+        for amplitude in (0.05, 0.15, 0.19):  # radii stay positive
+            c = random_star_curve(n, rng, amplitude=amplitude)
+            value = evaluate_mso(c, 1.0)
+            assert _evaluate_mso_stretched(c, 1.0).hex() == value.hex(), (n, amplitude)
 
 
 def test_polar_pieces_failures_are_not_cached():
     # each call that fails raises again, naming its own caller, in either
     # angle convention
     nodes = circle(64, 0.3, center=(2.0, 0.0)).nodes
-    for angles in ("nodes", "stretched"):
-        for first, second in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
-            c = DiscreteCurve(nodes)
-            for fn in (first, first, second):
-                with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: "):
-                    fn(c, 2.0, angles)
+    for first, second in ((evaluate_mso, distance_bar), (distance_bar, evaluate_mso)):
+        c = DiscreteCurve(nodes)
+        for fn in (first, first, second):
+            with pytest.raises(NotStarShaped, match=f"^{fn.__name__}: "):
+                fn(c, 2.0)
+    c = DiscreteCurve(nodes)
+    for _ in range(2):
+        with pytest.raises(NotStarShaped, match="^evaluate_mso: "):
+            _evaluate_mso_stretched(c, 2.0)
 
 
 def _bits(a):
@@ -134,8 +148,6 @@ def test_quadratic_record_matches_the_direct_formulas_bit_for_bit():
         for mu in (1.0, 1.3, 2.0, 3.0):
             rec = functional._quadratic_record(c, mu)
             assert functional._quadratic_record(c, mu) is rec
-            raw = functional._quadratic_record(nodes.copy(), mu)
-            assert raw is not rec
             expected = {
                 "x": nodes[:, 0], "y": nodes[:, 1],
                 "xx": nodes[:, 0] ** 2, "yy": nodes[:, 1] ** 2,
@@ -148,10 +160,9 @@ def test_quadratic_record_matches_the_direct_formulas_bit_for_bit():
                                   _bits(nodes[:, 0] * nodes[:, 0]
                                         + mu ** 2 * (nodes[:, 1] * nodes[:, 1]) - 1.0))
             for name, value in expected.items():
-                for record in (rec, raw):
-                    arr = getattr(record, name)
-                    assert arr.flags.c_contiguous and not arr.flags.writeable, name
-                    assert np.array_equal(_bits(arr), _bits(value)), (c.n_nodes, mu, name)
+                arr = getattr(rec, name)
+                assert arr.flags.c_contiguous and not arr.flags.writeable, name
+                assert np.array_equal(_bits(arr), _bits(value)), (c.n_nodes, mu, name)
         assert sorted(c._quadratic) == [1.0, 1.3, 2.0, 3.0]
 
 
@@ -176,21 +187,24 @@ def test_record_is_shared_and_never_raises_not_star_shaped():
             assert list(c._quadratic) == [2.0]
             continue
         evaluate_mso(c, 2.0)
-        assert functional._polar_pieces(c, 2.0, "nodes", "evaluate_mso")[1] is c._quadratic[2.0].rho2
+        rec = c._quadratic[2.0]
+        distance_bar(c, 2.0)
+        boundary_kernel(c, VolumeFunctional.quadratic_mso(2.0))
+        assert list(c._quadratic) == [2.0] and c._quadratic[2.0] is rec
 
 
-def test_step_objective_from_a_curve_matches_raw_nodes_bit_for_bit():
-    # the closure the line search builds (a curve, its record and a
-    # column-major step) against raw nodes and a row-major (N, 2) step
+def test_step_objective_of_the_line_search_matches_a_row_major_step_bit_for_bit():
+    # the closure the line search builds (a column-major step) against a
+    # row-major (N, 2) step on the same curve
     rng = np.random.default_rng(71)
     for c in _record_curves()[:-1]:
         for mu in (1.0, 1.3, 2.0, 3.0):
             f = VolumeFunctional.quadratic_mso(mu)
             h = 0.05 * low_frequency_field(c.n_nodes, rng)
-            from_curve, _ = solver._decrease_function(c, f, h)
-            from_nodes = mso_step_objective(c.nodes.copy(), h[:, None] * c.geometry.normal, mu)
+            searched, _ = solver._decrease_function(c, f, h)
+            row_major = mso_step_objective(c, h[:, None] * c.geometry.normal, mu)
             for t in rng.uniform(0.0, 2.0, 20):
-                assert from_curve(t).hex() == from_nodes(t).hex(), (c.n_nodes, mu, t)
+                assert searched(t).hex() == row_major(t).hex(), (c.n_nodes, mu, t)
 
 
 def test_evaluate_dispatches_by_family():
@@ -225,7 +239,7 @@ def test_general_matches_polar_on_quadratic_family():
     # exact for quadratic integrands up to the boundary polygonization
     c = initial_shape(4000)
     f = VolumeFunctional.quadratic_mso(2.0)
-    gap = abs(evaluate_mso(c, 2.0, angles="stretched") - evaluate_general(c, f))
+    gap = abs(_evaluate_mso_stretched(c, 2.0) - evaluate_general(c, f))
     assert gap < 1e-6
 
 
@@ -287,7 +301,7 @@ def test_step_objective_matches_direct_difference():
     c = initial_shape(100)
     rng = np.random.default_rng(5)
     h = 0.1 * np.cos(2.0 * c.params) + 0.02 * rng.standard_normal(100)
-    delta = mso_step_objective(c.nodes, h[:, None] * c.geometry.normal, 2.0)
+    delta = mso_step_objective(c, h[:, None] * c.geometry.normal, 2.0)
     assert delta(0.0) == 0.0
     for t in (0.3, 0.05):
         direct = evaluate_mso(retract(c, h, t), 2.0) - evaluate_mso(c, 2.0)
@@ -377,19 +391,15 @@ def test_step_objective_is_as_accurate_as_the_roll_form():
             assert errors["lean"] < 1e-12, (n, k, errors)
 
 
-def _mso_step_objective_passes(curve_or_nodes, step, mu):
+def _mso_step_objective_passes(c, step, mu):
     """mso_step_objective as a probe of 15 array passes and a sum:
 
         2 mu phi(t) = sum_i dP_i (dang_i + dang_{i-1} + a_{i+1} - a_{i-1})
                       + sum_i a_i D_i,
 
     with dP = u (r + u) formed on each probe."""
-    if isinstance(curve_or_nodes, DiscreteCurve):
-        dang0 = curve_or_nodes.angle_steps
-    else:
-        curve_or_nodes = np.asarray(curve_or_nodes, dtype=float)
-        dang0 = functional._wrapped_angle_steps(curve_or_nodes)
-    x, y, xx, yy, _, r = functional._quadratic_record(curve_or_nodes, mu)
+    dang0 = c.angle_steps
+    x, y, xx, yy, _, r = functional._quadratic_record(c, mu)
     sx, sy = np.ascontiguousarray(step[:, 0]), np.ascontiguousarray(step[:, 1])
     mu2 = mu ** 2
     xsx, ysy = x * sx, y * sy
@@ -473,20 +483,15 @@ def test_step_objective_model_matches_central_differences():
 
 
 def test_step_objective_reads_the_curve_angle_steps(monkeypatch):
+    # the steps the constructor's check_simple computed are not computed again
     rng = np.random.default_rng(29)
     curves = [random_star_curve(n, rng, amplitude=0.3) for n in (8, 100, 1600)]
-    for c in curves:
-        h = 0.1 * np.cos(2.0 * c.params) + 0.02 * rng.standard_normal(c.n_nodes)
-        step = h[:, None] * c.geometry.normal
-        from_nodes = mso_step_objective(c.nodes, step, 2.0)
-        from_curve = mso_step_objective(c, step, 2.0)
-        for t in rng.uniform(0.0, 2.0, 50):
-            assert from_curve(t) == from_nodes(t), (c.n_nodes, t)
-    # with a curve the steps are not computed again
-    def recomputed(nodes):
+
+    def recomputed(x, y):
         raise AssertionError("angle steps recomputed")
 
-    monkeypatch.setattr(functional, "_wrapped_angle_steps", recomputed)
+    monkeypatch.setattr("shapeopt.curve._angle_steps", recomputed)
+    monkeypatch.setattr(functional, "_angle_steps", recomputed)
     for c in curves:
         mso_step_objective(c, c.geometry.normal, 2.0)
         assert evaluate_mso(c, 2.0) == _evaluate_mso_uncached(c, 2.0, "nodes")
@@ -517,7 +522,7 @@ def test_polar_pieces_skip_the_star_test_of_certified_curves(monkeypatch):
     monkeypatch.setattr(functional, "_require_star", again)
     for curve in (c, moved):
         assert evaluate_mso(curve, 2.0) == _evaluate_mso_uncached(curve, 2.0, "nodes")
-        assert distance_bar(curve, 2.0) == _distance_bar_uncached(curve, 2.0, "nodes")
+        assert distance_bar(curve, 2.0) == _distance_bar_uncached(curve, 2.0)
 
 
 def test_polar_pieces_reject_an_uncertified_curve_off_the_origin():
@@ -540,8 +545,8 @@ def test_step_objective_probe_does_not_depend_on_earlier_probes():
     c, step, rng = _probe_setup(400, 13)
     ts = rng.uniform(0.0, 2.0, 51)
     for t in ts[:5]:
-        first = mso_step_objective(c.nodes, step, 2.0)(t)
-        phi = mso_step_objective(c.nodes, step, 2.0)
+        first = mso_step_objective(c, step, 2.0)(t)
+        phi = mso_step_objective(c, step, 2.0)
         for other in rng.permutation(ts[ts != t]):
             phi(other)
         later = phi(t)
@@ -553,10 +558,10 @@ def test_step_objective_closures_do_not_share_buffers():
     c, step, rng = _probe_setup(400, 19)
     other_step = step * rng.uniform(0.5, 1.5, (400, 1))
     ts = rng.uniform(0.0, 2.0, 40)
-    alone_a = [mso_step_objective(c.nodes, step, 2.0)(t) for t in ts]
-    alone_b = [mso_step_objective(c.nodes, other_step, 2.0)(t) for t in ts[::-1]]
-    phi_a = mso_step_objective(c.nodes, step, 2.0)
-    phi_b = mso_step_objective(c.nodes, other_step, 2.0)
+    alone_a = [mso_step_objective(c, step, 2.0)(t) for t in ts]
+    alone_b = [mso_step_objective(c, other_step, 2.0)(t) for t in ts[::-1]]
+    phi_a = mso_step_objective(c, step, 2.0)
+    phi_b = mso_step_objective(c, other_step, 2.0)
     for k, t in enumerate(ts):
         assert phi_a(t) == alone_a[k]
         assert phi_b(ts[::-1][k]) == alone_b[k]

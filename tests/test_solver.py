@@ -130,12 +130,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(A=np.nan)
     with pytest.raises(ValueError):
-        ExactLineSearch(bracket_max=-1.0)
-    with pytest.raises(ValueError):
-        ExactLineSearch(tolerance=3.0)  # above bracket_max
-    with pytest.raises(ValueError):
-        ExactLineSearch(step_resolution=0.0)
-    with pytest.raises(ValueError):
         FixedStep(0.0)
 
 
@@ -205,16 +199,18 @@ def test_line_search_rejects_ascent_direction():
 
 
 
-def test_line_search_matches_full_search_oracle():
+def test_line_search_matches_full_search_oracle(monkeypatch):
+    # on the search's own grid and on a coarser one
     for n in (100, 400):
         for c in [initial_shape(n)] + _warm_starts(n, 8):
             for A in (0.0, 0.5):
                 for method in METHODS:
                     d = step_direction(c, F2, SolverConfig(method=method, A=A))
-                    for res in (0.01, None):
+                    for res in (0.01, 0.02):
+                        monkeypatch.setattr(solver, "STEP_RESOLUTION", res)
                         expected = _outcome(_line_search_exact_oracle, c, F2, d,
                                             step_resolution=res)
-                        got = _outcome(line_search_exact, c, F2, d, step_resolution=res)
+                        got = _outcome(line_search_exact, c, F2, d)
                         assert got == expected, (n, A, method, res)
 
 
@@ -303,9 +299,10 @@ def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     # a coarse tolerance lets golden section stop a cell away from the
     # minimizer, which the parabolic search must then leave undecided
     for tolerance in (1e-3, 1e-10):
+        monkeypatch.setattr(solver, "TOLERANCE", tolerance)
         decided.clear()
         for m, current in cases:
-            assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d, tolerance=tolerance)
+            assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d)
                     == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d,
                                 tolerance=tolerance)), (m, tolerance)
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
