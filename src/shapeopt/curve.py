@@ -613,7 +613,10 @@ def retract(c, h, t=1.0):
     consecutive moved nodes coincide.
 
     Each call builds the moved curve once, on fresh ghost columns written
-    from the outward normals (ty, -tx), and runs every check on it.
+    from the outward normals (ty, -tx), and runs every check on it.  The
+    finiteness test runs only on a moved curve that is not
+    ``star_certified``: the certificate's radius bounds already hold its
+    nodes finite.
     """
     h = as_field(c, h, "h")
     geo = c.geometry
@@ -630,7 +633,8 @@ def retract(c, h, t=1.0):
     cx, cy = columns[:, 2:] - columns[:, :-2]
     if (cx * geo.tx + cy * geo.ty <= 0.0).any():
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
-    _check_finite(columns)
+    if not moved.star_certified:
+        _check_finite(columns)
     if not check_simple(moved):
         raise ShapeDegenerate("retracted polygon self-intersects")
     moved._set_chords(_chords(columns))

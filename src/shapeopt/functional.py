@@ -42,7 +42,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .curve import _angle_steps, _periodic, shift_next
+from .curve import _angle_steps, _periodic, as_field, shift_next
 from .errors import NotStarShaped, ProjectionFailed
 
 # distance_tilde discards normal offsets beyond this window
@@ -182,14 +182,15 @@ def _polar_sum(c, mu, dang):
 
 
 def evaluate_general(c, f):
-    """Integral of f.psi over the polygon via a centroid fan.
+    """Integral of f.psi over the polygon via a centroid fan, for a
+    VolumeFunctional f.
 
     Each boundary edge spans a triangle with the node centroid; the
     three-edge-midpoint rule on each triangle is exact for quadratic
     integrands, so the only error is the polygonal boundary itself.
     """
     nodes = c.nodes
-    psi = f.psi if isinstance(f, VolumeFunctional) else f
+    psi = f.psi
     # a mean over the column-major node view would sum in another order
     z = np.ascontiguousarray(nodes).mean(axis=0)
     a = nodes
@@ -278,18 +279,20 @@ def distance_tilde(c, reference):
     return float(np.sum(np.abs(offsets) * geo.weights))
 
 
-def mso_step_objective(c, step, mu, model=None):
-    """Exact decrease function t -> f(nodes + t*step) - f(nodes) for the
-    quadratic family, in the node-angle convention.
+def mso_step_objective(c, h, mu, model=None):
+    """Exact decrease function t -> f(r_c(t*h)) - f(c) for the quadratic
+    family along the normal field h, in the node-angle convention: node i
+    moves by t*h_i along its outward normal, as in ``retract``.
 
     Built for line searches near optimality: the difference is assembled
     from per-node increments (radial and angular) instead of subtracting
     two nearly equal objective values, so minima far below the rounding
     noise of evaluate_mso remain resolvable.  c is a DiscreteCurve, whose
-    ``angle_steps`` and quadratic record are reused; ``step`` is a raw
-    (N, 2) array, whose columns are copied unless they are contiguous
-    already (a column-major step).  The caller guarantees the probed
-    polygons stay star-shaped.
+    ``angle_steps``, frame and quadratic record are reused.  h is
+    validated with ``as_field`` as ``retract`` validates it, and a
+    ``_CheckedField`` is used as given.  The node step is
+    s = h*n = (h ty, -(h tx)).  The caller guarantees the probed polygons
+    stay star-shaped.
 
     With dP_i = P(rho_i(t)) - P(rho_i(0)) and a_i the angle that node i
     turns through, the angle step dang_i of evaluate_mso becomes
@@ -332,9 +335,8 @@ def mso_step_objective(c, step, mu, model=None):
     """
     dang0 = c.angle_steps
     x, y, xx, yy, _, r = _quadratic_record(c, mu)
-    step = np.asarray(step, dtype=float)
-    # contiguous columns: the ufuncs run faster on them
-    sx, sy = np.ascontiguousarray(step[:, 0]), np.ascontiguousarray(step[:, 1])
+    h, geo = as_field(c, h, "h"), c.geometry
+    sx, sy = h * geo.ty, -(h * geo.tx)
     mu2 = mu ** 2
     n = len(x)
     mul, add = np.multiply, np.add

@@ -29,9 +29,13 @@ TAYLOR_T = (0.04, 0.02, 0.01)
 
 
 def random_star_curve(n, rng, amplitude=0.15):
-    """Random smooth star-shaped curve: unit radius plus a few low-order
-    harmonics with coefficients in [-amplitude, amplitude].  The radius
-    stays positive, so the curve is simple by construction."""
+    """Random smooth curve: unit radius plus five low-order harmonics
+    with coefficients in [-amplitude, amplitude], at N equally spaced
+    angles.  The radius is at least 1 - 5*amplitude.  So for amplitude
+    < 0.2 it stays positive, and the curve is star-shaped, simple and
+    ``star_certified`` by construction.  A larger amplitude may give a
+    non-positive radius, and the DiscreteCurve constructor then rejects
+    the draw or accepts it without the star certificate."""
     th = 2.0 * np.pi * np.arange(n) / n
     r = 1.0 + amplitude * (rng.uniform(-1, 1) * np.cos(th)
                            + rng.uniform(-1, 1) * np.sin(th)

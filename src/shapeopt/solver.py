@@ -20,12 +20,11 @@ of nearly equal terms left to cancel; a probe is one angular pass and a
 curvature of the decrease at t = 0.  The parabolic search opens at the
 grid point that this quadratic model (Nocedal and Wright, Numerical
 Optimization, section 3.5) puts the minimizer at, and takes about 3.7
-probes on the packaged runs.  Golden section stops as soon as both ends
-of its bracket round to the same grid point and that point decreases
-the objective.
-Either way the snapped step is the one the full-precision search would
-return when the objective is unimodal along the step, and a parabolic
-search that cannot certify its grid point hands over to golden section.
+probes on the packaged runs.  Its snapped step is the one the
+full-precision search would return when the objective is unimodal along
+the step, and a parabolic search that cannot certify its grid point
+hands over to that reference search: bracketing, golden section to
+TOLERANCE, then the snap.
 The line search only chooses the step; ``retract`` builds the iterate at
 it and admits or rejects it, once per step.
 """
@@ -156,21 +155,14 @@ def _decrease_function(c, f, direction):
     the model [phi'(0), phi''(0)] of the decrease, or None without one.
 
     The quadratic family uses the exactly differenced polar objective,
-    whose step d*n = (d ty, -(d tx)) it builds column-major so that the
-    set-up reads the columns without copying them (-(d tx) is d (-tx) to
-    the bit); its set-up gives the exact model.  Other functionals
-    evaluate the fan quadrature on the moved polygon, with inadmissible
-    probes scored +inf so brackets shrink below them, and have no model.
+    whose set-up gives the exact model.  Other functionals evaluate the
+    fan quadrature on the moved polygon, with inadmissible probes scored
+    +inf so brackets shrink below them, and have no model.
     """
     checked = _CheckedField(c, direction, "direction")
     if f.is_quadratic_mso:
-        d, geo = checked.values, c.geometry
-        step = np.empty((len(d), 2), order="F")
-        np.multiply(d, geo.ty, out=step[:, 0])
-        np.multiply(d, geo.tx, out=step[:, 1])
-        np.negative(step[:, 1], out=step[:, 1])
         model = []
-        return mso_step_objective(c, step, f.mu, model), model
+        return mso_step_objective(c, checked, f.mu, model), model
     f0 = f.evaluate(c)
 
     def phi(t):
@@ -190,21 +182,12 @@ def line_search_exact(c, f, direction):
     Then brackets a descent interval by doubling from t0 up to
     BRACKET_MAX, refines with golden section to a bracket TOLERANCE wide,
     and snaps to the grid h = STEP_RESOLUTION when that preserves the
-    decrease.  Raises LineSearchFailed when no probed step above
-    TOLERANCE decreases the objective.  phi(t), the decrease at t, is
-    probed at most once per t in one search.  The direction is validated
-    once, unless it is a ``_CheckedField`` already, used as given; the
-    probes take it so.
-
-    Golden section stops early: once both bracket ends round to the same
-    grid index k, every later bracket and its midpoint t_star round to k
-    too (the brackets are nested and rounding is monotone), so k*h is
-    tried at once and returned if it decreases the objective.  If it does
-    not, the search runs on to TOLERANCE exactly as without the early
-    stop.  That result is the same float as the full search's, with one
-    exception: an accepted early snap skips the final check that
-    phi(t_star) < 0, so a search whose collapsed bracket midpoint fails
-    to decrease returns the snapped step instead of raising.
+    decrease: the reference search.  Raises LineSearchFailed when no
+    probed step above TOLERANCE decreases the objective, or when the
+    midpoint of the collapsed bracket does not.  phi(t), the decrease at
+    t, is probed at most once per t in one search.  The direction is
+    validated once, unless it is a ``_CheckedField`` already, used as
+    given; the probes take it so.
 
     A parabolic search (``_snap_by_parabolas``) runs first.  With
     tol = TOLERANCE, it probes until the lowest probe p2 and its probed
@@ -216,28 +199,26 @@ def line_search_exact(c, f, direction):
     function comes with a model whose slope phi'(0) is negative (the
     quadratic family's does), the search runs before the search for t0,
     opening at the grid point nearest the model's minimizer; else it
-    runs after it, when t0 lies below BRACKET_MAX, opening at the unit
-    step.  It hands over to the search for t0, the bracketing and golden
-    section above, which run unchanged on the probes already made, when
-    no probe decreases phi, k is 0, a probe is nan, the snap fails or the
-    probe budget SNAP_PROBES is spent.
+    runs after it, opening at the unit step.  It hands over to the
+    reference search, which runs unchanged on the probes already made,
+    when no probe decreases phi, k is 0, a probe is nan, the snap fails
+    or the probe budget SNAP_PROBES is spent.  A handover so returns
+    exactly what the reference search returns, error included.
 
-    The parabolic search returns golden section's float whenever phi is
-    unimodal on [0, BRACKET_MAX]: strictly decreasing up to its first
-    minimizer A and non-decreasing after it, +inf included.  Every
-    golden-section bracket then contains A, since its tie rule keeps the
-    left part; and A lies in (p1, p3), since p2 is the leftmost lowest
-    probe and p1 lies left of it and higher (A <= BRACKET_MAX when
-    BRACKET_MAX stands in for p3).  The last bracket golden section
-    checks is about tol/GOLDEN < 2*tol wide at most, so it lies inside
+    The parabolic search returns the reference search's float whenever
+    phi is unimodal on [0, BRACKET_MAX]: strictly decreasing up to its
+    first minimizer A, non-decreasing after it, +inf included, and
+    negative on (0, A + tol].  Every golden-section bracket then
+    contains A, since its tie rule keeps the left part; and A lies in
+    (p1, p3), since p2 is the leftmost lowest probe and p1 lies left of
+    it and higher (A <= BRACKET_MAX when BRACKET_MAX stands in for p3).
+    Golden section's last bracket is at most tol wide, so it lies inside
     [p1 - 2*tol, p3 + 2*tol], and inside [p1 - 2*tol, BRACKET_MAX] when
-    BRACKET_MAX stands in for p3, which rounds to k as a whole; any
-    bracket it stops at rounds as a whole to the index of a float in
-    both intervals, which is k.  Golden section so decides the same k and
-    tries the same k*h, with the same test.  None of this depends on
-    where the probes lie, so the seeded and the unit-step openings return
-    the same float.  A handover returns exactly what the search without
-    the parabolic step returns.
+    BRACKET_MAX stands in for p3, either of which rounds to k as a whole.
+    Its midpoint t_star, within tol of A, so decreases phi and rounds to
+    k: the reference search tries the same k*h, with the same test.
+    None of this depends on where the probes lie, so the seeded and the
+    unit-step openings return the same float.
 
     For the quadratic family the probes skip admissibility checks (the
     loop validates the accepted step when retracting), so BRACKET_MAX
@@ -278,7 +259,7 @@ def line_search_exact(c, f, direction):
         raise LineSearchFailed(
             f"no decrease along the direction for any t >= {TOLERANCE:g}")
 
-    if t0 < BRACKET_MAX and not seeded:
+    if not seeded:
         t_snap = _snap_by_parabolas(phi, probed)
         if t_snap is not None:
             return t_snap
@@ -292,19 +273,10 @@ def line_search_exact(c, f, direction):
         fb = phi(b)
     hi = b
 
-    h = STEP_RESOLUTION
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
-    snap_open = True
     while hi - lo > TOLERANCE:
-        if snap_open:
-            k = round(lo / h)
-            if round(hi / h) == k:
-                snap_open = False  # k is decided; try it once
-                t_snap = _grid_step(phi, k)
-                if t_snap is not None:
-                    return t_snap
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
@@ -316,11 +288,8 @@ def line_search_exact(c, f, direction):
     t_star = 0.5 * (lo + hi)
     if phi(t_star) >= 0.0:
         raise LineSearchFailed("bracket collapsed without decrease")
-
-    t_snap = _grid_step(phi, round(t_star / h))
-    if t_snap is not None:
-        return t_snap
-    return float(t_star)
+    t_snap = _grid_step(phi, round(t_star / STEP_RESOLUTION))
+    return float(t_star) if t_snap is None else t_snap
 
 
 def _grid_step(phi, k):
@@ -386,7 +355,7 @@ def _snap_by_parabolas(phi, probed, model=None):
         if not _open_by_model(phi, inset, *model):
             return None
     else:
-        t = min(1.0, BRACKET_MAX)
+        t = 1.0
         phi(t)
         while t < BRACKET_MAX and min(probed, key=probed.get) == max(probed):
             t = min(2.0 * t, BRACKET_MAX)
@@ -512,12 +481,6 @@ def _cubic_minimizer(slope, curvature, t, ft):
     return -2.0 * slope / den if den > 0.0 else math.inf
 
 
-def _choose_step(c, f, direction, line_search):
-    if isinstance(line_search, FixedStep):
-        return line_search.t
-    return line_search_exact(c, f, direction)
-
-
 def _iterate_distance(c, f, reference):
     if f.is_quadratic_mso:
         return distance_bar(c, f.mu)
@@ -568,7 +531,10 @@ def optimize(c0, f, config, reference=None):
             if stop is not None:
                 break
             direction = _CheckedField(c, step_direction(c, f, config), "direction")
-            t = _choose_step(c, f, direction, config.line_search)
+            if isinstance(config.line_search, FixedStep):
+                t = config.line_search.t
+            else:
+                t = line_search_exact(c, f, direction)
             rec.step_scale = t
             rec.step_norm = t * norm(c, config.A, direction)
             if k > 0 and records[k - 1].step_norm:

@@ -61,6 +61,14 @@ def test_reference_ellipse_on_level_set():
     npt.assert_allclose(reference_ellipse(64, 1.0).nodes, circle(64).nodes)
 
 
+def test_random_star_curves_below_amplitude_0_2_are_certified():
+    # the radius is at least 1 - 5*amplitude, positive below 0.2
+    rng = np.random.default_rng(67)
+    for n in (8, 101, 1600):
+        for _ in range(200):
+            assert random_star_curve(n, rng, amplitude=0.19).star_certified, n
+
+
 def test_run_table1_artifacts(tmp_path):
     report = run_table1(ExperimentSpec(output_dir=str(tmp_path)))
 

@@ -21,8 +21,8 @@ from shapeopt import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
                       hessian_at_solution, line_search_exact, norm,
                       optimize, retract, riesz_gradient, step_direction)
 from shapeopt.curve import as_field
-from shapeopt.errors import (InsufficientData, LineSearchFailed, NotStarShaped,
-                             ShapeOptError)
+from shapeopt.errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
+                             NotStarShaped, ShapeOptError)
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import experiment, initial_shape, reference_ellipse
 from shapeopt.harness.experiment import solve_and_write
@@ -63,8 +63,8 @@ def _table1_run(method):
 
 def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
                               step_resolution=0.01):
-    """line_search_exact without the early stop: golden section always
-    runs to the tolerance before the snap."""
+    """The reference search: line_search_exact without its parabolic
+    search.  Golden section runs to the tolerance before the snap."""
     direction = as_field(c, direction, "direction")
     if not np.any(direction):
         raise LineSearchFailed("zero direction")
@@ -224,8 +224,8 @@ def test_line_search_matches_oracle_on_custom_functional():
 
 
 def test_line_search_rejected_snap_runs_to_tolerance():
-    # the minimizer lies below 0.005, so the bracket decides the snap to 0,
-    # which is rejected; the search then runs on to the tolerance
+    # the minimizer lies below 0.005, so the snap rounds to 0, which is
+    # rejected, and the search returns golden section's midpoint
     c0 = initial_shape(100)
     d = 1000.0 * step_direction(c0, F2, SolverConfig(method=STEEPEST_DESCENT))
     t = line_search_exact(c0, F2, d)
@@ -234,8 +234,9 @@ def test_line_search_rejected_snap_runs_to_tolerance():
 
 
 def test_line_search_rejected_grid_step_returns_bracket_midpoint(monkeypatch):
-    # every probe past t = 0.0152 is inadmissible (+inf), so the decided
-    # snap 0.02 of the minimizer 0.0151 is rejected and golden section goes on
+    # every probe past t = 0.0152 is inadmissible (+inf), so the snap 0.02
+    # of the minimizer 0.0151 is rejected and the search returns golden
+    # section's midpoint
     def cliff(c, f, direction):
         return lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf, None
 
@@ -346,6 +347,32 @@ def test_seeded_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
 
 
+def _spiked_phi(m, width):
+    """phi(t) = (t - m)^2 - m^2 plus 1 on a spike width wide at m."""
+    return lambda t: (t - m) ** 2 - m ** 2 + (1.0 if abs(t - m) < 0.5 * width else 0.0)
+
+
+def test_handover_runs_the_reference_search(monkeypatch):
+    # with the parabolic search made to hand over every time, the search
+    # is the reference search.  The spike at the minimizer m < 1 makes
+    # phi(m) positive, so where golden section's bracket collapses onto
+    # it, both raise "bracket collapsed without decrease", although the
+    # snapped grid step nearest m decreases phi
+    rng = np.random.default_rng(47)
+    current = None
+    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, None))
+    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
+    monkeypatch.setattr(solver, "_snap_by_parabolas", lambda *args: None)
+    c, d = circle(64), np.ones(64)
+    raised = 0
+    for m, width in zip(rng.uniform(0.005, 1.0, 400), 10.0 ** rng.uniform(-9.0, -7.0, 400)):
+        current = _spiked_phi(m, width)
+        expected = _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d)
+        assert _outcome(line_search_exact, c, ELLIPSE_PSI, d) == expected, (m, width)
+        raised += expected == ("LineSearchFailed", "bracket collapsed without decrease")
+    assert raised >= 10
+
+
 def test_line_search_matches_oracle_from_the_mu3_packaged_start():
     # from the packaged start at mu=3, A=0.5 the parabolas decide 0.31,
     # where the moved polygon is not certified star-shaped; the search
@@ -360,7 +387,7 @@ def test_line_search_matches_oracle_from_the_mu3_packaged_start():
 def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
     # with the steepest-descent direction scaled by 0.1 the minimizer lies
     # beyond bracket_max; one probe at the left edge of its grid cell
-    # decides the step there, as golden section does in about 27 probes
+    # decides the step there, as the reference search does in 64 probes
     probes = 0
     original = solver.mso_step_objective
 
@@ -389,9 +416,7 @@ def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
 def test_line_search_probe_count(monkeypatch):
     # a deterministic count: the model-seeded parabolic search averages 3.6
     # probes per search on these runs (72 in 20 searches), and 3.65 on the
-    # general-form Newton runs from the 16 warm starts below (175 in 48);
-    # golden section with its early stop takes 24.05 on the Table-1 runs
-    # and without it 61.05
+    # general-form Newton runs from the 16 warm starts below (175 in 48)
     probes = 0
     original = solver.mso_step_objective
 
@@ -465,6 +490,32 @@ def test_optimize_builds_one_polygon_per_step(monkeypatch):
             assert events.count("R") == events.count("P") == taken, method
             steps += taken
     assert steps >= 100
+
+
+def test_certified_retractions_skip_the_finite_check(monkeypatch):
+    # the star certificate bounds every node radius, so no retraction of
+    # the Table-1 runs checks its nodes for finiteness again; a retraction
+    # to a non-finite node still raises DegenerateCurve
+    c0, c = initial_shape(100), circle(32)
+    calls = []
+    check = curve._check_finite
+
+    def spy(nodes):
+        calls.append(nodes.shape)
+        check(nodes)
+
+    monkeypatch.setattr(curve, "_check_finite", spy)
+    for method in TABLE1_STEP_SCALES:
+        config = SolverConfig(method=method, stop_distance=ExperimentSpec().stop_distance)
+        records = optimize(c0, F2, config)
+        assert records[-1].stop == "distance" and len(records) > 4, method
+    assert calls == []
+    h = np.zeros(32)
+    h[3] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateCurve, match="^nodes contain non-finite coordinates$"):
+            retract(c, h, 10.0)
+    assert calls == [(2, 34)]
 
 
 # (stop class, iterations) of every packaged-start run at N=100, by
