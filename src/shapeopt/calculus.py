@@ -25,6 +25,11 @@ shape.  There the form collapses to multiplication by nu = dpsi_dn, the
 same for every A, which for the quadratic objective is the explicit field
 nu = 2 (x1 n1 + mu^2 x2 n2); ``hessian_at_solution`` builds that
 operator along any iterate.
+
+At A = 0 the connection term psi A kappa (alpha beta)_tautau is
+identically zero, and ``HessianOperator.general_form`` skips its stencil,
+as ``metric`` skips the weight 1 + 0 kappa^2.  The pointwise factor keeps
+its A-terms, so a non-finite curvature still makes the form singular.
 """
 
 from dataclasses import dataclass
@@ -155,16 +160,16 @@ class HessianOperator:
         geo = curve.geometry
         kappa, w = geo.curvature, geo.weights
         coeff = _hessian_coefficient(A, kappa, g, dpsi_dn)
-
-        # transpose of the second-difference stencil applied to E
-        dp = curve.chords
-        dm = _periodic(dp)[:-1]  # the chords keep chord N-1 first
-        cm = 2.0 / (dm * (dm + dp))
-        c0 = -2.0 / (dm * dp)
-        cp = 2.0 / (dp * (dm + dp))
-        E = g * A * kappa * w
-        st_e = shift_next(E * cm) + E * c0 + shift_prev(E * cp)
-        d = coeff * w - st_e
+        d = coeff * w
+        if A != 0.0:  # E vanishes identically at A = 0
+            # transpose of the second-difference stencil applied to E
+            dp = curve.chords
+            dm = _periodic(dp)[:-1]  # the chords keep chord N-1 first
+            cm = 2.0 / (dm * (dm + dp))
+            c0 = -2.0 / (dm * dp)
+            cp = 2.0 / (dp * (dm + dp))
+            E = g * A * kappa * w
+            d -= shift_next(E * cm) + E * c0 + shift_prev(E * cp)
 
         size = np.abs(d)
         with np.errstate(all="ignore"):

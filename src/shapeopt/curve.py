@@ -586,12 +586,10 @@ def _curvature(columns, stencil):
     """Curvature kappa = (x'y'' - y'x'') / |(x', y')|^3 with three-point
     stencils in the parameter; the nonuniform weights reduce to the
     classical central differences on the equidistant grid."""
-    (xp, yp), (x, y), (xm, ym) = columns[:, 2:], columns[:, 1:-1], columns[:, :-2]
+    nxt, cur, prv = columns[:, 2:], columns[:, 1:-1], columns[:, :-2]
     dm, dp, den, cp, cm, c0, s = stencil
-    d1x = (cp * xp - cm * xm + c0 * x) / den
-    d1y = (cp * yp - cm * ym + c0 * y) / den
-    d2x = 2.0 * (dm * xp + dp * xm - s * x) / den
-    d2y = 2.0 * (dm * yp + dp * ym - s * y) / den
+    d1x, d1y = (cp * nxt - cm * prv + c0 * cur) / den
+    d2x, d2y = 2.0 * (dm * nxt + dp * prv - s * cur) / den
     speed = np.sqrt(d1x * d1x + d1y * d1y)
     if (speed == 0.0).any():
         raise DegenerateCurve("zero speed in curvature stencil")

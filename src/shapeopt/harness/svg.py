@@ -10,6 +10,11 @@ The rounded points are formatted as int64, so each must lie below 2**63
 in magnitude: a node coordinate up to about 9.2e13.  A curve with a node
 beyond that, or one that is not finite, raises ValueError.
 
+``render_curves`` runs that range test over every curve before it opens
+the file, then writes the file polyline by polyline: a drawing is never
+held whole in memory, only the one polyline being written, and a bad
+curve leaves no file behind.
+
 The points are written by a numpy kernel, the bytes "%d" would give.  Each
 value becomes a row of k 4-byte group words, its magnitude's base-1000
 groups from the most significant, and the NULs are then deleted from the
@@ -96,32 +101,47 @@ def _ramp(i, count):
     return f"rgb({r},0,{255 - r})"
 
 
-def _polyline(nodes, color, name="curve"):
-    """The polyline element of one curve, as ASCII bytes."""
+def _drawable(nodes, name):
+    """The nodes as a float array, or ValueError naming the curve when it
+    has no nodes or a point that, scaled and rounded, does not cast to
+    int64.  The test is 1e5 * max|node| < 2**63, which equals the test
+    on the rounded points: scaling by 1e5 is monotone, rint is the
+    identity above 2**52, and a nan fails both."""
     nodes = np.asarray(nodes, dtype=float)
     if not len(nodes):
         raise ValueError(f"{name} has no nodes")
+    if not 1e5 * np.abs(nodes).max() < 2.0 ** 63:
+        raise ValueError(f"{name} has a node that is not finite or beyond 9.2e13")
+    return nodes
+
+
+def _polyline(nodes, color, name="curve"):
+    """The polyline element of one curve, as ASCII bytes."""
+    nodes = _drawable(nodes, name)
     # the scaled points, the first repeated last to close the loop
     q = np.empty((len(nodes) + 1, 2))
     np.multiply(nodes[:, 0], 100000.0, out=q[:-1, 0])
     np.multiply(nodes[:, 1], -100000.0, out=q[:-1, 1])
     q[-1] = q[0]
     np.rint(q, out=q)
-    if not max(q.max(), -q.min()) < 2.0 ** 63:  # also false for nan
-        raise ValueError(f"{name} has a node that is not finite or beyond 9.2e13")
     return (b'<polyline points="' + _points(q.astype(np.int64).ravel())
             + f'" fill="none" stroke="{color}" stroke-width="1200" />'.encode("ascii"))
 
 
 def render_curves(node_arrays, path):
     """Write the curves (a sequence of (N, 2) node arrays) to an SVG file
-    and return the path; ValueError if a node is not finite or beyond
-    9.2e13."""
-    lines = [b'<?xml version="1.0" encoding="UTF-8"?>',
-             b'<svg xmlns="http://www.w3.org/2000/svg" '
-             b'viewBox="-120000 -120000 240000 240000">']
+    and return the path.  Every curve passes ``_drawable`` before the
+    file is opened, so a bad one raises its ValueError and leaves the
+    path untouched; the file is then written polyline by polyline."""
     for i, nodes in enumerate(node_arrays):
-        lines.append(_polyline(nodes, _ramp(i, len(node_arrays)), f"curve {i}"))
+        _drawable(nodes, f"curve {i}")
     with open(path, "wb") as fh:
-        fh.write(b"\n".join(lines) + b"\n</svg>\n")
+        fh.write(b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                 b'<svg xmlns="http://www.w3.org/2000/svg" '
+                 b'viewBox="-120000 -120000 240000 240000">\n')
+        for i, nodes in enumerate(node_arrays):
+            # one write per polyline: a newline written apart would cost a
+            # second system call, as the buffer flushes before a large write
+            fh.write(_polyline(nodes, _ramp(i, len(node_arrays)), f"curve {i}") + b"\n")
+        fh.write(b"</svg>\n")
     return path

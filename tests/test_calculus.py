@@ -8,10 +8,11 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import (HessianOperator, VolumeFunctional, covariant_derivative,
-                      hessian_at_solution, riemannian_hessian_form,
-                      solve_hessian, standard_shape_hessian_form,
-                      taylor_remainder_probe)
+from shapeopt import (HessianOperator, VolumeFunctional, calculus,
+                      covariant_derivative, hessian_at_solution,
+                      riemannian_hessian_form, solve_hessian,
+                      standard_shape_hessian_form, taylor_remainder_probe)
+from shapeopt.curve import shift_next
 from shapeopt.errors import SingularHessian
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import reference_ellipse
@@ -164,6 +165,32 @@ def test_solve_general_form_singular():
         HessianOperator.general_form(c, 0.5, (np.zeros(64), dpsi_dn))
     dpsi_dn[10] = 1e-11
     HessianOperator.general_form(c, 0.5, (np.zeros(64), dpsi_dn))
+
+
+def test_general_form_skips_the_stencil_at_a_zero(monkeypatch):
+    # at A = 0 the term S^T E has E = 0, so the stencil is never applied,
+    # and the diagonal is bit for bit the one with the stencil applied
+    calls = []
+
+    def spy(a):
+        calls.append(len(a))
+        return shift_next(a)
+    monkeypatch.setattr(calculus, "shift_next", spy)
+    c = random_star_curve(50, np.random.default_rng(36))
+    pk = kernels(c, 2.0)
+    geo = c.geometry
+    for A, expected_calls in ((0.0, 0), (0.5, 1)):
+        calls.clear()
+        op = HessianOperator.general_form(c, A, pk)
+        assert len(calls) == expected_calls, A
+        dp = c.chords
+        dm = np.roll(dp, 1)
+        E = pk[0] * A * geo.curvature * geo.weights
+        st_e = (np.roll(E * (2.0 / (dm * (dm + dp))), -1) + E * (-2.0 / (dm * dp))
+                + np.roll(E * (2.0 / (dp * (dm + dp))), 1))
+        coeff = pk[1] + 0.5 * geo.curvature * pk[0] \
+            - A * geo.curvature ** 3 * pk[0] / (1.0 + A * geo.curvature ** 2)
+        npt.assert_array_equal(op.d, coeff * geo.weights - st_e)
 
 
 def test_general_form_solve_memory_is_linear():

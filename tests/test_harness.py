@@ -3,6 +3,7 @@ rendering, the property suite, and the command-line interface."""
 
 import json
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -110,13 +111,26 @@ def test_render_curves(tmp_path):
 
 
 def test_render_curves_rejects_non_finite_nodes(tmp_path):
-    out = tmp_path / "fig.svg"
-    for value in (np.nan, np.inf, -np.inf, 1e14, -1e14):
+    # a bad curve first, in the middle or last raises its message before
+    # the file is opened: no file appears, and an existing one keeps its bytes
+    too_far = np.nextafter(_largest_drawable(), np.inf)
+    bads = []
+    for value in (np.nan, np.inf, -np.inf, 1e14, -1e14, too_far, -too_far):
         bad = circle(20).nodes.copy()
         bad[3, 1] = value
-        with pytest.raises(ValueError, match="curve 1 has a node that is not finite"):
-            render_curves([circle(20).nodes, bad, circle(20).nodes], out)
-        assert not out.exists(), value
+        bads.append((bad, "has a node that is not finite or beyond 9.2e13"))
+    bads.append((np.empty((0, 2)), "has no nodes"))
+    new, old = tmp_path / "new.svg", tmp_path / "old.svg"
+    old.write_bytes(b"old bytes")
+    for bad, message in bads:
+        for i in range(3):
+            curves = [circle(20).nodes, circle(20, 0.5).nodes]
+            curves.insert(i, bad)
+            for out in (new, old):
+                with pytest.raises(ValueError, match=f"^curve {i} {message}$"):
+                    render_curves(curves, out)
+            assert not new.exists()
+            assert old.read_bytes() == b"old bytes"
 
 
 def test_render_curves_without_curves(tmp_path):
@@ -209,6 +223,23 @@ def test_render_curves_int64_range(tmp_path):
     with pytest.raises(ValueError, match="curve 1 "):
         render_curves([circle(20).nodes, far], tmp_path / "far.svg")
     assert not (tmp_path / "far.svg").exists()
+
+
+def test_render_curves_memory_does_not_grow_with_curve_count(tmp_path):
+    # the file is written polyline by polyline, so the peak is one
+    # polyline's, whatever the number of curves
+    nodes = reference_ellipse(1600, 2.0).nodes
+    peaks = []
+    for count in (4, 32):
+        tracemalloc.start()
+        try:
+            render_curves([nodes] * count, tmp_path / f"fig_{count}.svg")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert polyline_count(tmp_path / "fig_32.svg") == 32
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_run_table1_svg_points_are_scaled_integers(tmp_path):
