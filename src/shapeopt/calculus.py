@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (_periodic, as_field, retract, shift_next, shift_prev,
-                    tangential_second_derivative)
+from .curve import _padded, _periodic, as_field, retract, tangential_second_derivative
 from .errors import SingularHessian
 from .functional import VolumeFunctional, boundary_kernel, evaluate_general
 from .metric import check_A, inner
@@ -169,7 +168,7 @@ class HessianOperator:
             c0 = -2.0 / (dm * dp)
             cp = 2.0 / (dp * (dm + dp))
             E = g * A * kappa * w
-            d -= shift_next(E * cm) + E * c0 + shift_prev(E * cp)
+            d -= _padded(E * cm)[2:] + E * c0 + _padded(E * cp)[:-2]
 
         size = np.abs(d)
         with np.errstate(all="ignore"):

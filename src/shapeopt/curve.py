@@ -18,7 +18,9 @@ periodic stencil shifts again is kept the same way, and handed out as
 the view of its node range: ``chords`` and ``angle_steps`` (length N+1,
 entry N-1 first) and the rho2 and psi of the quadratic record (length
 N+2, entry 0 also last).  ``_periodic`` returns the whole array behind
-such a view, so the shifted neighbours are views too.
+such a view, so the shifted neighbours are views too.  A field that
+arrives as N plain values is padded the same way, once, by ``_padded``.
+Every periodic stencil reads its neighbours through one of these layouts.
 
 A curve is immutable and keeps only what its nodes and params determine,
 computed once per curve and read-only:
@@ -26,9 +28,11 @@ computed once per curve and read-only:
 - ``columns`` (with its view ``nodes``) and ``chords``: the ghost
   columns above and the forward chord lengths |node_{i+1} - node_i|,
   computed by the constructor's coincident-node check;
-- ``geometry``: the unit tangent as contiguous columns tx and ty (the
-  outward normal is (ty, -tx)) and the node quadrature weights, computed
-  on first use; the curvature is computed on its own first read;
+- ``geometry``: the unit tangent as contiguous columns tx and ty, the
+  one representation of the frame (the outward normal is (ty, -tx),
+  formed from them where it is read), and the node quadrature weights,
+  computed on first use; the curvature is computed on its own first
+  read;
 - ``angle_steps``: the wrapped polar angle steps between consecutive
   nodes about the origin, computed on first use; ``check_simple``,
   ``functional.evaluate_mso``/``distance_bar`` (node-angle convention) and
@@ -90,18 +94,6 @@ class _CheckedField:
         self.values = as_field(curve, values, name)
 
 
-def shift_next(a):
-    """Row i of the result is row i+1 of a, periodically.  Equal to numpy's
-    roll(a, -1, axis=0), without roll's per-call overhead."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def shift_prev(a):
-    """Row i of the result is row i-1 of a, periodically.  Equal to numpy's
-    roll(a, 1, axis=0)."""
-    return np.concatenate((a[-1:], a[:-1]))
-
-
 def _ghost_columns(nodes):
     """The read-only (2, N+2) ghost columns of an (N, 2) node array: row 0
     holds x and row 1 y, each with node N-1 stored before node 0 and node
@@ -111,6 +103,13 @@ def _ghost_columns(nodes):
     columns[:, 0], columns[:, -1] = nodes[-1], nodes[0]
     columns.setflags(write=False)
     return columns
+
+
+def _padded(u):
+    """The (N+2,) periodic padding of a per-node field u: entry N-1 first
+    and entry 0 last, like the quadratic record's rho2 and psi, so [2:] is
+    the next entry of every node and [:-2] the previous one, as views."""
+    return np.concatenate((u[-1:], u, u[:1]))
 
 
 def _periodic(view):
@@ -341,11 +340,10 @@ class CurveGeometry:
                 callable given in its place (which holds the curve's
                 ghost columns and stencil weights, not the curve) and
                 kept; DegenerateCurve there on a zero-speed stencil
-    tangent, normal : (N, 2) unit tangent and outward unit normal
-                (ty, -tx), the tangent rotated by -90 degrees, built from
-                the columns on each read
 
-    Every array is read-only.
+    The frame is held only as the columns tx and ty: the outward unit
+    normal is (ty, -tx), the tangent rotated by -90 degrees, which its
+    readers form from them.  Every array is read-only.
     """
 
     __slots__ = ("tx", "ty", "weights", "_curvature")
@@ -365,18 +363,6 @@ class CurveGeometry:
             kappa.setflags(write=False)
             self._curvature = kappa
         return self._curvature
-
-    @property
-    def tangent(self):
-        frame = np.column_stack([self.tx, self.ty])
-        frame.setflags(write=False)
-        return frame
-
-    @property
-    def normal(self):
-        frame = np.column_stack([self.ty, -self.tx])
-        frame.setflags(write=False)
-        return frame
 
 
 class DiscreteCurve:
@@ -427,7 +413,7 @@ class DiscreteCurve:
             # reverse traversal so orientation is counterclockwise; keep the
             # first node first and mirror the parameter gaps
             order = np.concatenate([[0], np.arange(n - 1, 0, -1)])
-            gaps = np.diff(np.append(params, params[0] + 2 * np.pi))
+            gaps, _ = _param_gaps(params)
             params = params[0] + np.concatenate([[0.0], np.cumsum(gaps[::-1][:-1])])
             columns = _ghost_columns(nodes[order])
             chords = _chords(columns)
@@ -554,7 +540,7 @@ def _chords(columns):
 def _param_gaps(params):
     """Forward parameter gaps d+ with periodic wrap, and backward gaps d-."""
     dp = np.diff(np.append(params, params[0] + 2 * np.pi))
-    return dp, shift_prev(dp)
+    return dp, _padded(dp)[:-2]
 
 
 def _stencil_weights(params):
@@ -652,6 +638,5 @@ def tangential_second_derivative(c, u):
     u = as_field(c, u, "u")
     dp = c.chords
     dm = _periodic(dp)[:-1]
-    up = shift_next(u)
-    um = shift_prev(u)
-    return 2.0 * (dm * up + dp * um - (dm + dp) * u) / (dm * dp * (dm + dp))
+    ue = _padded(u)
+    return 2.0 * (dm * ue[2:] + dp * ue[:-2] - (dm + dp) * u) / (dm * dp * (dm + dp))

@@ -42,7 +42,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .curve import _angle_steps, _periodic, as_field, shift_next
+from .curve import _angle_steps, _periodic, as_field
 from .errors import NotStarShaped, ProjectionFailed
 
 # distance_tilde discards normal offsets beyond this window
@@ -194,7 +194,7 @@ def evaluate_general(c, f):
     # a mean over the column-major node view would sum in another order
     z = np.ascontiguousarray(nodes).mean(axis=0)
     a = nodes
-    b = shift_next(nodes)
+    b = c.columns[:, 2:].T
     area2 = (a[:, 0] - z[0]) * (b[:, 1] - z[1]) - (a[:, 1] - z[1]) * (b[:, 0] - z[0])
     vals = psi((a + b) / 2.0) + psi((b + z) / 2.0) + psi((z + a) / 2.0)
     return float((area2 * vals).sum() / 6.0)
@@ -252,15 +252,16 @@ def distance_tilde(c, reference):
     ref_nodes = reference.nodes
     geo = reference.geometry
     a = c.nodes
-    d = shift_next(a) - a
+    d = (c.columns[:, 2:] - c.columns[:, 1:-1]).T
     offsets = np.empty(reference.n_nodes)
     misses = 0
-    for i, (p, n) in enumerate(zip(ref_nodes, geo.normal)):
-        den = n[0] * d[:, 1] - n[1] * d[:, 0]
+    # the outward normal (nx, ny) = (ty, -tx) of each reference node
+    for i, (p, nx, ny) in enumerate(zip(ref_nodes, geo.ty, -geo.tx)):
+        den = nx * d[:, 1] - ny * d[:, 0]
         ap = a - p
         with np.errstate(divide="ignore", invalid="ignore"):
             s = (ap[:, 0] * d[:, 1] - ap[:, 1] * d[:, 0]) / den
-            u = (ap[:, 0] * n[1] - ap[:, 1] * n[0]) / den
+            u = (ap[:, 0] * ny - ap[:, 1] * nx) / den
         # slack on the segment-parameter test so an intersection at a
         # polygon vertex is claimed by exactly one of the two segments
         ok = ((np.abs(den) > 1e-14) & (u >= -1e-9) & (u < 1.0 - 1e-9)

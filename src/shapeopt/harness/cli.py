@@ -22,8 +22,7 @@ from pathlib import Path
 from ..curve import DiscreteCurve
 from ..errors import ShapeOptError
 from ..functional import VolumeFunctional
-from ..solver import (NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
-                      STEEPEST_DESCENT, STOP_REASONS, SolverConfig)
+from ..solver import STOP_REASONS, SolverConfig
 from .experiment import (METHOD_SLUGS, ExperimentSpec, initial_shape,
                          run_table1, solve_and_write)
 from .properties import run_property_suite
@@ -34,11 +33,8 @@ EXIT_SUITE_FAILED = 1
 EXIT_SOLVER_ERROR = 2
 EXIT_BAD_INPUT = 3
 
-CLI_METHODS = {
-    "sd": STEEPEST_DESCENT,
-    "newton": NEWTON_MULTIPLICATIVE,
-    "newton-general": NEWTON_GENERAL_FORM,
-}
+# the --method names: the output slugs of the methods
+CLI_METHODS = {slug: method for method, slug in METHOD_SLUGS.items()}
 
 
 class _Parser(argparse.ArgumentParser):

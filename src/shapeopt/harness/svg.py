@@ -115,9 +115,9 @@ def _drawable(nodes, name):
     return nodes
 
 
-def _polyline(nodes, color, name="curve"):
-    """The polyline element of one curve, as ASCII bytes."""
-    nodes = _drawable(nodes, name)
+def _polyline(nodes, color):
+    """The polyline element of one curve, as ASCII bytes, from a float
+    array that passed ``_drawable``."""
     # the scaled points, the first repeated last to close the loop
     q = np.empty((len(nodes) + 1, 2))
     np.multiply(nodes[:, 0], 100000.0, out=q[:-1, 0])
@@ -132,16 +132,16 @@ def render_curves(node_arrays, path):
     """Write the curves (a sequence of (N, 2) node arrays) to an SVG file
     and return the path.  Every curve passes ``_drawable`` before the
     file is opened, so a bad one raises its ValueError and leaves the
-    path untouched; the file is then written polyline by polyline."""
-    for i, nodes in enumerate(node_arrays):
-        _drawable(nodes, f"curve {i}")
+    path untouched; the file is then written polyline by polyline from
+    the arrays ``_drawable`` returned."""
+    curves = [_drawable(nodes, f"curve {i}") for i, nodes in enumerate(node_arrays)]
     with open(path, "wb") as fh:
         fh.write(b'<?xml version="1.0" encoding="UTF-8"?>\n'
                  b'<svg xmlns="http://www.w3.org/2000/svg" '
                  b'viewBox="-120000 -120000 240000 240000">\n')
-        for i, nodes in enumerate(node_arrays):
+        for i, nodes in enumerate(curves):
             # one write per polyline: a newline written apart would cost a
             # second system call, as the buffer flushes before a large write
-            fh.write(_polyline(nodes, _ramp(i, len(node_arrays)), f"curve {i}") + b"\n")
+            fh.write(_polyline(nodes, _ramp(i, len(curves))) + b"\n")
         fh.write(b"</svg>\n")
     return path

@@ -13,8 +13,7 @@ import shapeopt.curve as curve
 from shapeopt import (DiscreteCurve, HessianOperator, VolumeFunctional,
                       boundary_kernel, check_simple, retract, tangential_second_derivative)
 from shapeopt.curve import (_angle_steps, _ghost_columns, _param_gaps,
-                            _segments_intersect, as_field, shift_next,
-                            shift_prev, signed_area)
+                            _segments_intersect, as_field, signed_area)
 from shapeopt.errors import DegenerateCurve, DimensionMismatch, ShapeDegenerate, SingularHessian
 from shapeopt.functional import _node_angle_steps, distance_bar, evaluate_mso
 from shapeopt.harness import reference_ellipse
@@ -414,7 +413,7 @@ def test_retract_checks_crossings_before_coincident_nodes():
                        (-1.5, 1.5), (0, 1)])
     h = np.zeros(9)
     h[2], h[8] = -1.0, -0.5
-    nodes = c.nodes + h[:, None] * c.geometry.normal
+    nodes = c.nodes + h[:, None] * _normal(c.geometry)
     assert np.array_equal(nodes[1], nodes[2]) and nodes[8, 0] > 0.0
     with pytest.raises(ShapeDegenerate, match="self-intersects"):
         retract(c, h)
@@ -439,11 +438,11 @@ def test_circle_geometry():
     geo = c.geometry
     radial = c.nodes / np.hypot(c.nodes[:, 0], c.nodes[:, 1])[:, None]
     # tangent is unit, perpendicular to the radius, counterclockwise
-    npt.assert_allclose(np.hypot(geo.tangent[:, 0], geo.tangent[:, 1]), 1.0, atol=1e-14)
-    assert np.max(np.abs(np.sum(geo.tangent * radial, axis=1))) < 1e-13
-    assert np.min(radial[:, 0] * geo.tangent[:, 1] - radial[:, 1] * geo.tangent[:, 0]) > 0.99
-    # normal is the outward radial direction
-    assert np.min(np.sum(geo.normal * radial, axis=1)) > 1.0 - 1e-12
+    npt.assert_allclose(np.hypot(geo.tx, geo.ty), 1.0, atol=1e-14)
+    assert np.max(np.abs(geo.tx * radial[:, 0] + geo.ty * radial[:, 1])) < 1e-13
+    assert np.min(radial[:, 0] * geo.ty - radial[:, 1] * geo.tx) > 0.99
+    # the normal (ty, -tx) is the outward radial direction
+    assert np.min(geo.ty * radial[:, 0] - geo.tx * radial[:, 1]) > 1.0 - 1e-12
     npt.assert_allclose(geo.curvature, 1.0, atol=1.5e-3)
     assert abs(geo.weights.sum() - 2.0 * np.pi) < 1.6e-3
     assert np.all(geo.weights > 0.0)
@@ -487,17 +486,6 @@ def test_tangential_second_derivative_oracles():
     assert err3 < 300.0 / 200 ** 2
 
 
-def test_shift_helpers_match_roll():
-    rng = np.random.default_rng(3)
-    for shape in ((8,), (1601,), (8, 2), (1600, 2)):
-        a = rng.standard_normal(shape)
-        assert np.array_equal(shift_next(a), np.roll(a, -1, axis=0))
-        assert np.array_equal(shift_prev(a), np.roll(a, 1, axis=0))
-    strided = rng.standard_normal((50, 2))[:, 1]
-    assert np.array_equal(shift_next(strided), np.roll(strided, -1))
-    assert np.array_equal(shift_prev(strided), np.roll(strided, 1))
-
-
 def row_norm(v):
     """Euclidean length of each row of an (N, 2) array, the oracle of the
     stored chords.  The same bits as numpy's linalg.norm(v, axis=1), which
@@ -518,7 +506,8 @@ def test_row_norm_matches_linalg_norm():
 
 
 # The roll-based forms below are the geometry, stencil and general-form
-# diagonal as first written; the shift helpers must reproduce them bit for bit.
+# diagonal as first written; the ghost columns and the padded fields must
+# reproduce them bit for bit.
 
 def _compute_geometry_roll(c):
     nodes = c.nodes
@@ -552,10 +541,14 @@ def _bits(a):
 
 
 def _geometry_fields(geo):
-    """The arrays of a CurveGeometry: the frame as columns and as the
-    (N, 2) arrays built from them, the curvature and the weights."""
-    return {"tx": geo.tx, "ty": geo.ty, "tangent": geo.tangent, "normal": geo.normal,
-            "curvature": geo.curvature, "weights": geo.weights}
+    """The arrays of a CurveGeometry: the frame columns, the curvature
+    and the weights."""
+    return {"tx": geo.tx, "ty": geo.ty, "curvature": geo.curvature, "weights": geo.weights}
+
+
+def _normal(geo):
+    """The (N, 2) outward unit normals (ty, -tx) of a CurveGeometry."""
+    return np.column_stack([geo.ty, -geo.tx])
 
 
 def _tangential_second_derivative_roll(c, u):
@@ -588,9 +581,9 @@ def _general_form_roll(curve, A, psi_kernels):
 def _retract_roll(c, h, t=1.0):
     h = as_field(c, h, "h")
     geo = c.geometry
-    nodes = c.nodes + float(t) * h[:, None] * geo.normal
+    nodes = c.nodes + float(t) * h[:, None] * _normal(geo)
     chord = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    if np.any(np.sum(chord * geo.tangent, axis=1) <= 0.0):
+    if np.any(np.sum(chord * np.column_stack([geo.tx, geo.ty]), axis=1) <= 0.0):
         raise ShapeDegenerate("retraction reversed the local orientation of the curve")
     if not check_simple(nodes):
         raise ShapeDegenerate("retracted polygon self-intersects")
@@ -620,6 +613,7 @@ def test_geometry_matches_roll_form_bit_for_bit():
         ref["tx"], ref["ty"] = ref["tangent"][:, 0], ref["tangent"][:, 1]
         for name, value in _geometry_fields(geo).items():
             assert np.array_equal(_bits(value), _bits(ref[name])), (c.n_nodes, name)
+        assert np.array_equal(_bits(_normal(geo)), _bits(ref["normal"])), c.n_nodes
         assert geo.tx.flags.c_contiguous and geo.ty.flags.c_contiguous
         u = rng.standard_normal(c.n_nodes)
         assert np.array_equal(tangential_second_derivative(c, u),
@@ -693,7 +687,8 @@ def test_retract_rejects_folding_step():
 def test_stored_chords_match_recomputation():
     rng = np.random.default_rng(43)
     for c in _oracle_curves(rng):
-        assert np.array_equal(c.chords, row_norm(shift_next(c.nodes) - c.nodes)), c.n_nodes
+        assert np.array_equal(c.chords, row_norm(np.roll(c.nodes, -1, axis=0) - c.nodes)), \
+            c.n_nodes
         assert c.chords.flags.c_contiguous
 
 
@@ -800,7 +795,7 @@ def test_retracted_curves_share_the_stencil_weights():
         for carried, computed in zip(c._stencil, fresh):
             assert np.array_equal(carried, computed)
         rebuilt = DiscreteCurve(moved.nodes, params=c.params)
-        for name in ("tangent", "normal", "curvature", "weights"):
+        for name in ("tx", "ty", "curvature", "weights"):
             assert np.array_equal(getattr(moved.geometry, name),
                                   getattr(rebuilt.geometry, name)), name
 
@@ -811,6 +806,35 @@ def test_csv_roundtrip_exact(tmp_path):
     c.to_csv(path)
     back = DiscreteCurve.from_csv(path)
     npt.assert_array_equal(back.nodes, c.nodes)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    c = circle(32, 1.3)
+    rows = _curve_csv_rowloop(c.nodes).splitlines(keepends=True)
+    path = tmp_path / "curve.csv"
+    path.write_text("\n" + "".join(rows[:5]) + "  \n\n" + "".join(rows[5:]) + "\n")
+    npt.assert_array_equal(DiscreteCurve.from_csv(path).nodes, c.nodes)
+
+
+def test_zero_central_difference_raises():
+    # node 5 steps back onto node 3, so the central chord at node 4 is zero
+    c = DiscreteCurve([(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0), (1.0, 0.0), (2.0, 0.0),
+                       (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)],
+                      require_simple=False)
+    with pytest.raises(DegenerateCurve, match="zero tangent"):
+        c.geometry
+
+
+def test_zero_speed_stencil_raises():
+    # at node 1 the parameter gaps are 0.25 back and 0.5 forward, and the
+    # forward chord is -4 times the backward one: the first derivative of
+    # the stencil, 0.25**2 (-4, 0) + 0.5**2 (1, 0), is exactly zero
+    c = DiscreteCurve([(0.0, 0.0), (1.0, 0.0), (-3.0, 0.0), (-3.0, -2.0), (-2.0, -3.0),
+                       (0.0, -3.0), (2.0, -2.0), (2.0, -1.0)],
+                      params=[0.0, 0.25, 0.75, 1.5, 2.5, 3.5, 4.5, 5.5], require_simple=False)
+    assert c.geometry.weights.shape == (8,)
+    with pytest.raises(DegenerateCurve, match="zero speed"):
+        c.geometry.curvature
 
 
 def _curve_csv_rowloop(nodes):

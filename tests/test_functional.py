@@ -365,7 +365,8 @@ def test_step_objective_is_as_accurate_as_the_roll_form():
         for k in (2, 3):
             c = DiscreteCurve(records[k].nodes)
             h = step_direction(c, f, config)
-            step = h[:, None] * c.geometry.normal
+            geo = c.geometry
+            step = h[:, None] * np.column_stack([geo.ty, -geo.tx])
             reference = _mso_step_objective_longdouble(c.nodes, step, 2.0)
             exact = [reference(t) for t in ts]
             scale = max(abs(e) for e in exact)
@@ -429,8 +430,8 @@ def _probe_cases():
         curves += [(warm, method) for method in (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE)]
     cases = []
     for c, method in curves:
-        h = step_direction(c, f, SolverConfig(method=method))
-        cases.append((c, h, h[:, None] * c.geometry.normal))
+        h, geo = step_direction(c, f, SolverConfig(method=method)), c.geometry
+        cases.append((c, h, h[:, None] * np.column_stack([geo.ty, -geo.tx])))
     return cases
 
 

@@ -11,14 +11,14 @@ import numpy.testing as npt
 import pytest
 
 from conftest import circle
-from shapeopt import (NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT, DiscreteCurve,
-                      ExperimentSpec, IterationRecord, initial_shape,
+from shapeopt import (NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE, STEEPEST_DESCENT,
+                      DiscreteCurve, ExperimentSpec, IterationRecord, initial_shape,
                       reference_ellipse, run_table1)
-from shapeopt.harness import experiment, properties
+from shapeopt.harness import cli, experiment, properties
 from shapeopt.harness.cli import main
 from shapeopt.harness.experiment import CSV_HEADER
 from shapeopt.harness.properties import random_star_curve
-from shapeopt.harness.svg import _polyline, _ramp, render_curves
+from shapeopt.harness.svg import _drawable, _polyline, _ramp, render_curves
 
 
 def polyline_count(path):
@@ -202,8 +202,8 @@ def test_polyline_matches_float_format():
         assert _polyline(nodes, "red") == _polyline_float_format(nodes, "red")
     too_far = np.nextafter(top, np.inf)
     for bad in (too_far, -too_far):
-        with pytest.raises(ValueError, match="not finite or beyond"):
-            _polyline(np.array([[0.0, 1.0], [bad, 0.0], [0.0, 0.0]]), "red")
+        with pytest.raises(ValueError, match="^curve has a node that is not finite or beyond"):
+            _drawable(np.array([[0.0, 1.0], [bad, 0.0], [0.0, 0.0]]), "curve")
 
 
 def test_render_curves_matches_float_format_on_table1_iterates(tmp_path):
@@ -537,3 +537,17 @@ def test_cli_rejects_empty_or_repeated_methods(tmp_path, capsys):
         assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 3, methods
         assert "bad input: methods" in capsys.readouterr().err
         assert not out.exists(), methods
+
+
+def test_cli_method_names_are_the_output_slugs(tmp_path, capsys):
+    # the names --method and a config's methods take are the slugs of the
+    # output files; any other name is bad input that lists them
+    assert cli.CLI_METHODS == {"sd": STEEPEST_DESCENT, "newton": NEWTON_MULTIPLICATIVE,
+                               "newton-general": NEWTON_GENERAL_FORM}
+    cfg = tmp_path / "methods.json"
+    cfg.write_text(json.dumps({"methods": ["sd", "steepest-descent"]}))
+    out = tmp_path / "out"
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 3
+    assert ("bad input: unknown method 'steepest-descent' in config; expected among "
+            "['newton', 'newton-general', 'sd']") in capsys.readouterr().err
+    assert not out.exists()

@@ -13,13 +13,13 @@ from shapeopt.harness.properties import random_star_curve
 from shapeopt.metric import check_A, metric_weight
 
 
-def test_params_validation():
+def test_check_A_rejects_negative_and_non_finite():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="metric parameter A must be >= 0"):
             check_A(bad)
 
 
-def test_as_params_coercion():
+def test_check_A_returns_a_float():
     assert check_A(0) == 0.0 and type(check_A(0)) is float
     assert check_A(np.float32(2.0)) == 2.0
     assert type(check_A(np.float32(2.0))) is float

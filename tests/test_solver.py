@@ -131,6 +131,8 @@ def test_config_validation():
         SolverConfig(A=np.nan)
     with pytest.raises(ValueError):
         FixedStep(0.0)
+    with pytest.raises(ValueError, match="line_search must be"):
+        SolverConfig(line_search=1.0)
 
 
 def test_steepest_direction_is_negative_gradient():
@@ -371,6 +373,86 @@ def test_handover_runs_the_reference_search(monkeypatch):
         assert _outcome(line_search_exact, c, ELLIPSE_PSI, d) == expected, (m, width)
         raised += expected == ("LineSearchFailed", "bracket collapsed without decrease")
     assert raised >= 10
+
+
+def _nan_on(phi, lo, hi=np.inf):
+    """phi with nan on [lo, hi]."""
+    return lambda t: np.nan if lo <= t <= hi else phi(t)
+
+
+def _valley(t):
+    return (t - 0.3) ** 2 - 0.09
+
+
+# (phi, model, patched module constants) for each handover of the parabolic
+# search that the searches of real runs do not reach
+HANDOVERS = {
+    # the model's opening probe 0.5 is nan
+    "nan-opening-probe": (_nan_on(_valley, 0.4), [-1.0, 2.0], {}),
+    # phi never decreases and the cubic backs off by 10 each probe, from 1
+    # past TOLERANCE in 11 probes
+    "opening-below-tolerance": (lambda t: 1e6 * t, [-1.0, 1.0], {}),
+    # phi never decreases and the cubic backs off by a factor of 2 to 3
+    # each probe: SNAP_PROBES probes from BRACKET_MAX stay above TOLERANCE
+    "opening-spends-snap-probes": (lambda t: t * t, [-1.0, 0.0], {}),
+    # the unit step is nan
+    "nan-unit-step": (_nan_on(_valley, 0.5), None, {}),
+    # the parabola through 0, 1e-3 and 1 puts the vertex at 0.3, which is nan
+    "nan-loop-probe": (_nan_on(_valley, 0.25, 0.35), None, {}),
+    # the inset left edge of BRACKET_MAX's cell, 1.99501, is nan
+    "nan-bracket-max-edge": (_nan_on(lambda t: -t, 1.99, 1.999), None, {}),
+    # with a 2*TOLERANCE margin of 0.006 the inset left edge of BRACKET_MAX's
+    # cell lies beyond BRACKET_MAX
+    "bracket-max-edge-outside": (lambda t: -t, None, {"TOLERANCE": 0.003}),
+    # the model opens at 1.5, the lowest and largest probe, and its cubic
+    # probes 1.1 next; phi = -t is linear there, so the parabola has no
+    # vertex, and the step right from 1.5 toward BRACKET_MAX, one float
+    # above it, rounds back to 1.5: a re-probe, on every remaining probe
+    "re-probe": (lambda t: -t, [-3.0, 2.0], {"BRACKET_MAX": np.nextafter(1.5, 2.0)}),
+}
+
+
+@pytest.mark.parametrize("case", HANDOVERS)
+def test_parabolic_search_handovers_match_the_oracle(monkeypatch, case):
+    # each case hands over to the reference search, and the search returns
+    # the reference search's outcome: the step's float or the error
+    phi, model, constants = HANDOVERS[case]
+    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (phi, model))
+    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (phi, None))
+    for name, value in constants.items():
+        monkeypatch.setattr(solver, name, value)
+    decided = []
+    snap = solver._snap_by_parabolas
+    monkeypatch.setattr(solver, "_snap_by_parabolas",
+                        lambda *args: decided.append(snap(*args)) or decided[-1])
+    c, d = circle(64), np.ones(64)
+    expected = _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d,
+                        bracket_max=constants.get("BRACKET_MAX", 2.0),
+                        tolerance=constants.get("TOLERANCE", 1e-10))
+    assert _outcome(line_search_exact, c, ELLIPSE_PSI, d) == expected
+    assert decided == [None]
+
+
+def test_golden_section_decides_a_step_of_a_converging_run(monkeypatch):
+    # steepest descent at A = 0.5 from the third of eight seeded warm starts
+    # converges in 74 iterations; its search at k = 52 is the one the
+    # parabolic search hands over, and golden section returns 0.52 there
+    rng = np.random.default_rng(13)
+    ellipse = reference_ellipse(100, 2.0)
+    starts = [retract(ellipse, rng.uniform(0.02, 0.1) * low_frequency_field(100, rng))
+              for _ in range(8)]
+    decided = []
+    snap = solver._snap_by_parabolas
+    monkeypatch.setattr(solver, "_snap_by_parabolas",
+                        lambda *args: decided.append(snap(*args)) or decided[-1])
+    config = SolverConfig(method=STEEPEST_DESCENT, A=0.5, max_iterations=100)
+    records = optimize(starts[2], F2, config)
+    assert records[-1].stop == "distance" and len(records) - 1 == 74
+    assert [k for k, t in enumerate(decided) if t is None] == [52]
+    assert records[52].step_scale == 0.52
+    c = DiscreteCurve(records[52].nodes)
+    d = step_direction(c, F2, config)
+    assert _line_search_exact_oracle(c, F2, d) == 0.52
 
 
 def test_line_search_matches_oracle_from_the_mu3_packaged_start():
