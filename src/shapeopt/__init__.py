@@ -22,18 +22,16 @@ from .harness import (ExperimentSpec, initial_shape, reference_ellipse,
                       run_property_suite, run_table1)
 from .metric import inner, norm, riesz_gradient
 from .solver import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
-                     STEEPEST_DESCENT, ExactLineSearch, FixedStep,
-                     IterationRecord, SolverConfig, convergence_diagnostics,
-                     line_search_exact, optimize, step_direction)
+                     STEEPEST_DESCENT, IterationRecord, SolverConfig,
+                     convergence_diagnostics, line_search_exact, optimize,
+                     step_direction)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CurveGeometry",
     "DiscreteCurve",
-    "ExactLineSearch",
     "ExperimentSpec",
-    "FixedStep",
     "HessianOperator",
     "IterationRecord",
     "METHODS",

@@ -376,8 +376,9 @@ class DiscreteCurve:
         outward-normal convention holds unconditionally.
     params : optional (N,) strictly increasing parameter values in
         [0, 2*pi); defaults to the equidistant grid 2*pi*i/N.
-    require_simple : when True (default) a self-intersecting polygon is
-        rejected with ShapeDegenerate.  Pass False to build a
+    require_simple : when True (default) a zero central chord (node i+1
+        on node i-1, DegenerateCurve) or a self-intersection
+        (ShapeDegenerate) is rejected.  Pass False to build a
         non-admissible polygon on purpose, e.g. to feed check_simple.
 
     ``columns`` (the (2, N+2) ghost columns of the module docstring),
@@ -422,8 +423,10 @@ class DiscreteCurve:
 
         self._set(columns, params, area)
         self._set_chords(chords)
-        if require_simple and not check_simple(self):
-            raise ShapeDegenerate("polygon self-intersects")
+        if require_simple:
+            _central_differences(columns)
+            if not check_simple(self):
+                raise ShapeDegenerate("polygon self-intersects")
 
     @classmethod
     def _unchecked(cls, columns, source):
@@ -552,13 +555,20 @@ def _stencil_weights(params):
     return dm, dp, dm * dp * (dm + dp), dm ** 2, dp ** 2, dp ** 2 - dm ** 2, dm + dp
 
 
-def _compute_geometry(c):
-    """The frame and the weights of c; its curvature waits for a read."""
-    columns = c.columns
+def _central_differences(columns):
+    """(node_{i+1} - node_{i-1}, its length) of the ghost columns;
+    DegenerateCurve where a length is zero."""
     cx, cy = central = columns[:, 2:] - columns[:, :-2]
     norms = np.sqrt(cx * cx + cy * cy)
     if (norms == 0.0).any():
         raise DegenerateCurve("central difference stencil produced a zero tangent")
+    return central, norms
+
+
+def _compute_geometry(c):
+    """The frame and the weights of c; its curvature waits for a read."""
+    columns = c.columns
+    central, norms = _central_differences(columns)
     tx, ty = central / norms
     # the backward chord at node i is the forward chord at node i-1
     chords = _periodic(c.chords)

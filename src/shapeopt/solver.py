@@ -4,27 +4,28 @@ search, the optimize driver, and convergence diagnostics.
 An iteration is direction -> line search -> retract.  Directions are the
 negative Riesz gradient (steepest descent) or a Newton step from one of
 the two Hessian representations in ``calculus``, solved against the
-derivative density and so free of the metric.  The exact line search
-chooses a step parameter in (0, BRACKET_MAX] on the STEP_RESOLUTION grid
-(0.01): a short safeguarded parabolic search decides that snapped step
-first, and bracketing by doubling plus golden section, run to a bracket
-TOLERANCE (1e-10) wide, takes over when it cannot.  For the quadratic
-objective family it minimizes an exactly differenced objective, so step
-lengths remain meaningful even when the objective decrease is far below
-the rounding noise of the objective value itself.  That objective
-(``functional.mso_step_objective``) sums per-node increments only: the
-radial change of P, a quartic in t, and the turn of each node's angle,
-weighted by constants of the search set up once, with no telescoping sum
-of nearly equal terms left to cancel; a probe is one angular pass and a
-(5, N) matrix-vector product.  Its set-up also gives the exact slope and
-curvature of the decrease at t = 0.  The parabolic search opens at the
-grid point that this quadratic model (Nocedal and Wright, Numerical
-Optimization, section 3.5) puts the minimizer at, and takes about 3.7
-probes on the packaged runs.  Its snapped step is the one the
-full-precision search would return when the objective is unimodal along
-the step, and a parabolic search that cannot certify its grid point
-hands over to that reference search: bracketing, golden section to
-TOLERANCE, then the snap.
+derivative density and so free of the metric.  The one step rule, the
+exact line search, chooses a step parameter in (0, BRACKET_MAX] on the
+STEP_RESOLUTION grid (0.01): a short safeguarded parabolic search
+decides that snapped step first, and bracketing by doubling plus golden
+section, run to a bracket TOLERANCE (1e-10) wide, takes over when it
+cannot.  For the quadratic objective family it minimizes an exactly
+differenced objective, so step lengths remain meaningful even when the
+objective decrease is far below the rounding noise of the objective
+value itself.  That objective (``functional.mso_step_objective``) sums
+per-node increments only: the radial change of P, a quartic in t, and
+the turn of each node's angle, weighted by constants of the search set
+up once, with no telescoping sum of nearly equal terms left to cancel; a
+probe is one angular pass and a (5, N) matrix-vector product.  Its
+set-up also gives the exact slope and curvature of the decrease at
+t = 0; other functionals take the nodal model of the boundary kernel.
+The parabolic search opens at the grid point that this quadratic model
+(Nocedal and Wright, Numerical Optimization, section 3.5) puts the
+minimizer at, and takes about 3.7 probes on the packaged runs.  Its
+snapped step is the one the full-precision search would return when the
+objective is unimodal along the step, and a parabolic search that cannot
+certify its grid point hands over to that reference search: bracketing,
+golden section to TOLERANCE, then the snap.
 The line search only chooses the step; ``retract`` builds the iterate at
 it and admits or rejects it, once per step.
 """
@@ -36,7 +37,7 @@ from statistics import median
 
 import numpy as np
 
-from .calculus import HessianOperator, solve_hessian
+from .calculus import HessianOperator, riemannian_hessian_form, solve_hessian
 from .curve import _CheckedField, retract
 from .errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                      NotStarShaped, ProjectionFailed, ShapeDegenerate,
@@ -68,29 +69,11 @@ SNAP_PROBES = 12
 
 
 @dataclass(frozen=True)
-class ExactLineSearch:
-    """Exact minimization along the step (``line_search_exact``): a
-    parabolic search for the snapped step, then bracketing plus golden
-    section, on the module's BRACKET_MAX, TOLERANCE and STEP_RESOLUTION."""
-
-
-@dataclass(frozen=True)
-class FixedStep:
-    """Constant step parameter t for every iteration."""
-    t: float = 1.0
-
-    def __post_init__(self):
-        if not self.t > 0.0:
-            raise ValueError("fixed step must be positive")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     method: str = STEEPEST_DESCENT
     A: float = 0.0
     max_iterations: int = 50
     stop_distance: float = 1e-7
-    line_search: object = ExactLineSearch()
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -100,8 +83,6 @@ class SolverConfig:
         if not self.stop_distance > 0.0:
             raise ValueError("stop_distance must be positive")
         check_A(self.A)  # rejects a negative or non-finite A now, not at first use
-        if not isinstance(self.line_search, (ExactLineSearch, FixedStep)):
-            raise ValueError("line_search must be ExactLineSearch or FixedStep")
 
 
 @dataclass
@@ -149,20 +130,25 @@ def step_direction(c, f, config):
     return -solve_hessian(H, g)
 
 
-def _decrease_function(c, f, direction):
-    """(phi, model): phi(t) = f(r_c(t*direction)) - f(c) as a callable,
-    for a field or a ``_CheckedField`` direction on c, used as given, and
-    the model [phi'(0), phi''(0)] of the decrease, or None without one.
+def _decrease_function(c, f, checked):
+    """(phi, model): phi(t) = f(r_c(t*h)) - f(c) as a callable, for the
+    ``_CheckedField`` h on c, used as given, and the model
+    [phi'(0), phi''(0)] of the decrease.
 
     The quadratic family uses the exactly differenced polar objective,
     whose set-up gives the exact model.  Other functionals evaluate the
     fan quadrature on the moved polygon, with inadmissible probes scored
-    +inf so brackets shrink below them, and have no model.
+    +inf so brackets shrink below them, and take the nodal model of
+    ``calculus.taylor_remainder_probe``: the pairing sum g h w and the
+    covariant Hessian form hess(h, h) at A = 0 of the boundary kernel
+    (g, dpsi_dn), which is not validated again.
     """
-    checked = _CheckedField(c, direction, "direction")
     if f.is_quadratic_mso:
         model = []
         return mso_step_objective(c, checked, f.mu, model), model
+    g, dpsi_dn = boundary_kernel(c, f)
+    model = [float((g * checked.values * c.geometry.weights).sum()),
+             riemannian_hessian_form(c, 0.0, (g, dpsi_dn), checked, checked)]
     f0 = f.evaluate(c)
 
     def phi(t):
@@ -172,38 +158,37 @@ def _decrease_function(c, f, direction):
         except (DegenerateCurve, ShapeDegenerate, NotStarShaped):
             return np.inf
 
-    return phi, None
+    return phi, model
 
 
 def line_search_exact(c, f, direction):
     """Step parameter minimizing f along the retracted direction.
 
-    Finds a decrease at t0 = 1e-3, halving t0 while it fails to decrease.
-    Then brackets a descent interval by doubling from t0 up to
-    BRACKET_MAX, refines with golden section to a bracket TOLERANCE wide,
-    and snaps to the grid h = STEP_RESOLUTION when that preserves the
-    decrease: the reference search.  Raises LineSearchFailed when no
+    The reference search finds a decrease at t0 = 1e-3, halving t0 while
+    it fails to decrease.  Then it brackets a descent interval by
+    doubling from t0 up to BRACKET_MAX, refines with golden section to a
+    bracket TOLERANCE wide, and snaps to the grid h = STEP_RESOLUTION
+    when that preserves the decrease.  It raises LineSearchFailed when no
     probed step above TOLERANCE decreases the objective, or when the
     midpoint of the collapsed bracket does not.  phi(t), the decrease at
     t, is probed at most once per t in one search.  The direction is
     validated once, unless it is a ``_CheckedField`` already, used as
-    given; the probes take it so.
+    given; the probes take it so.  A custom functional without
+    ``grad_psi`` has no model and raises the kernel's ValueError.
 
-    A parabolic search (``_snap_by_parabolas``) runs first.  With
-    tol = TOLERANCE, it probes until the lowest probe p2 and its probed
-    neighbours p1 < p2 < p3 satisfy round((p1 - 2*tol)/h) ==
-    round((p3 + 2*tol)/h) == k, then returns k*h if
-    0 < k*h <= BRACKET_MAX and phi(k*h) < 0.  When p2 is the largest
+    When the model's slope phi'(0) is negative, a parabolic search
+    (``_snap_by_parabolas``) opened at the grid point nearest the model's
+    minimizer runs first.  With tol = TOLERANCE, it probes until the
+    lowest probe p2 and its probed neighbours p1 < p2 < p3 satisfy
+    round((p1 - 2*tol)/h) == round((p3 + 2*tol)/h) == k, then returns k*h
+    if 0 < k*h <= BRACKET_MAX and phi(k*h) < 0.  When p2 is the largest
     probe, BRACKET_MAX stands in for p3, without the margin: golden
-    section's brackets never pass BRACKET_MAX.  When the decrease
-    function comes with a model whose slope phi'(0) is negative (the
-    quadratic family's does), the search runs before the search for t0,
-    opening at the grid point nearest the model's minimizer; else it
-    runs after it, opening at the unit step.  It hands over to the
+    section's brackets never pass BRACKET_MAX.  It hands over to the
     reference search, which runs unchanged on the probes already made,
     when no probe decreases phi, k is 0, a probe is nan, the snap fails
     or the probe budget SNAP_PROBES is spent.  A handover so returns
-    exactly what the reference search returns, error included.
+    exactly what the reference search returns, error included; without a
+    negative slope the reference search runs alone.
 
     The parabolic search returns the reference search's float whenever
     phi is unimodal on [0, BRACKET_MAX]: strictly decreasing up to its
@@ -217,8 +202,8 @@ def line_search_exact(c, f, direction):
     BRACKET_MAX stands in for p3, either of which rounds to k as a whole.
     Its midpoint t_star, within tol of A, so decreases phi and rounds to
     k: the reference search tries the same k*h, with the same test.
-    None of this depends on where the probes lie, so the seeded and the
-    unit-step openings return the same float.
+    None of this depends on where the probes lie, so the model need not
+    be exact.
 
     For the quadratic family the probes skip admissibility checks (the
     loop validates the accepted step when retracting), so BRACKET_MAX
@@ -245,8 +230,7 @@ def line_search_exact(c, f, direction):
             probed[t] = decrease(t)
         return probed[t]
 
-    seeded = model is not None and model[0] < 0.0
-    if seeded:
+    if model[0] < 0.0:
         t_snap = _snap_by_parabolas(phi, probed, model)
         if t_snap is not None:
             return t_snap
@@ -258,11 +242,6 @@ def line_search_exact(c, f, direction):
     if f0 >= 0.0 or not math.isfinite(f0):
         raise LineSearchFailed(
             f"no decrease along the direction for any t >= {TOLERANCE:g}")
-
-    if not seeded:
-        t_snap = _snap_by_parabolas(phi, probed)
-        if t_snap is not None:
-            return t_snap
 
     lo, a, fa = 0.0, t0, f0
     b = min(2.0 * t0, BRACKET_MAX)
@@ -302,16 +281,14 @@ def _grid_step(phi, k):
     return None
 
 
-def _snap_by_parabolas(phi, probed, model=None):
+def _snap_by_parabolas(phi, probed, model):
     """The snapped step k * STEP_RESOLUTION decided by safeguarded
     parabolic interpolation, or None to hand over to bracketing and golden
     section.  probed maps every t that phi has evaluated to phi(t).
 
-    The opening depends on ``model``.  Without one, the unit step is
-    probed first and doubled, up to BRACKET_MAX, while it is the lowest
-    probe.  A model [phi'(0), phi''(0)] with phi'(0) < 0 seeds the search
-    instead (``_open_by_model``); when none of its opening probes
-    decreases phi, None is returned.
+    The model [phi'(0), phi''(0)], with phi'(0) < 0, seeds the search
+    (``_open_by_model``); when none of its opening probes decreases phi,
+    None is returned.
 
     Let p2 be the lowest probe (the leftmost of equal ones) and p1 < p2 < p3
     its probed neighbours, with p1 = 0, where phi is 0, when p2 is the
@@ -351,15 +328,8 @@ def _snap_by_parabolas(phi, probed, model=None):
     h = STEP_RESOLUTION
     margin = 2.0 * TOLERANCE
     inset = h / 1024.0 + margin
-    if model is not None:
-        if not _open_by_model(phi, inset, *model):
-            return None
-    else:
-        t = 1.0
-        phi(t)
-        while t < BRACKET_MAX and min(probed, key=probed.get) == max(probed):
-            t = min(2.0 * t, BRACKET_MAX)
-            phi(t)
+    if not _open_by_model(phi, inset, *model):
+        return None
     # the probes in increasing t, with phi(0) = 0 first, kept sorted
     ts = [0.0] + sorted(probed)
     fs = [0.0] + [float(probed[t]) for t in ts[1:]]
@@ -508,9 +478,9 @@ def optimize(c0, f, config, reference=None):
     start that cannot be recorded raises.
 
     Checks: each step's direction is validated once, where optimize
-    receives it from ``step_direction``, under either step rule; a
-    direction of the wrong length or with a non-finite entry ends the run
-    with a DimensionMismatch stop naming ``direction``.  The line search,
+    receives it from ``step_direction``; a direction of the wrong length
+    or with a non-finite entry ends the run with a DimensionMismatch stop
+    naming ``direction``.  The line search,
     the step norm and ``retract`` then take it as a ``_CheckedField`` and
     do not check it again; called directly, each validates its field.
     ``retract`` builds the one polygon of each step.
@@ -531,10 +501,7 @@ def optimize(c0, f, config, reference=None):
             if stop is not None:
                 break
             direction = _CheckedField(c, step_direction(c, f, config), "direction")
-            if isinstance(config.line_search, FixedStep):
-                t = config.line_search.t
-            else:
-                t = line_search_exact(c, f, direction)
+            t = line_search_exact(c, f, direction)
             rec.step_scale = t
             rec.step_norm = t * norm(c, config.A, direction)
             if k > 0 and records[k - 1].step_norm:

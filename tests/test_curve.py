@@ -825,6 +825,22 @@ def test_zero_central_difference_raises():
         c.geometry
 
 
+def test_constructor_rejects_a_zero_width_spike():
+    # check_simple admits the square whose node 5 steps back onto node 3,
+    # so the constructor rejects its zero central chord itself, with the
+    # geometry's error, whichever way the polygon is traversed
+    nodes = np.array([(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0), (1.0, 0.0), (2.0, 0.0),
+                      (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
+    assert check_simple(nodes)
+    for order in (nodes, nodes[::-1]):
+        with pytest.raises(DegenerateCurve, match="^central difference stencil produced a zero tangent$"):
+            DiscreteCurve(order)
+    # a spike of positive width is admitted
+    moved = nodes.copy()
+    moved[5] = (1.0, 0.1)
+    assert DiscreteCurve(moved).n_nodes == 10
+
+
 def test_zero_speed_stencil_raises():
     # at node 1 the parameter gaps are 0.25 back and 0.5 forward, and the
     # forward chord is -4 times the backward one: the first derivative of

@@ -3,6 +3,7 @@ late-phase rate diagnostics."""
 
 import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -14,13 +15,13 @@ import shapeopt.curve as curve
 import shapeopt.metric as metric
 import shapeopt.solver as solver
 from shapeopt import (METHODS, NEWTON_GENERAL_FORM, NEWTON_MULTIPLICATIVE,
-                      STEEPEST_DESCENT, DiscreteCurve, ExactLineSearch,
-                      ExperimentSpec, HessianOperator,
-                      FixedStep, IterationRecord, SolverConfig,
+                      STEEPEST_DESCENT, DiscreteCurve, ExperimentSpec,
+                      HessianOperator, IterationRecord, SolverConfig,
                       VolumeFunctional, convergence_diagnostics,
-                      hessian_at_solution, line_search_exact, norm,
-                      optimize, retract, riesz_gradient, step_direction)
-from shapeopt.curve import as_field
+                      hessian_at_solution, inner, line_search_exact, norm,
+                      optimize, retract, riemannian_hessian_form,
+                      riesz_gradient, step_direction)
+from shapeopt.curve import _CheckedField
 from shapeopt.errors import (DegenerateCurve, InsufficientData, LineSearchFailed,
                              NotStarShaped, ShapeOptError)
 from shapeopt.functional import boundary_kernel
@@ -65,8 +66,8 @@ def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
                               step_resolution=0.01):
     """The reference search: line_search_exact without its parabolic
     search.  Golden section runs to the tolerance before the snap."""
-    direction = as_field(c, direction, "direction")
-    if not np.any(direction):
+    direction = _CheckedField(c, direction, "direction")
+    if not direction.values.any():
         raise LineSearchFailed("zero direction")
     phi, _ = _decrease_function(c, f, direction)
 
@@ -110,6 +111,11 @@ def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
     return float(t_star)
 
 
+def _fixed_step(monkeypatch, t):
+    """optimize with every line search replaced by the constant step t."""
+    monkeypatch.setattr(solver, "line_search_exact", lambda c, f, direction: t)
+
+
 def _outcome(search, *args, **kwargs):
     """The returned step as exact hex, or the raised error's type and message."""
     try:
@@ -129,10 +135,9 @@ def test_config_validation():
         SolverConfig(A=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(A=np.nan)
-    with pytest.raises(ValueError):
-        FixedStep(0.0)
-    with pytest.raises(ValueError, match="line_search must be"):
-        SolverConfig(line_search=1.0)
+    # the exact line search is the one step rule: there is no option for it
+    assert [field.name for field in fields(SolverConfig)] == [
+        "method", "A", "max_iterations", "stop_distance"]
 
 
 def test_steepest_direction_is_negative_gradient():
@@ -225,6 +230,32 @@ def test_line_search_matches_oracle_on_custom_functional():
                         == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d)), (A, method)
 
 
+def test_custom_model_is_the_nodal_model():
+    # the custom path's model is two finite floats: the pairing sum g h w
+    # and the covariant Hessian form at A = 0 of the boundary kernel
+    curves = [initial_shape(100)] + _warm_starts(100, 2) + [circle(64, 1.3)]
+    for c in curves:
+        kernels = boundary_kernel(c, ELLIPSE_PSI)
+        for method in METHODS:
+            d = step_direction(c, ELLIPSE_PSI, SolverConfig(method=method, A=0.5))
+            _, model = _decrease_function(c, ELLIPSE_PSI, _CheckedField(c, d))
+            assert len(model) == 2 and all(type(v) is float for v in model), method
+            assert np.isfinite(model).all(), method
+            assert model[0] == inner(c, 0.0, kernels[0], d), method
+            assert model[1] == riemannian_hessian_form(c, 0.0, kernels, d, d), method
+
+
+def test_line_search_needs_the_gradient_of_a_custom_functional():
+    # without grad_psi there is no model, and the search raises the
+    # kernel's error, as the step direction does
+    f = VolumeFunctional.custom(lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0)
+    c = initial_shape(100)
+    with pytest.raises(ValueError, match="construct it with grad_psi"):
+        step_direction(c, f, SolverConfig())
+    with pytest.raises(ValueError, match="construct it with grad_psi"):
+        line_search_exact(c, f, -np.ones(100))
+
+
 def test_line_search_rejected_snap_runs_to_tolerance():
     # the minimizer lies below 0.005, so the snap rounds to 0, which is
     # rejected, and the search returns golden section's midpoint
@@ -240,7 +271,8 @@ def test_line_search_rejected_grid_step_returns_bracket_midpoint(monkeypatch):
     # of the minimizer 0.0151 is rejected and the search returns golden
     # section's midpoint
     def cliff(c, f, direction):
-        return lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf, None
+        phi = lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf
+        return phi, [-0.0302, 2.0]
 
     monkeypatch.setattr(solver, "_decrease_function", cliff)
     t = line_search_exact(initial_shape(100), F2, np.ones(100))
@@ -275,9 +307,17 @@ def _unimodal_phi(rng, m, kind):
     return phi
 
 
+def _difference_model(phi, delta=1e-4):
+    """[phi'(0), phi''(0)] of phi by one-sided differences at delta and
+    2 delta, exact for a quadratic."""
+    near, far = phi(delta), phi(2.0 * delta)
+    return [(4.0 * near - far) / (2.0 * delta), (far - 2.0 * near) / delta ** 2]
+
+
 def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
-    # the parabolic search must return the full search's float whenever
-    # phi is unimodal, and decide most of these searches by itself
+    # the parabolic search opened from the model [phi'(0), phi''(0)] must
+    # return the full search's float whenever phi is unimodal, and decide
+    # most of these searches by itself
     rng = np.random.default_rng(41)
     res = 0.01
     minimizers = (list(rng.uniform(0.005, 2.0, 250))
@@ -291,8 +331,8 @@ def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     cases += [(m, _unimodal_phi(rng, m, "flat8")) for m in rng.uniform(0.005, 2.0, 40)]
     # the decided snap 0.02 of the minimizer 0.0151 lies beyond the cliff
     cases.append((0.0151, lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf))
-    current = None
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, None))
+    current = model = None
+    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, model))
     monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
     decided = []
     snap = solver._snap_by_parabolas
@@ -305,9 +345,12 @@ def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
         monkeypatch.setattr(solver, "TOLERANCE", tolerance)
         decided.clear()
         for m, current in cases:
+            model = _difference_model(current)
+            assert model[0] < 0.0, m
             assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d)
                     == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d,
                                 tolerance=tolerance)), (m, tolerance)
+        assert len(decided) == len(cases)
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
 
 
@@ -335,11 +378,8 @@ def test_seeded_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
     monkeypatch.setattr(solver, "_snap_by_parabolas",
                         lambda *args: decided.append(snap(*args)) or decided[-1])
     c, d = circle(64), np.ones(64)
-    delta = 1e-4
     for current in cases:
-        near, far = current(delta), current(2.0 * delta)
-        slope = (4.0 * near - far) / (2.0 * delta)
-        curvature = (far - 2.0 * near) / delta ** 2
+        slope, curvature = _difference_model(current)
         model = [slope * rng.uniform(1.0 / 3.0, 3.0),
                  curvature * rng.uniform(-0.5, 3.0)]
         assert model[0] < 0.0
@@ -362,7 +402,7 @@ def test_handover_runs_the_reference_search(monkeypatch):
     # snapped grid step nearest m decreases phi
     rng = np.random.default_rng(47)
     current = None
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, None))
+    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, [-1.0, 2.0]))
     monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
     monkeypatch.setattr(solver, "_snap_by_parabolas", lambda *args: None)
     c, d = circle(64), np.ones(64)
@@ -395,15 +435,17 @@ HANDOVERS = {
     # phi never decreases and the cubic backs off by a factor of 2 to 3
     # each probe: SNAP_PROBES probes from BRACKET_MAX stay above TOLERANCE
     "opening-spends-snap-probes": (lambda t: t * t, [-1.0, 0.0], {}),
-    # the unit step is nan
-    "nan-unit-step": (_nan_on(_valley, 0.5), None, {}),
-    # the parabola through 0, 1e-3 and 1 puts the vertex at 0.3, which is nan
-    "nan-loop-probe": (_nan_on(_valley, 0.25, 0.35), None, {}),
-    # the inset left edge of BRACKET_MAX's cell, 1.99501, is nan
-    "nan-bracket-max-edge": (_nan_on(lambda t: -t, 1.99, 1.999), None, {}),
-    # with a 2*TOLERANCE margin of 0.006 the inset left edge of BRACKET_MAX's
-    # cell lies beyond BRACKET_MAX
-    "bracket-max-edge-outside": (lambda t: -t, None, {"TOLERANCE": 0.003}),
+    # the model opens at 0.5 and its cubic probes 0.29 next; the vertex of
+    # the parabola through 0, 0.29 and 0.5 rounds to the grid point 0.3,
+    # which is nan
+    "nan-loop-probe": (_nan_on(_valley, 0.3, 0.32), [-1.0, 2.0], {}),
+    # the model opens at 1 and its cubic, with no minimizer, probes
+    # BRACKET_MAX next; the inset left edge of BRACKET_MAX's cell,
+    # 1.99501, is nan
+    "nan-bracket-max-edge": (_nan_on(lambda t: -t, 1.99, 1.999), [-1.0, 1.0], {}),
+    # the same openings; with a 2*TOLERANCE margin of 0.006 the inset left
+    # edge of BRACKET_MAX's cell lies beyond BRACKET_MAX
+    "bracket-max-edge-outside": (lambda t: -t, [-1.0, 1.0], {"TOLERANCE": 0.003}),
     # the model opens at 1.5, the lowest and largest probe, and its cubic
     # probes 1.1 next; phi = -t is linear there, so the parabola has no
     # vertex, and the step right from 1.5 toward BRACKET_MAX, one float
@@ -502,16 +544,14 @@ def test_line_search_probe_count(monkeypatch):
     probes = 0
     original = solver.mso_step_objective
 
-    def counted(*args):
-        phi = original(*args)
-
+    def counted(phi):
         def probe(t):
             nonlocal probes
             probes += 1
             return phi(t)
         return probe
 
-    monkeypatch.setattr(solver, "mso_step_objective", counted)
+    monkeypatch.setattr(solver, "mso_step_objective", lambda *args: counted(original(*args)))
     searches = sum(len(_table1_run(method)) - 1 for method in TABLE1_STEP_SCALES)
     assert probes / searches <= 10
     assert probes / searches <= 5.5
@@ -524,6 +564,30 @@ def test_line_search_probe_count(monkeypatch):
     config = SolverConfig(method=NEWTON_GENERAL_FORM)
     searches = sum(len(optimize(c, F2, config)) - 1 for c in starts)
     assert probes / searches <= 5.5
+    # the custom path opens from the nodal model: 4680 probes in 437
+    # searches on the 54 runs of the custom functional from three
+    # 1%-perturbed ellipses at N=100 and 400, for every method and A
+    decrease = solver._decrease_function
+    searches = probes = 0
+
+    def counted_decrease(*args):
+        nonlocal searches
+        searches += 1
+        phi, model = decrease(*args)
+        return counted(phi), model
+
+    monkeypatch.setattr(solver, "_decrease_function", counted_decrease)
+    for n in (100, 400):
+        rng = np.random.default_rng(3)
+        ellipse = reference_ellipse(n, 2.0)
+        starts = [retract(ellipse, 0.01 * low_frequency_field(n, rng)) for _ in range(3)]
+        for method in METHODS:
+            for A in (0.0, 0.5, 1.0):
+                for c0 in starts:
+                    optimize(c0, ELLIPSE_PSI, SolverConfig(method=method, A=A, max_iterations=20),
+                             reference=ellipse)
+    assert searches == 437
+    assert probes / searches <= 10.71
 
 
 def test_table1_step_scales_are_pinned():
@@ -659,28 +723,21 @@ def test_optimize_respects_iteration_cap():
     assert records[-1].stop == "max_iterations"
 
 
-def test_optimize_stops_on_step_without_distance():
+def test_optimize_stops_on_step_without_distance(monkeypatch):
     area = VolumeFunctional.custom(lambda pts: np.ones(len(pts)),
                                    lambda pts: np.zeros_like(pts))
-    cfg = SolverConfig(method=STEEPEST_DESCENT, line_search=FixedStep(1e-9))
+    cfg = SolverConfig(method=STEEPEST_DESCENT)
+    _fixed_step(monkeypatch, 1e-9)
     records = optimize(circle(100), area, cfg)
     assert records[0].step_norm < cfg.stop_distance
     assert [r.stop for r in records] == [None, "step"]
 
 
-def test_optimize_fixed_step():
-    cfg = SolverConfig(method=STEEPEST_DESCENT, max_iterations=5,
-                       line_search=FixedStep(0.1))
-    records = optimize(initial_shape(100), F2, cfg)
-    assert len(records) == 6
-    assert all(r.step_scale == 0.1 for r in records[:-1])
-    assert records[-1].objective < records[0].objective
-
-
-def test_optimize_unit_step_newton():
+def test_optimize_unit_step_newton(monkeypatch):
     # pure Newton iteration (no line search) from a nearby circle
     f1 = VolumeFunctional.quadratic_mso(1.0)
-    cfg = SolverConfig(method=NEWTON_MULTIPLICATIVE, line_search=FixedStep())
+    cfg = SolverConfig(method=NEWTON_MULTIPLICATIVE)
+    _fixed_step(monkeypatch, 1.0)
     records = optimize(circle(100, 1.2), f1, cfg)
     assert records[-1].distance < 1e-7
     assert len(records) <= 6
@@ -704,13 +761,13 @@ def test_multiplicative_newton_iterates_do_not_depend_on_the_metric():
                 assert runs[A][-1].stop == "distance" and len(runs[A]) - 1 == 4, A
 
 
-def test_optimize_with_reference_curve():
+def test_optimize_with_reference_curve(monkeypatch):
     # non-quadratic path: area functional shrinks any curve, monitored
     # against a reference through the normal-offset distance
     area = VolumeFunctional.custom(lambda pts: np.ones(len(pts)),
                                    lambda pts: np.zeros_like(pts))
-    cfg = SolverConfig(method=STEEPEST_DESCENT, max_iterations=2,
-                       line_search=FixedStep(0.05))
+    cfg = SolverConfig(method=STEEPEST_DESCENT, max_iterations=2)
+    _fixed_step(monkeypatch, 0.05)
     records = optimize(circle(100), area, cfg, reference=circle(100))
     assert records[0].distance == 0.0
     assert len(records) == 1  # starts on the reference, stops at once
@@ -736,9 +793,10 @@ def test_optimize_survives_monitoring_failure():
         assert records[0].quadratic_ratio is None, method
 
 
-def test_optimize_returns_partial_records_on_failure():
+def test_optimize_returns_partial_records_on_failure(monkeypatch):
     c0 = initial_shape(100)
-    cfg = SolverConfig(method=STEEPEST_DESCENT, line_search=FixedStep(50.0))
+    cfg = SolverConfig(method=STEEPEST_DESCENT)
+    _fixed_step(monkeypatch, 50.0)
     records = optimize(c0, F2, cfg)  # the step of row 0 cannot be retracted
     assert len(records) == 1
     assert records[0].objective == pytest.approx(F2.evaluate(c0))
@@ -750,8 +808,8 @@ def test_optimize_returns_partial_records_on_failure():
 
 
 def test_optimize_stops_on_an_invalid_direction(monkeypatch):
-    # the direction is checked where optimize receives it, under either
-    # step rule, and the stop names it
+    # the direction is checked where optimize receives it, before the line
+    # search (or a constant step in its place) runs, and the stop names it
     for bad, message in ((np.nan, "contains non-finite values"),
                          (np.inf, "contains non-finite values"),
                          (None, "expected 100 values, got shape (99,)")):
@@ -763,11 +821,14 @@ def test_optimize_stops_on_an_invalid_direction(monkeypatch):
             return d
 
         monkeypatch.setattr(solver, "step_direction", direction)
-        for rule in (ExactLineSearch(), FixedStep(0.1)):
-            records = optimize(initial_shape(100), F2, SolverConfig(line_search=rule))
+        for step in (None, 0.1):
+            with monkeypatch.context() as m:
+                if step is not None:
+                    _fixed_step(m, step)
+                records = optimize(initial_shape(100), F2, SolverConfig())
             assert len(records) == 1
             assert records[0].step_scale is None
-            assert records[0].stop == f"DimensionMismatch: direction: {message}", rule
+            assert records[0].stop == f"DimensionMismatch: direction: {message}", step
 
 
 def test_optimize_checks_each_direction_once(monkeypatch):
@@ -792,13 +853,15 @@ def test_optimize_checks_each_direction_once(monkeypatch):
     monkeypatch.setattr(solver, "step_direction", direction)
     for f in (F2, ELLIPSE_PSI):
         for method in METHODS:
-            for rule in (ExactLineSearch(), FixedStep(0.1)):
+            for step in (None, 0.1):
                 checked.clear()
                 directions.clear()
-                records = optimize(initial_shape(100), f,
-                                   SolverConfig(method=method, max_iterations=3,
-                                                line_search=rule))
-                case = (f, method, rule)
+                with monkeypatch.context() as m:
+                    if step is not None:
+                        _fixed_step(m, step)
+                    records = optimize(initial_shape(100), f,
+                                       SolverConfig(method=method, max_iterations=3))
+                case = (f, method, step)
                 assert any(r.step_scale is not None for r in records), case
                 assert checked.count("direction") == len(directions), case
                 assert not {"alpha", "beta", "h"} & set(checked), case
@@ -861,7 +924,8 @@ def test_diagnostics_without_a_positive_step_norm(monkeypatch, tmp_path):
     # solve_and_write reports it
     zero = VolumeFunctional.custom(lambda p: np.zeros(len(p)),
                                    lambda p: np.zeros((len(p), 2)))
-    config = SolverConfig(max_iterations=4, line_search=FixedStep(0.5))
+    config = SolverConfig(max_iterations=4)
+    _fixed_step(monkeypatch, 0.5)
     monkeypatch.setattr(experiment, "optimize",
                         lambda c0, f, config: optimize(c0, f, config,
                                                        reference=circle(32, 1.05)))
