@@ -27,9 +27,10 @@ nu = 2 (x1 n1 + mu^2 x2 n2); ``hessian_at_solution`` builds that
 operator along any iterate.
 
 At A = 0 the connection term psi A kappa (alpha beta)_tautau is
-identically zero, and ``HessianOperator.general_form`` skips its stencil,
-as ``metric`` skips the weight 1 + 0 kappa^2.  The pointwise factor keeps
-its A-terms, so a non-finite curvature still makes the form singular.
+identically zero, and ``riemannian_hessian_form`` and
+``HessianOperator.general_form`` skip its stencil, as ``metric`` skips
+the weight 1 + 0 kappa^2.  The pointwise factor keeps its A-terms, so a
+non-finite curvature still makes the form singular.
 """
 
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ def covariant_derivative(c, A, alpha, beta, dbeta_dn):
     alpha = as_field(c, alpha, "alpha")
     beta = as_field(c, beta, "beta")
     dbeta_dn = as_field(c, dbeta_dn, "dbeta_dn")
-    kappa = c.geometry.curvature
+    kappa = c.curvature
     mid = 0.5 * (kappa + 2.0 * A * kappa ** 3 / (1.0 + A * kappa ** 2))
     return dbeta_dn * alpha + mid * alpha * beta \
         + A * kappa * tangential_second_derivative(c, alpha * beta)
@@ -82,9 +83,8 @@ def standard_shape_hessian_form(c, psi_kernels, alpha, beta, dW_normal):
     alpha = as_field(c, alpha, "alpha")
     beta = as_field(c, beta, "beta")
     dW_normal = as_field(c, dW_normal, "dW_normal")
-    geo = c.geometry
-    return float(np.sum(((dpsi_dn + geo.curvature * g) * alpha * beta
-                         + g * dW_normal) * geo.weights))
+    return float(np.sum(((dpsi_dn + c.curvature * g) * alpha * beta
+                         + g * dW_normal) * c.geometry.weights))
 
 
 def _hessian_coefficient(A, kappa, g, dpsi_dn):
@@ -97,18 +97,20 @@ def riemannian_hessian_form(c, A, psi_kernels, alpha, beta):
     """Covariant (extension-free) Hessian form of a volume functional.
 
     Symmetric in (alpha, beta) to the last bit: the product field
-    alpha*beta is formed once and every term acts on it.
+    alpha*beta is formed once and every term acts on it.  At A = 0 the
+    connection term is identically zero and its stencil is skipped, as
+    in ``HessianOperator.general_form``.
     """
     A = check_A(A)
     g, dpsi_dn = psi_kernels
     alpha = as_field(c, alpha, "alpha")
     beta = as_field(c, beta, "beta")
-    geo = c.geometry
-    kappa = geo.curvature
+    kappa = c.curvature
     prod = alpha * beta
-    coeff = _hessian_coefficient(A, kappa, g, dpsi_dn)
-    second = g * A * kappa * tangential_second_derivative(c, prod)
-    return float(np.sum((coeff * prod - second) * geo.weights))
+    form = _hessian_coefficient(A, kappa, g, dpsi_dn) * prod
+    if A != 0.0:
+        form -= g * A * kappa * tangential_second_derivative(c, prod)
+    return float(np.sum(form * c.geometry.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +158,7 @@ class HessianOperator:
         A = check_A(A)
         g = as_field(curve, psi_kernels[0], "psi")
         dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
-        geo = curve.geometry
-        kappa, w = geo.curvature, geo.weights
+        kappa, w = curve.curvature, curve.geometry.weights
         coeff = _hessian_coefficient(A, kappa, g, dpsi_dn)
         d = coeff * w
         if A != 0.0:  # E vanishes identically at A = 0

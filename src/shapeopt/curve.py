@@ -23,40 +23,40 @@ arrives as N plain values is padded the same way, once, by ``_padded``.
 Every periodic stencil reads its neighbours through one of these layouts.
 
 A curve is immutable and keeps only what its nodes and params determine,
-computed once per curve and read-only:
+read-only.  ``columns`` (with its view ``nodes``) and ``chords`` (the
+forward chord lengths |node_{i+1} - node_i|, from the constructor's
+coincident-node check) are set when it is built; every other field is a
+cached property, computed on its first read and kept:
 
-- ``columns`` (with its view ``nodes``) and ``chords``: the ghost
-  columns above and the forward chord lengths |node_{i+1} - node_i|,
-  computed by the constructor's coincident-node check;
 - ``geometry``: the unit tangent as contiguous columns tx and ty, the
   one representation of the frame (the outward normal is (ty, -tx),
-  formed from them where it is read), and the node quadrature weights,
-  computed on first use; the curvature is computed on its own first
-  read;
+  formed from them where it is read), and the node quadrature weights;
+- ``curvature``: the signed curvature from three-point parameter
+  stencils, whose weights (``_stencil``) depend on the params alone and
+  are shared with every curve retracted from it, which keeps the params;
+  only the A-terms of the metric and the Hessian forms read it, so
+  steepest descent and multiplicative Newton at A = 0 never form it;
 - ``angle_steps``: the wrapped polar angle steps between consecutive
-  nodes about the origin, computed on first use; ``check_simple``,
+  nodes about the origin; ``check_simple``,
   ``functional.evaluate_mso``/``distance_bar`` (node-angle convention) and
   the set-up of ``functional.mso_step_objective`` all read this one array;
 - ``star_certified``: whether those steps pass the star certificate of
-  ``check_simple``, computed on first use; ``check_simple`` and the polar
-  quadratures read it;
+  ``check_simple``, which reads it with the polar quadratures;
 - the quadratic record of ``functional._quadratic_record``: for the
   quadratic family psi = x^2 + mu^2 y^2 - 1, the node columns x and y
   (views of ``columns``), xx, yy, rho2 = xx + mu^2 yy and psi, one entry
   per mu on first use; the polar quadratures (with the angle steps
   above), ``functional.boundary_kernel`` and the set-up of
-  ``functional.mso_step_objective`` all read it;
-- the curvature stencil weights of its params, computed on first use of
-  ``geometry`` and shared with every curve retracted from it, which
-  keeps the params.
+  ``functional.mso_step_objective`` all read it.
 
 A curve that ``retract`` returns carries its columns, params, chords,
-angle steps and star flag, and shares the stencil weights;
-everything else is computed on first use.
+angle steps and star flag, and the stencil weights when its source had
+formed them; everything else is computed on first use.
 """
 
 import json
-from functools import partial
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,14 +267,29 @@ def _segments_intersect(columns):
     return False
 
 
+def _retraces(columns):
+    """True if two adjacent segments of the closed polygon with the (2,
+    N+2) ghost columns ``columns`` run back along each other: they are
+    parallel by the _SIN_MIN test of _segments_intersect and their dot
+    product is negative."""
+    dx, dy = columns[:, 1:] - columns[:, :-1]
+    seglen = np.hypot(dx, dy)
+    cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+    dot = dx[:-1] * dx[1:] + dy[:-1] * dy[1:]
+    return bool(((np.abs(cross) <= _SIN_MIN * seglen[:-1] * seglen[1:]) & (dot < 0.0)).any())
+
+
 def check_simple(curve_or_nodes):
     """True iff the closed polygon is admissible: no two non-adjacent
-    segments intersect and the orientation is counterclockwise.
+    segments intersect, no two adjacent ones run back along each other
+    (a retrace) and the orientation is counterclockwise.
 
     Orientation is part of the test because a curve update that flips the
     winding has passed through a degenerate state even when the final
     polygon does not self-cross (for example a circle pushed inward
-    through its own center).  Accepts a DiscreteCurve, whose
+    through its own center).  A retrace, where node i+1 lies on the ray
+    from node i back through node i-1, turns the polygon by pi at node i
+    without a proper crossing.  Accepts a DiscreteCurve, whose
     ``angle_steps`` it computes or reuses, or a raw (N, 2) node array,
     which is inadmissible when any coordinate is not finite.
 
@@ -302,14 +317,15 @@ def check_simple(curve_or_nodes):
     finite, so a certified polygon also has a positive computed area.
     It is accepted without computing that area or running
     ``_segments_intersect``, which the tests check agrees on certified
-    polygons down to steps at the margin and nodes near the origin.
+    polygons down to steps at the margin and nodes near the origin.  A
+    certified polygon cannot retrace: its angle steps lie in (0, pi).
 
     Every other polygon runs the general test: signed_area (reusing the
     orientation area that the DiscreteCurve constructor computed, when
-    it kept the node order) and the bounding-box sweep of
-    ``_segments_intersect``, O(N log N) plus the candidate pairs; a
-    polygon whose segments all overlap each other falls back to O(N^2)
-    time in bounded chunks.
+    it kept the node order), the O(N) retrace test ``_retraces`` and the
+    bounding-box sweep of ``_segments_intersect``, O(N log N) plus the
+    candidate pairs; a polygon whose segments all overlap each other
+    falls back to O(N^2) time in bounded chunks.
     """
     if isinstance(curve_or_nodes, DiscreteCurve):
         columns, area = curve_or_nodes.columns, curve_or_nodes._area
@@ -326,43 +342,27 @@ def check_simple(curve_or_nodes):
         area = signed_area(columns)
     if area <= 0.0:
         return False
-    return not _segments_intersect(columns)
+    return not (_retraces(columns) or _segments_intersect(columns))
 
 
-class CurveGeometry:
-    """Per-node geometric data of a DiscreteCurve.
+class CurveGeometry(NamedTuple):
+    """The frame and the weights of a DiscreteCurve, three read-only
+    (N,) arrays.
 
-    tx, ty    : (N,) contiguous columns of the unit tangent from periodic
-                central differences
-    weights   : (N,) quadrature weights for the length measure ds;
-                their sum is exactly the polygon perimeter
-    curvature : (N,) signed curvature, computed on first read by the
-                callable given in its place (which holds the curve's
-                ghost columns and stencil weights, not the curve) and
-                kept; DegenerateCurve there on a zero-speed stencil
+    tx, ty  : contiguous columns of the unit tangent from periodic
+              central differences
+    weights : quadrature weights for the length measure ds; their sum is
+              exactly the polygon perimeter
 
     The frame is held only as the columns tx and ty: the outward unit
     normal is (ty, -tx), the tangent rotated by -90 degrees, which its
-    readers form from them.  Every array is read-only.
+    readers form from them.  The curvature is the curve's own
+    ``curvature``.
     """
 
-    __slots__ = ("tx", "ty", "weights", "_curvature")
-
-    def __init__(self, tx, ty, weights, curvature):
-        self.tx = tx
-        self.ty = ty
-        self.weights = weights
-        self._curvature = curvature
-        for arr in (tx, ty, weights):
-            arr.setflags(write=False)
-
-    @property
-    def curvature(self):
-        if callable(self._curvature):
-            kappa = self._curvature()
-            kappa.setflags(write=False)
-            self._curvature = kappa
-        return self._curvature
+    tx: np.ndarray
+    ty: np.ndarray
+    weights: np.ndarray
 
 
 class DiscreteCurve:
@@ -377,14 +377,18 @@ class DiscreteCurve:
     params : optional (N,) strictly increasing parameter values in
         [0, 2*pi); defaults to the equidistant grid 2*pi*i/N.
     require_simple : when True (default) a zero central chord (node i+1
-        on node i-1, DegenerateCurve) or a self-intersection
-        (ShapeDegenerate) is rejected.  Pass False to build a
-        non-admissible polygon on purpose, e.g. to feed check_simple.
+        on node i-1, DegenerateCurve, from the ``geometry`` it reads) or a
+        polygon that check_simple rejects (ShapeDegenerate) is rejected.
+        Pass False to build a non-admissible polygon on purpose, e.g. to
+        feed check_simple.
 
     ``columns`` (the (2, N+2) ghost columns of the module docstring),
-    ``nodes`` (its (N, 2) view), ``params``, ``chords`` (the (N,) forward
-    chord lengths) and ``angle_steps`` are read-only arrays;
-    ``star_certified`` is a bool.
+    ``nodes`` (its (N, 2) view), ``params`` and ``chords`` (the (N,)
+    forward chord lengths) are read-only arrays set on construction.
+    ``geometry`` (a CurveGeometry), ``curvature`` and ``angle_steps``
+    (read-only (N,) arrays) and ``star_certified`` (a bool) are cached
+    properties; the curvature raises DegenerateCurve on a zero-speed
+    stencil.
     """
 
     def __init__(self, nodes, params=None, require_simple=True):
@@ -422,21 +426,22 @@ class DiscreteCurve:
             area = None
 
         self._set(columns, params, area)
-        self._set_chords(chords)
+        self.chords = chords
         if require_simple:
-            _central_differences(columns)
+            self.geometry  # DegenerateCurve on a zero central chord
             if not check_simple(self):
                 raise ShapeDegenerate("polygon self-intersects")
 
     @classmethod
     def _unchecked(cls, columns, source):
         """Curve on fresh read-only ghost columns, moved from the curve
-        source, whose validated read-only params and stencil weights it
-        shares, with no chords yet: retract runs its checks on it, then
-        sets the chords with _set_chords."""
+        source, whose validated read-only params it shares, and its
+        stencil weights if it formed them, with no chords yet: retract
+        runs its checks on it, then sets its ``chords`` from _chords."""
         c = cls.__new__(cls)
         c._set(columns, source.params)
-        c._stencil = source._stencil
+        if "_stencil" in vars(source):
+            c._stencil = source._stencil
         return c
 
     def _set(self, columns, params, area=None):
@@ -448,46 +453,53 @@ class DiscreteCurve:
         self.params = params
         # signed_area(columns) when the constructor has it, for check_simple
         self._area = area
-        self._angle_steps = None
-        self._star = None
-        self._geometry = None
-        # the curvature stencil weights of params, from _stencil_weights
-        self._stencil = None
         # mu -> the read-only record of functional._quadratic_record
         self._quadratic = {}
-
-    def _set_chords(self, chords):
-        """chords: the read-only (N+1,) array of _chords, kept as the base
-        of the node-range view ``chords``."""
-        self.chords = chords[1:]
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    @property
+    @cached_property
     def geometry(self):
-        if self._geometry is None:
-            self._geometry = _compute_geometry(self)
-        return self._geometry
+        """The frame (tx, ty) from the central chords node_{i+1} -
+        node_{i-1}, and the weights, the mean of the two chords at each
+        node."""
+        central, norms = _central_differences(self.columns)
+        tx, ty = central / norms
+        # the backward chord at node i is the forward chord at node i-1
+        chords = _periodic(self.chords)
+        weights = 0.5 * (chords[1:] + chords[:-1])
+        for arr in (tx, ty, weights):
+            arr.setflags(write=False)
+        return CurveGeometry(tx, ty, weights)
 
-    @property
+    @cached_property
+    def _stencil(self):
+        """The curvature stencil weights of params; _unchecked hands a
+        moved curve those its source formed."""
+        return _stencil_weights(self.params)
+
+    @cached_property
+    def curvature(self):
+        """(N,) signed curvature from the stencil weights of params."""
+        kappa = _curvature(self.columns, self._stencil)
+        kappa.setflags(write=False)
+        return kappa
+
+    @cached_property
     def angle_steps(self):
-        """(N,) read-only wrapped polar angle steps about the origin from
-        node i to node i+1, computed on first use."""
-        if self._angle_steps is None:
-            dang = _angle_steps(*self.columns)
-            dang.setflags(write=False)
-            self._angle_steps = dang[1:]
-        return self._angle_steps
+        """(N,) wrapped polar angle steps about the origin from node i to
+        node i+1."""
+        dang = _angle_steps(*self.columns)
+        dang.setflags(write=False)
+        return dang[1:]
 
-    @property
+    @cached_property
     def star_certified(self):
         """True when ``angle_steps`` pass the star certificate of
-        check_simple, computed on first use."""
-        if self._star is None:
-            self._star = _star_certified(self.nodes, self.angle_steps)
-        return self._star
+        check_simple."""
+        return _star_certified(self.nodes, self.angle_steps)
 
     # -- serialization ----------------------------------------------------
 
@@ -528,16 +540,16 @@ def _check_finite(nodes):
 
 
 def _chords(columns):
-    """Chord lengths |node_{i+1} - node_i| from the ghost columns, as a
-    read-only (N+1,) array with chord N-1 first: [1:] is the node range
-    and [:-1] its periodic shift.  DegenerateCurve when two consecutive
-    nodes coincide."""
+    """Chord lengths |node_{i+1} - node_i| from the ghost columns, as the
+    node-range view [1:] of a read-only (N+1,) array with chord N-1
+    first, the ``chords`` of a curve.  DegenerateCurve when two
+    consecutive nodes coincide."""
     dx, dy = columns[:, 1:] - columns[:, :-1]
     chords = np.sqrt(dx * dx + dy * dy)
     if (chords == 0.0).any():
         raise DegenerateCurve("consecutive nodes coincide")
     chords.setflags(write=False)
-    return chords
+    return chords[1:]
 
 
 def _param_gaps(params):
@@ -547,7 +559,7 @@ def _param_gaps(params):
 
 
 def _stencil_weights(params):
-    """Weights of the three-point parameter stencils of _compute_geometry:
+    """Weights of the three-point parameter stencils of _curvature:
     (dm, dp, den, cp, cm, c0, s).  They depend on params alone, which a
     retraction keeps, so a curve computes them once and the curves moved
     from it share them."""
@@ -563,19 +575,6 @@ def _central_differences(columns):
     if (norms == 0.0).any():
         raise DegenerateCurve("central difference stencil produced a zero tangent")
     return central, norms
-
-
-def _compute_geometry(c):
-    """The frame and the weights of c; its curvature waits for a read."""
-    columns = c.columns
-    central, norms = _central_differences(columns)
-    tx, ty = central / norms
-    # the backward chord at node i is the forward chord at node i-1
-    chords = _periodic(c.chords)
-    weights = 0.5 * (chords[1:] + chords[:-1])
-    if c._stencil is None:
-        c._stencil = _stencil_weights(c.params)
-    return CurveGeometry(tx, ty, weights, partial(_curvature, columns, c._stencil))
 
 
 def _curvature(columns, stencil):
@@ -631,7 +630,7 @@ def retract(c, h, t=1.0):
         _check_finite(columns)
     if not check_simple(moved):
         raise ShapeDegenerate("retracted polygon self-intersects")
-    moved._set_chords(_chords(columns))
+    moved.chords = _chords(columns)
     return moved
 
 

@@ -185,9 +185,9 @@ def discretization_ratios():
     err = {}
     for n in (100, 200):
         t = 2.0 * np.pi * np.arange(n) / n
-        geo = DiscreteCurve(np.column_stack([np.cos(t), np.sin(t)])).geometry
-        err[n] = (float(np.max(np.abs(geo.curvature - 1.0))),
-                  abs(float(geo.weights.sum()) - 2.0 * np.pi),
+        c = DiscreteCurve(np.column_stack([np.cos(t), np.sin(t)]))
+        err[n] = (float(np.max(np.abs(c.curvature - 1.0))),
+                  abs(float(c.geometry.weights.sum()) - 2.0 * np.pi),
                   abs(evaluate_general(reference_ellipse(n, 2.0), f) + np.pi / 4.0))
     return tuple(e100 / e200 for e100, e200 in zip(err[100], err[200]))
 

@@ -37,7 +37,7 @@ def check_A(A):
 
 def metric_weight(c, A):
     """Pointwise factor 1 + A kappa^2 on curve c."""
-    return 1.0 + check_A(A) * c.geometry.curvature ** 2
+    return 1.0 + check_A(A) * c.curvature ** 2
 
 
 def inner(c, A, alpha, beta):

@@ -12,7 +12,7 @@ from shapeopt import (HessianOperator, VolumeFunctional, calculus,
                       covariant_derivative, hessian_at_solution,
                       riemannian_hessian_form, solve_hessian,
                       standard_shape_hessian_form, taylor_remainder_probe)
-from shapeopt.curve import _padded
+from shapeopt.curve import _padded, tangential_second_derivative
 from shapeopt.errors import SingularHessian
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import reference_ellipse
@@ -185,12 +185,36 @@ def test_general_form_skips_the_stencil_at_a_zero(monkeypatch):
         assert len(calls) == expected_calls, A
         dp = c.chords
         dm = np.roll(dp, 1)
-        E = pk[0] * A * geo.curvature * geo.weights
+        E = pk[0] * A * c.curvature * geo.weights
         st_e = (np.roll(E * (2.0 / (dm * (dm + dp))), -1) + E * (-2.0 / (dm * dp))
                 + np.roll(E * (2.0 / (dp * (dm + dp))), 1))
-        coeff = pk[1] + 0.5 * geo.curvature * pk[0] \
-            - A * geo.curvature ** 3 * pk[0] / (1.0 + A * geo.curvature ** 2)
+        coeff = pk[1] + 0.5 * c.curvature * pk[0] \
+            - A * c.curvature ** 3 * pk[0] / (1.0 + A * c.curvature ** 2)
         npt.assert_array_equal(op.d, coeff * geo.weights - st_e)
+
+
+def test_riemannian_form_skips_the_stencil_at_a_zero(monkeypatch):
+    # at A = 0 the connection term is zero, so its second derivative is
+    # not formed; the pointwise factor still reads the curvature, and the
+    # form is bit for bit the one with the zero term subtracted
+    calls = []
+
+    def spy(c, u):
+        calls.append(len(u))
+        return tangential_second_derivative(c, u)
+    monkeypatch.setattr(calculus, "tangential_second_derivative", spy)
+    rng = np.random.default_rng(38)
+    c = random_star_curve(50, rng)
+    pk = kernels(c, 2.0)
+    a, b = rng.standard_normal((2, 50))
+    kappa, prod = c.curvature, a * b
+    for A, expected_calls in ((0.0, []), (0.5, [50])):
+        calls.clear()
+        form = riemannian_hessian_form(c, A, pk, a, b)
+        assert calls == expected_calls, A
+        coeff = pk[1] + 0.5 * kappa * pk[0] - A * kappa ** 3 * pk[0] / (1.0 + A * kappa ** 2)
+        second = pk[0] * A * kappa * tangential_second_derivative(c, prod)
+        assert form.hex() == float(np.sum((coeff * prod - second) * c.geometry.weights)).hex()
 
 
 def test_general_form_solve_memory_is_linear():

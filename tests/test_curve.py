@@ -198,9 +198,21 @@ def test_segments_intersect_comb_is_chunked():
     assert peak < 64e6
 
 
+def _retraces_oracle(nodes):
+    """True if some segment runs back along the next one: the two are
+    parallel by the _SIN_MIN test and their dot product is negative."""
+    d = np.roll(nodes, -1, axis=0) - nodes
+    e = np.roll(d, -1, axis=0)
+    length = np.hypot(d[:, 0], d[:, 1])
+    parallel = (np.abs(d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0])
+                <= curve._SIN_MIN * length * np.roll(length, -1))
+    return bool(np.any(parallel & (d[:, 0] * e[:, 0] + d[:, 1] * e[:, 1] < 0.0)))
+
+
 def _check_simple_oracle(nodes):
-    """check_simple as the shoelace sign and the all-pairs crossing loop."""
-    return bool(signed_area(_ghost_columns(nodes)) > 0.0
+    """check_simple as the shoelace sign, the retrace test and the
+    all-pairs crossing loop."""
+    return bool(signed_area(_ghost_columns(nodes)) > 0.0 and not _retraces_oracle(nodes)
                 and not _segments_intersect_oracle(nodes))
 
 
@@ -273,6 +285,11 @@ def test_check_simple_matches_area_and_all_pairs_oracle():
     for family, cases in (("oracle", polygons), ("scaled", scaled), ("adversarial", adversarial)):
         for i, nodes in enumerate(cases):
             assert check_simple(nodes) is _check_simple_oracle(nodes), (family, i)
+    # grid_snapped polygon 46 is counterclockwise and crossing-free but
+    # retraces
+    assert _retraces_oracle(polygons[46]) and not check_simple(polygons[46])
+    assert signed_area(_ghost_columns(polygons[46])) > 0.0
+    assert not _segments_intersect_oracle(polygons[46])
     assert len(certified) >= 40
     assert sum(curve._star_certified(p, _wrapped_angle_steps(p)) for p in scaled) \
         == len(scaled)
@@ -330,18 +347,18 @@ def test_angle_steps_are_shared_and_read_only():
     rng = np.random.default_rng(53)
     for c in _oracle_curves(rng):
         # the constructor's check_simple computed them
-        assert c._angle_steps is not None
+        assert "angle_steps" in vars(c)
         assert np.array_equal(c.angle_steps, _wrapped_angle_steps(c.nodes))
         assert np.array_equal(c.angle_steps, _wrapped_angle_steps_roll(c.nodes))
         with pytest.raises(ValueError):
             c.angle_steps[0] = 1.0
         assert _node_angle_steps(c, "evaluate_mso") is c.angle_steps
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
-        assert moved._angle_steps is not None
+        assert "angle_steps" in vars(moved)
         fresh = DiscreteCurve(moved.nodes, params=c.params)
         assert np.array_equal(moved.angle_steps, fresh.angle_steps)
     unchecked = DiscreteCurve(figure_eight(), require_simple=False)
-    assert unchecked._angle_steps is None
+    assert "angle_steps" not in vars(unchecked)
     assert np.array_equal(unchecked.angle_steps, _wrapped_angle_steps_roll(unchecked.nodes))
 
 
@@ -443,36 +460,37 @@ def test_circle_geometry():
     assert np.min(radial[:, 0] * geo.ty - radial[:, 1] * geo.tx) > 0.99
     # the normal (ty, -tx) is the outward radial direction
     assert np.min(geo.ty * radial[:, 0] - geo.tx * radial[:, 1]) > 1.0 - 1e-12
-    npt.assert_allclose(geo.curvature, 1.0, atol=1.5e-3)
+    npt.assert_allclose(c.curvature, 1.0, atol=1.5e-3)
     assert abs(geo.weights.sum() - 2.0 * np.pi) < 1.6e-3
     assert np.all(geo.weights > 0.0)
 
 
 def test_circle_geometry_scales_with_radius():
-    geo = circle(100, 2.0).geometry
-    npt.assert_allclose(geo.curvature, 0.5, atol=7.5e-4)
-    assert abs(geo.weights.sum() - 4.0 * np.pi) < 3.2e-3
+    c = circle(100, 2.0)
+    npt.assert_allclose(c.curvature, 0.5, atol=7.5e-4)
+    assert abs(c.geometry.weights.sum() - 4.0 * np.pi) < 3.2e-3
 
 
 def test_curvature_on_nonuniform_parameterization():
     i = np.arange(100)
     theta = 2.0 * np.pi * (i / 100 + 0.03 * np.sin(2.0 * np.pi * i / 100))
     c = DiscreteCurve(np.column_stack([np.cos(theta), np.sin(theta)]), params=theta)
-    npt.assert_allclose(c.geometry.curvature, 1.0, atol=2.1e-3)
+    npt.assert_allclose(c.curvature, 1.0, atol=2.1e-3)
 
 
 def test_ellipse_axis_curvature():
     # semi-axes (1, 1/2): analytic curvature 4 at (1,0) and 1/2 at (0,1/2)
-    geo = reference_ellipse(100, 2.0).geometry
-    assert abs(geo.curvature[0] - 4.0) < 6e-3
-    assert abs(geo.curvature[25] - 0.5) < 7.5e-4
+    kappa = reference_ellipse(100, 2.0).curvature
+    assert abs(kappa[0] - 4.0) < 6e-3
+    assert abs(kappa[25] - 0.5) < 7.5e-4
 
 
 def test_geometry_is_cached_and_frozen():
     c = circle(16)
-    assert c.geometry is c.geometry
-    with pytest.raises(ValueError):
-        c.geometry.curvature[0] = 5.0
+    assert c.geometry is c.geometry and c.curvature is c.curvature
+    for arr in (*c.geometry, c.curvature):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
 
 
 def test_tangential_second_derivative_oracles():
@@ -540,10 +558,11 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def _geometry_fields(geo):
-    """The arrays of a CurveGeometry: the frame columns, the curvature
-    and the weights."""
-    return {"tx": geo.tx, "ty": geo.ty, "curvature": geo.curvature, "weights": geo.weights}
+def _geometry_fields(c):
+    """The derived per-node arrays of curve c: the frame columns and the
+    weights of its CurveGeometry, and its curvature."""
+    geo = c.geometry
+    return {"tx": geo.tx, "ty": geo.ty, "curvature": c.curvature, "weights": geo.weights}
 
 
 def _normal(geo):
@@ -564,8 +583,7 @@ def _general_form_roll(curve, A, psi_kernels):
     """(d, mass) of HessianOperator.general_form, without its singularity test."""
     g = as_field(curve, psi_kernels[0], "psi")
     dpsi_dn = as_field(curve, psi_kernels[1], "dpsi_dn")
-    geo = curve.geometry
-    kappa, w = geo.curvature, geo.weights
+    kappa, w = curve.curvature, curve.geometry.weights
     coeff = dpsi_dn + 0.5 * kappa * g - A * kappa ** 3 * g / (1.0 + A * kappa ** 2)
     fwd = np.roll(curve.nodes, -1, axis=0) - curve.nodes
     dp = np.sqrt(np.sum(fwd * fwd, axis=1))
@@ -611,7 +629,7 @@ def test_geometry_matches_roll_form_bit_for_bit():
     for c in _oracle_curves(rng):
         geo, ref = c.geometry, _compute_geometry_roll(c)
         ref["tx"], ref["ty"] = ref["tangent"][:, 0], ref["tangent"][:, 1]
-        for name, value in _geometry_fields(geo).items():
+        for name, value in _geometry_fields(c).items():
             assert np.array_equal(_bits(value), _bits(ref[name])), (c.n_nodes, name)
         assert np.array_equal(_bits(_normal(geo)), _bits(ref["normal"])), c.n_nodes
         assert geo.tx.flags.c_contiguous and geo.ty.flags.c_contiguous
@@ -713,22 +731,27 @@ def test_retracted_curve_starts_empty_and_matches_a_fresh_curve():
     for c in _oracle_curves(rng):
         evaluate_mso(c, 2.0)  # the parent's record is filled first
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
-        assert moved._geometry is None and moved._quadratic == {}
-        assert moved.params is c.params and moved._stencil is c._stencil
-        # what it keeps: what its nodes and params determine, nothing of a step
-        assert set(vars(moved)) == {"nodes", "columns", "params", "chords", "_area",
-                                    "_angle_steps", "_star", "_geometry", "_stencil",
-                                    "_quadratic"}
+        assert moved._quadratic == {} and moved.params is c.params
+        # what it keeps: what its nodes and params determine, nothing of a
+        # step; no geometry yet, and no stencil weights, which c never formed
+        kept = {"nodes", "columns", "params", "chords", "_area", "angle_steps",
+                "star_certified", "_quadratic"}
+        assert set(vars(moved)) == kept
         # the arrays it carries: those of the admission, nothing more
         carried = {name for name, value in vars(moved).items()
                    if isinstance(value, np.ndarray)}
-        assert carried == {"nodes", "columns", "params", "chords", "_angle_steps"}
+        assert carried == {"nodes", "columns", "params", "chords", "angle_steps"}
+        # once c has formed its stencil weights, a curve moved from it
+        # shares them and keeps nothing else more
+        c.curvature
+        again = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
+        assert set(vars(again)) == kept | {"_stencil"} and again._stencil is c._stencil
         fresh = DiscreteCurve(moved.nodes, params=c.params)
         for name in ("nodes", "columns", "params", "chords", "angle_steps"):
             assert np.array_equal(_bits(getattr(moved, name)),
                                   _bits(getattr(fresh, name))), name
-        fresh_fields = _geometry_fields(fresh.geometry)
-        for name, value in _geometry_fields(moved.geometry).items():
+        fresh_fields = _geometry_fields(fresh)
+        for name, value in _geometry_fields(moved).items():
             assert np.array_equal(_bits(value), _bits(fresh_fields[name])), name
         for mu in (2.0, 3.0):
             assert evaluate_mso(moved, mu) == evaluate_mso(fresh, mu)
@@ -786,7 +809,10 @@ def test_retract_rejects_coincident_and_overflowing_nodes():
 def test_retracted_curves_share_the_stencil_weights():
     rng = np.random.default_rng(61)
     for c in _oracle_curves(rng):
-        c.geometry
+        # a curve that formed no stencil weights hands none on
+        unformed = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
+        assert "_stencil" not in vars(c) and "_stencil" not in vars(unformed)
+        c.curvature
         moved = retract(c, 0.1 * c.chords.min() * rng.standard_normal(c.n_nodes))
         moved = retract(moved, 0.1 * moved.chords.min() * rng.standard_normal(c.n_nodes))
         assert moved._stencil is c._stencil
@@ -794,10 +820,9 @@ def test_retracted_curves_share_the_stencil_weights():
         assert len(fresh) == len(c._stencil)
         for carried, computed in zip(c._stencil, fresh):
             assert np.array_equal(carried, computed)
-        rebuilt = DiscreteCurve(moved.nodes, params=c.params)
-        for name in ("tx", "ty", "curvature", "weights"):
-            assert np.array_equal(getattr(moved.geometry, name),
-                                  getattr(rebuilt.geometry, name)), name
+        rebuilt = _geometry_fields(DiscreteCurve(moved.nodes, params=c.params))
+        for name, value in _geometry_fields(moved).items():
+            assert np.array_equal(value, rebuilt[name]), name
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -826,12 +851,13 @@ def test_zero_central_difference_raises():
 
 
 def test_constructor_rejects_a_zero_width_spike():
-    # check_simple admits the square whose node 5 steps back onto node 3,
-    # so the constructor rejects its zero central chord itself, with the
-    # geometry's error, whichever way the polygon is traversed
+    # the square whose node 5 steps back onto node 3 retraces, so
+    # check_simple rejects it; the constructor reads the geometry first
+    # and rejects its zero central chord with the geometry's error,
+    # whichever way the polygon is traversed
     nodes = np.array([(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0), (1.0, 0.0), (2.0, 0.0),
                       (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
-    assert check_simple(nodes)
+    assert not check_simple(nodes)
     for order in (nodes, nodes[::-1]):
         with pytest.raises(DegenerateCurve, match="^central difference stencil produced a zero tangent$"):
             DiscreteCurve(order)
@@ -839,6 +865,40 @@ def test_constructor_rejects_a_zero_width_spike():
     moved = nodes.copy()
     moved[5] = (1.0, 0.1)
     assert DiscreteCurve(moved).n_nodes == 10
+
+
+def test_constructor_rejects_a_partial_retrace():
+    # node 5 of the spiked square steps back to (1.5, 0), on the segment
+    # from node 3 to node 4: its central chord is not zero, but the
+    # polygon turns by pi at node 4, and check_simple rejects the retrace
+    # whichever way the polygon is traversed
+    nodes = np.array([(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0), (1.0, 0.0), (2.0, 0.0),
+                      (1.5, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
+    assert not check_simple(nodes)
+    for order in (nodes, nodes[::-1]):
+        with pytest.raises(ShapeDegenerate, match="^polygon self-intersects$"):
+            DiscreteCurve(order)
+        assert not check_simple(DiscreteCurve(order, require_simple=False))
+    # a spike of positive width is admitted in both traversal orders
+    moved = nodes.copy()
+    moved[5] = (1.5, 0.1)
+    for order in (moved, moved[::-1]):
+        assert DiscreteCurve(order).n_nodes == 10
+
+
+def test_constructed_curve_forms_its_central_chord_once(monkeypatch):
+    # the constructor's zero-chord check is the geometry's own first read
+    calls = []
+    central = curve._central_differences
+
+    def spy(columns):
+        calls.append(columns.shape)
+        return central(columns)
+
+    monkeypatch.setattr(curve, "_central_differences", spy)
+    c = circle(32)
+    geo = c.geometry
+    assert calls == [(2, 34)] and c.geometry is geo
 
 
 def test_zero_speed_stencil_raises():
@@ -850,7 +910,7 @@ def test_zero_speed_stencil_raises():
                       params=[0.0, 0.25, 0.75, 1.5, 2.5, 3.5, 4.5, 5.5], require_simple=False)
     assert c.geometry.weights.shape == (8,)
     with pytest.raises(DegenerateCurve, match="zero speed"):
-        c.geometry.curvature
+        c.curvature
 
 
 def _curve_csv_rowloop(nodes):

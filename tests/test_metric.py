@@ -119,10 +119,9 @@ def test_zero_a_forms_no_weight_and_keeps_the_bits(monkeypatch):
         product, gradient = inner(c, 0.0, g, h), riesz_gradient(c, 0.0, g)
         assert norm(c, 0.0, g) ** 2 == pytest.approx(inner(c, 0.0, g, g))
         assert reads == []
-        geo = c.geometry
-        weight = 1.0 + 0.0 * geo.curvature ** 2
-        assert np.isfinite(geo.curvature).all() and reads == [1]
-        assert product.hex() == float((weight * (g * h) * geo.weights).sum()).hex()
+        weight = 1.0 + 0.0 * c.curvature ** 2
+        assert np.isfinite(c.curvature).all() and reads == [1]
+        assert product.hex() == float((weight * (g * h) * c.geometry.weights).sum()).hex()
         assert np.array_equal(gradient.view(np.int64), (g / weight).view(np.int64))
         assert gradient is not g and gradient.flags.writeable
         reads.clear()

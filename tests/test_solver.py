@@ -897,25 +897,33 @@ def test_optimize_frees_each_iterate_after_its_step(monkeypatch):
 def test_curvature_stencil_runs_only_where_curvature_is_read(monkeypatch, tmp_path):
     # the two Table-1 runs at A = 0 read no curvature: the Riesz map and
     # the step norm form no weight there, and the multiplicative Newton
-    # step holds none; the general form reads it once per iterate that
-    # takes a step
-    calls = []
-    stencil = curve._curvature
+    # step holds none, so neither the curvature nor its stencil weights
+    # are formed; the general form reads the curvature once per iterate
+    # that takes a step, on stencil weights formed once per run and
+    # shared by every iterate retracted from its start
+    calls, weights = [], []
+    stencil, stencil_weights = curve._curvature, curve._stencil_weights
 
     def spy(*args):
         calls.append(args[0].shape[1] - 2)
         return stencil(*args)
 
+    def weights_spy(params):
+        weights.append(len(params))
+        return stencil_weights(params)
+
     monkeypatch.setattr(curve, "_curvature", spy)
+    monkeypatch.setattr(curve, "_stencil_weights", weights_spy)
     report = experiment.run_table1(ExperimentSpec(output_dir=str(tmp_path)))
     assert [data["stop"] for data in report["methods"].values()] == ["distance"] * 2
-    assert calls == []
+    assert calls == [] and weights == []
     for start in _warm_starts(100, 3):
         c0 = DiscreteCurve(start.nodes, params=start.params)
         records = optimize(c0, F2, SolverConfig(method=NEWTON_GENERAL_FORM))
         assert records[-1].stop == "distance" and len(records) >= 3
-        assert calls == [100] * (len(records) - 1)
+        assert calls == [100] * (len(records) - 1) and weights == [100]
         calls.clear()
+        weights.clear()
 
 
 def test_diagnostics_without_a_positive_step_norm(monkeypatch, tmp_path):
