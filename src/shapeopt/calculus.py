@@ -215,8 +215,13 @@ def taylor_remainder_probe(f, c, A, h, t_list):
 
         remainder(t) = | f(c_t) - f(c) - t df(h) - (t^2/2) hess(h, h) |
 
-    is returned as a list of (t, remainder) pairs.  All values of f use
-    the fan quadrature so model and value share one discretization.  At a
+    is returned as a list of (t, remainder) pairs.  Both values of f use
+    the fan quadrature, but the model does not: df(h) pairs the nodal
+    boundary kernel with h, and hess(h, h) is the paper's Hessian formula
+    on that kernel.  Their slope and curvature differ from the fan rule's
+    derivatives by O(N^-2), terms of order t and t^2 that bend the
+    remainder's log-log slope away from cubic at small t (at some seeds
+    ``verify`` reads a slope above its bound of 3.5 for this reason).  At a
     stationary shape the remainder decays cubically in t; away from
     stationarity the straight-line retraction feeds the gradient into the
     second-order term (the connection correction), so cubic decay should

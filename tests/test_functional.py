@@ -17,7 +17,8 @@ from shapeopt.functional import (_evaluate_mso_stretched, boundary_kernel,
                                  distance_bar, distance_tilde, evaluate_general,
                                  evaluate_mso, mso_step_objective)
 from shapeopt.harness import initial_shape, reference_ellipse
-from shapeopt.harness.properties import low_frequency_field, random_star_curve
+from shapeopt.harness.properties import random_star_curve
+from shapeopt.harness.scoreboard import warm_start, warm_starts
 
 AREA = VolumeFunctional.custom(lambda pts: np.ones(len(pts)))
 
@@ -133,9 +134,7 @@ def _record_curves():
     origin that no polar quadrature accepts."""
     rng = np.random.default_rng(67)
     curves = [initial_shape(100), initial_shape(400)]
-    for _ in range(3):
-        h = rng.uniform(0.02, 0.1) * low_frequency_field(100, rng)
-        curves.append(retract(reference_ellipse(100, 2.0), h))
+    curves += [warm_start(100, rng) for _ in range(3)]
     curves += [random_star_curve(n, rng, amplitude=0.3) for n in (8, 101, 1600)]
     curves.append(DiscreteCurve(circle(64, 0.3, center=(2.0, 0.0)).nodes))
     return curves
@@ -423,10 +422,7 @@ def _probe_cases():
         config = SolverConfig(method=method, stop_distance=ExperimentSpec().stop_distance)
         records = optimize(initial_shape(100), f, config)
         curves += [(DiscreteCurve(r.nodes), method) for r in records[:-1]]
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        h = rng.uniform(0.02, 0.1) * low_frequency_field(100, rng)
-        warm = retract(reference_ellipse(100, 2.0), h)
+    for warm in warm_starts(100, 8):
         curves += [(warm, method) for method in (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE)]
     cases = []
     for c, method in curves:

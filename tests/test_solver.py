@@ -27,7 +27,8 @@ from shapeopt.errors import (DegenerateCurve, InsufficientData, LineSearchFailed
 from shapeopt.functional import boundary_kernel
 from shapeopt.harness import experiment, initial_shape, reference_ellipse
 from shapeopt.harness.experiment import solve_and_write
-from shapeopt.harness.properties import low_frequency_field, random_star_curve
+from shapeopt.harness.properties import random_star_curve
+from shapeopt.harness.scoreboard import warm_start, warm_starts
 from shapeopt.solver import GOLDEN, _decrease_function
 
 F2 = VolumeFunctional.quadratic_mso(2.0)
@@ -37,27 +38,22 @@ ELLIPSE_PSI = VolumeFunctional.custom(
     lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
     lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
 
-# step_scale of every step of the N=100 Table-1 runs
+TABLE1_METHODS = (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE)
+# step_scale of every step of the Table-1 runs, by (method, N): the runs at
+# N=6400 and 25600 take as many steps as at N=100
 TABLE1_STEP_SCALES = {
-    STEEPEST_DESCENT: [0.5, 0.32, 0.36, 0.33, 0.34, 0.34, 0.33, 0.34, 0.33,
-                       0.34, 0.33, 0.35000000000000003, 0.32,
-                       0.35000000000000003, 0.32, 0.35000000000000003],
-    NEWTON_MULTIPLICATIVE: [0.63, 0.98, 1.0, 1.0],
+    (STEEPEST_DESCENT, 100): [0.5, 0.32, 0.36, 0.33, 0.34, 0.34, 0.33, 0.34, 0.33,
+                              0.34, 0.33, 0.35000000000000003, 0.32,
+                              0.35000000000000003, 0.32, 0.35000000000000003],
+    **{(STEEPEST_DESCENT, n): [0.5, 0.32, 0.36, 0.33, 0.34, 0.34, 0.33, 0.34, 0.33,
+                               0.34, 0.34, 0.33, 0.34, 0.33, 0.34, 0.33]
+       for n in (6400, 25600)},
+    **{(NEWTON_MULTIPLICATIVE, n): [0.63, 0.98, 1.0, 1.0] for n in (100, 6400, 25600)},
 }
 
 
-def _warm_starts(n, count):
-    """The optimal mu=2 ellipse retracted by seeded low-frequency fields."""
-    starts = []
-    for seed in range(count):
-        rng = np.random.default_rng(seed)
-        h = rng.uniform(0.02, 0.1) * low_frequency_field(n, rng)
-        starts.append(retract(reference_ellipse(n, 2.0), h))
-    return starts
-
-
-def _table1_run(method):
-    return optimize(initial_shape(100), F2,
+def _table1_run(method, n=100):
+    return optimize(initial_shape(n), F2,
                     SolverConfig(method=method,
                                  stop_distance=ExperimentSpec().stop_distance))
 
@@ -167,11 +163,11 @@ def test_newton_direction_on_inflated_circle():
 def test_multiplicative_newton_operator_is_hessian_at_solution():
     # for the quadratic family dpsi_dn = 2 x n1 + 2 mu^2 y n2 equals
     # hessian_at_solution's 2 (x n1 + mu^2 y n2) bit for bit
-    curves = [r.nodes for method in TABLE1_STEP_SCALES for r in _table1_run(method)]
+    curves = [r.nodes for method in TABLE1_METHODS for r in _table1_run(method)]
     for n in (100, 400):
         rng = np.random.default_rng(n)
         curves += [initial_shape(n).nodes, random_star_curve(n, rng).nodes]
-        curves += [c.nodes for c in _warm_starts(n, 2)]
+        curves += [c.nodes for c in warm_starts(n, 2)]
     for mu in (1.0, 1.3, 2.0, 3.0):
         f = VolumeFunctional.quadratic_mso(mu)
         for nodes in curves:
@@ -209,7 +205,7 @@ def test_line_search_rejects_ascent_direction():
 def test_line_search_matches_full_search_oracle(monkeypatch):
     # on the search's own grid and on a coarser one
     for n in (100, 400):
-        for c in [initial_shape(n)] + _warm_starts(n, 8):
+        for c in [initial_shape(n)] + warm_starts(n, 8):
             for A in (0.0, 0.5):
                 for method in METHODS:
                     d = step_direction(c, F2, SolverConfig(method=method, A=A))
@@ -222,7 +218,7 @@ def test_line_search_matches_full_search_oracle(monkeypatch):
 
 
 def test_line_search_matches_oracle_on_custom_functional():
-    for c in [initial_shape(100)] + _warm_starts(100, 1):
+    for c in [initial_shape(100)] + warm_starts(100, 1):
         for A in (0.0, 0.5):
             for method in METHODS:
                 d = step_direction(c, ELLIPSE_PSI, SolverConfig(method=method, A=A))
@@ -233,7 +229,7 @@ def test_line_search_matches_oracle_on_custom_functional():
 def test_custom_model_is_the_nodal_model():
     # the custom path's model is two finite floats: the pairing sum g h w
     # and the covariant Hessian form at A = 0 of the boundary kernel
-    curves = [initial_shape(100)] + _warm_starts(100, 2) + [circle(64, 1.3)]
+    curves = [initial_shape(100)] + warm_starts(100, 2) + [circle(64, 1.3)]
     for c in curves:
         kernels = boundary_kernel(c, ELLIPSE_PSI)
         for method in METHODS:
@@ -480,9 +476,7 @@ def test_golden_section_decides_a_step_of_a_converging_run(monkeypatch):
     # converges in 74 iterations; its search at k = 52 is the one the
     # parabolic search hands over, and golden section returns 0.52 there
     rng = np.random.default_rng(13)
-    ellipse = reference_ellipse(100, 2.0)
-    starts = [retract(ellipse, rng.uniform(0.02, 0.1) * low_frequency_field(100, rng))
-              for _ in range(8)]
+    starts = [warm_start(100, rng) for _ in range(8)]
     decided = []
     snap = solver._snap_by_parabolas
     monkeypatch.setattr(solver, "_snap_by_parabolas",
@@ -552,14 +546,12 @@ def test_line_search_probe_count(monkeypatch):
         return probe
 
     monkeypatch.setattr(solver, "mso_step_objective", lambda *args: counted(original(*args)))
-    searches = sum(len(_table1_run(method)) - 1 for method in TABLE1_STEP_SCALES)
+    searches = sum(len(_table1_run(method)) - 1 for method in TABLE1_METHODS)
     assert probes / searches <= 10
     assert probes / searches <= 5.5
     # the starts of the newton_general_warm_n800 benchmark at seed 7
     rng = np.random.default_rng(7)
-    ellipse = reference_ellipse(800, 2.0)
-    starts = [retract(ellipse, rng.uniform(0.02, 0.1) * low_frequency_field(800, rng))
-              for _ in range(16)]
+    starts = [warm_start(800, rng) for _ in range(16)]
     probes = 0
     config = SolverConfig(method=NEWTON_GENERAL_FORM)
     searches = sum(len(optimize(c, F2, config)) - 1 for c in starts)
@@ -580,7 +572,7 @@ def test_line_search_probe_count(monkeypatch):
     for n in (100, 400):
         rng = np.random.default_rng(3)
         ellipse = reference_ellipse(n, 2.0)
-        starts = [retract(ellipse, 0.01 * low_frequency_field(n, rng)) for _ in range(3)]
+        starts = [warm_start(n, rng, 0.01) for _ in range(3)]
         for method in METHODS:
             for A in (0.0, 0.5, 1.0):
                 for c0 in starts:
@@ -591,8 +583,9 @@ def test_line_search_probe_count(monkeypatch):
 
 
 def test_table1_step_scales_are_pinned():
-    for method, expected in TABLE1_STEP_SCALES.items():
-        assert [r.step_scale for r in _table1_run(method)[:-1]] == expected, method
+    # each run ends on its final row, which takes no step
+    for (method, n), expected in TABLE1_STEP_SCALES.items():
+        assert [r.step_scale for r in _table1_run(method, n)] == expected + [None], (method, n)
 
 
 def test_optimize_builds_one_polygon_per_step(monkeypatch):
@@ -601,7 +594,7 @@ def test_optimize_builds_one_polygon_per_step(monkeypatch):
     # admits it or not: the events of a run read (L l (R P)?)* with one R
     # per step, L and l the entry and exit of a line search, R a retract
     # and P a polygon
-    starts = _warm_starts(100, 8)
+    starts = warm_starts(100, 8)
     events = []
     unchecked = DiscreteCurve._unchecked
     search, move = solver.line_search_exact, solver.retract
@@ -624,7 +617,7 @@ def test_optimize_builds_one_polygon_per_step(monkeypatch):
     monkeypatch.setattr(DiscreteCurve, "_unchecked", classmethod(build))
     monkeypatch.setattr(solver, "line_search_exact", line_search)
     monkeypatch.setattr(solver, "retract", retract_spy)
-    runs = [_table1_run(method) for method in TABLE1_STEP_SCALES]
+    runs = [_table1_run(method) for method in TABLE1_METHODS]
     assert "".join(events) == "LlRP" * sum(len(records) - 1 for records in runs)
     steps = 0
     for c0 in starts:
@@ -651,7 +644,7 @@ def test_certified_retractions_skip_the_finite_check(monkeypatch):
         check(nodes)
 
     monkeypatch.setattr(curve, "_check_finite", spy)
-    for method in TABLE1_STEP_SCALES:
+    for method in TABLE1_METHODS:
         config = SolverConfig(method=method, stop_distance=ExperimentSpec().stop_distance)
         records = optimize(c0, F2, config)
         assert records[-1].stop == "distance" and len(records) > 4, method
@@ -663,37 +656,6 @@ def test_certified_retractions_skip_the_finite_check(monkeypatch):
             retract(c, h, 10.0)
     assert calls == [(2, 34)]
 
-
-# (stop class, iterations) of every packaged-start run at N=100, by
-# (method, mu, A), with the default stop distance 1e-7
-PACKAGED_STOPS_N100 = {
-    (STEEPEST_DESCENT, 2.0, 0.0): ("distance", 14),
-    (STEEPEST_DESCENT, 2.0, 0.5): ("NotStarShaped", 1),
-    (STEEPEST_DESCENT, 2.0, 1.0): ("NotStarShaped", 1),
-    (STEEPEST_DESCENT, 3.0, 0.0): ("ShapeDegenerate", 0),
-    (STEEPEST_DESCENT, 3.0, 0.5): ("NotStarShaped", 0),
-    (STEEPEST_DESCENT, 3.0, 1.0): ("NotStarShaped", 1),
-    (NEWTON_MULTIPLICATIVE, 2.0, 0.0): ("distance", 4),
-    (NEWTON_MULTIPLICATIVE, 2.0, 0.5): ("distance", 4),
-    (NEWTON_MULTIPLICATIVE, 2.0, 1.0): ("distance", 4),
-    (NEWTON_MULTIPLICATIVE, 3.0, 0.0): ("ShapeDegenerate", 1),
-    (NEWTON_MULTIPLICATIVE, 3.0, 0.5): ("ShapeDegenerate", 1),
-    (NEWTON_MULTIPLICATIVE, 3.0, 1.0): ("ShapeDegenerate", 1),
-    (NEWTON_GENERAL_FORM, 2.0, 0.0): ("ShapeDegenerate", 0),
-    (NEWTON_GENERAL_FORM, 2.0, 0.5): ("LineSearchFailed", 1),
-    (NEWTON_GENERAL_FORM, 2.0, 1.0): ("NotStarShaped", 0),
-    (NEWTON_GENERAL_FORM, 3.0, 0.0): ("NotStarShaped", 0),
-    (NEWTON_GENERAL_FORM, 3.0, 0.5): ("LineSearchFailed", 1),
-    (NEWTON_GENERAL_FORM, 3.0, 1.0): ("NotStarShaped", 1),
-}
-
-
-def test_packaged_start_stops_are_pinned():
-    for (method, mu, A), expected in PACKAGED_STOPS_N100.items():
-        records = optimize(initial_shape(100), VolumeFunctional.quadratic_mso(mu),
-                           SolverConfig(method=method, A=A))
-        got = (records[-1].stop.split(":")[0], len(records) - 1)
-        assert got == expected, (method, mu, A)
 
 def test_optimize_monotone_descent_and_record_shape():
     records = optimize(initial_shape(100), F2, SolverConfig(method=STEEPEST_DESCENT))
@@ -747,7 +709,7 @@ def test_multiplicative_newton_iterates_do_not_depend_on_the_metric():
     # the step -g/nu holds no metric; step_norm is measured in the A-metric
     # (and contraction_ratio with it), so those two are left out
     fields = ("nodes", "objective", "distance", "step_scale", "stop")
-    starts = [initial_shape(100)] + _warm_starts(100, 8)
+    starts = [initial_shape(100)] + warm_starts(100, 8)
     for i, c0 in enumerate(starts):
         runs = {A: optimize(c0, F2, SolverConfig(method=NEWTON_MULTIPLICATIVE, A=A))
                 for A in (0.0, 0.5, 1.0)}
@@ -774,7 +736,7 @@ def test_optimize_with_reference_curve(monkeypatch):
 
 
 def test_optimize_general_form_newton_from_warm_starts():
-    for seed, c0 in enumerate(_warm_starts(100, 6)):
+    for seed, c0 in enumerate(warm_starts(100, 6)):
         records = optimize(c0, F2, SolverConfig(method=NEWTON_GENERAL_FORM))
         assert records[-1].distance < 1e-7, seed
         assert len(records) - 1 <= 5, seed
@@ -885,7 +847,7 @@ def test_optimize_frees_each_iterate_after_its_step(monkeypatch):
     monkeypatch.setattr(solver, "step_direction", direction)
     checked = 0
     for method in METHODS:
-        for c0 in (initial_shape(100), _warm_starts(100, 1)[0]):
+        for c0 in (initial_shape(100), warm_starts(100, 1)[0]):
             seen.clear()
             alive.clear()
             optimize(c0, F2, SolverConfig(method=method, max_iterations=6))
@@ -917,7 +879,7 @@ def test_curvature_stencil_runs_only_where_curvature_is_read(monkeypatch, tmp_pa
     report = experiment.run_table1(ExperimentSpec(output_dir=str(tmp_path)))
     assert [data["stop"] for data in report["methods"].values()] == ["distance"] * 2
     assert calls == [] and weights == []
-    for start in _warm_starts(100, 3):
+    for start in warm_starts(100, 3):
         c0 = DiscreteCurve(start.nodes, params=start.params)
         records = optimize(c0, F2, SolverConfig(method=NEWTON_GENERAL_FORM))
         assert records[-1].stop == "distance" and len(records) >= 3
