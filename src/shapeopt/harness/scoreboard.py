@@ -7,7 +7,9 @@ start at mu in {2, 3} and from the 8 warm starts at mu = 2, at A in
 distance 1e-7 (270 runs).  The Table-1 pair follows it: steepest descent
 and multiplicative Newton from the packaged start at N in {64000,
 102400}, with ``table1``'s stop distance 5e-9.  ``run_cell(cell)``
-returns a cell's records.
+returns a cell's records.  ``general_warm_starts()`` and
+``custom_runs()`` are the run families of the listings below that the
+tests share.
 
 Run as a script, the module prints one listing, named on the command
 line: each record's floats as hex, a sha256 of its nodes and its stop.
@@ -17,11 +19,12 @@ line: each record's floats as hex, a sha256 of its nodes and its stop.
 - ``matrix``: the records of every cell, in the order of ``cells()``;
 - ``general_warm``: general-form Newton from the 16 warm starts drawn
   with ``default_rng(7)`` at N=800, at A = 0 and 0.5;
-- ``custom_calculus``: the custom functional psi = x^2 + 4y^2 - 1 on the
-  fan quadrature, monitored by distance_tilde against the ellipse, from
-  three 1%-perturbed ellipses at N=100 and 400 for every method and A in
-  {0, 0.5, 1}; then the general-path calculus at A = 0.7, and the
-  Riemannian form also at A = 0, on 20 seeded star curves;
+- ``custom_calculus``: the custom functional ``ELLIPSE_PSI``, psi =
+  x^2 + 4y^2 - 1 on the fan quadrature, monitored by distance_tilde
+  against the ellipse, from three 1%-perturbed ellipses at N=100 and
+  400 for every method and A in {0, 0.5, 1}; then the general-path
+  calculus at A = 0.7, and the Riemannian form also at A = 0, on 20
+  seeded star curves;
 - ``wide``: a closed curve with coordinates of both signs and radii 1e-6
   to 1e8, as the CSV input of ``render``.
 
@@ -48,6 +51,11 @@ from shapeopt.harness.properties import low_frequency_field, random_star_curve
 
 MATRIX_STOP = SolverConfig().stop_distance  # 1e-7
 TABLE1_STOP = ExperimentSpec().stop_distance  # 5e-9
+# psi = x^2 + 4y^2 - 1: the quadratic family's mu=2 ellipse through the
+# custom functional's fan quadrature
+ELLIPSE_PSI = VolumeFunctional.custom(
+    lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
+    lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
 
 
 def warm_start(n, rng, amplitude=None):
@@ -125,20 +133,19 @@ def matrix():
             yield _line(cell.n, cell.name, cell.config.method, cell.config.A, *_record_fields(r))
 
 
-def general_warm():
+def general_warm_starts():
+    """The 16 warm starts at N=800 drawn with default_rng(7), those of the
+    newton_general_warm_n800 benchmark."""
     rng = np.random.default_rng(7)
-    starts = [warm_start(800, rng) for _ in range(16)]
-    f = VolumeFunctional.quadratic_mso(2.0)
-    for A in (0.0, 0.5):
-        for i, c0 in enumerate(starts):
-            for r in optimize(c0, f, SolverConfig(method=NEWTON_GENERAL_FORM, A=A)):
-                yield _line(A, i, *_record_fields(r))
+    return [warm_start(800, rng) for _ in range(16)]
 
 
-def custom_calculus():
-    f = VolumeFunctional.custom(
-        lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
-        lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
+def custom_runs():
+    """The 54 runs of ELLIPSE_PSI, monitored by distance_tilde against the
+    ellipse, from three 1%-perturbed ellipses at N=100 and 400, for every
+    method and A in {0, 0.5, 1}: a list of ((n, method, A, start),
+    records)."""
+    runs = []
     for n in (100, 400):
         rng = np.random.default_rng(3)
         ellipse = reference_ellipse(n, 2.0)
@@ -147,14 +154,30 @@ def custom_calculus():
             for A in (0.0, 0.5, 1.0):
                 for i, c0 in enumerate(starts):
                     config = SolverConfig(method=method, A=A, max_iterations=20)
-                    for r in optimize(c0, f, config, reference=ellipse):
-                        yield _line(n, method, A, i, *_record_fields(r))
+                    runs.append(((n, method, A, i),
+                                 optimize(c0, ELLIPSE_PSI, config, reference=ellipse)))
+    return runs
+
+
+def general_warm():
+    f = VolumeFunctional.quadratic_mso(2.0)
+    starts = general_warm_starts()
+    for A in (0.0, 0.5):
+        for i, c0 in enumerate(starts):
+            for r in optimize(c0, f, SolverConfig(method=NEWTON_GENERAL_FORM, A=A)):
+                yield _line(A, i, *_record_fields(r))
+
+
+def custom_calculus():
+    for key, records in custom_runs():
+        for r in records:
+            yield _line(*key, *_record_fields(r))
     rng = np.random.default_rng(17)
     for i in range(20):
         c = random_star_curve(200, rng)
         alpha, beta, dbeta = rng.standard_normal((3, 200))
-        kernels = boundary_kernel(c, f)
-        yield _line(i, float(evaluate_general(c, f)).hex(),
+        kernels = boundary_kernel(c, ELLIPSE_PSI)
+        yield _line(i, float(evaluate_general(c, ELLIPSE_PSI)).hex(),
                     _sha(tangential_second_derivative(c, alpha)),
                     _sha(covariant_derivative(c, 0.7, alpha, beta, dbeta)),
                     float(riemannian_hessian_form(c, 0.7, kernels, alpha, beta)).hex(),

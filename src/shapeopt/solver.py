@@ -31,7 +31,7 @@ it and admits or rejects it, once per step.
 """
 
 import math
-from bisect import bisect
+from bisect import bisect_left
 from dataclasses import dataclass
 from statistics import median
 
@@ -222,16 +222,26 @@ def line_search_exact(c, f, direction):
     checked = _CheckedField(c, direction, "direction")
     if not checked.values.any():
         raise LineSearchFailed("zero direction")
-    decrease, model = _decrease_function(c, f, checked)
-    probed = {}
+    return _line_search(*_decrease_function(c, f, checked))
+
+
+def _line_search(decrease, model):
+    """The search that ``line_search_exact`` describes and proves, for
+    phi = decrease, a function of t alone, and the model [phi'(0),
+    phi''(0)].  Its one record of the probes is the ledger ts, fs:
+    each t probed, in increasing order, and phi(t), with phi(0) = 0
+    first; phi calls decrease at most once per t."""
+    ts, fs = [0.0], [0.0]
 
     def phi(t):
-        if t not in probed:
-            probed[t] = decrease(t)
-        return probed[t]
+        i = bisect_left(ts, t)
+        if i == len(ts) or ts[i] != t:
+            fs.insert(i, float(decrease(t)))
+            ts.insert(i, t)
+        return fs[i]
 
     if model[0] < 0.0:
-        t_snap = _snap_by_parabolas(phi, probed, model)
+        t_snap = _snap_by_parabolas(phi, ts, fs, model)
         if t_snap is not None:
             return t_snap
 
@@ -281,10 +291,11 @@ def _grid_step(phi, k):
     return None
 
 
-def _snap_by_parabolas(phi, probed, model):
+def _snap_by_parabolas(phi, ts, fs, model):
     """The snapped step k * STEP_RESOLUTION decided by safeguarded
     parabolic interpolation, or None to hand over to bracketing and golden
-    section.  probed maps every t that phi has evaluated to phi(t).
+    section.  ts, fs is the probe ledger of ``_line_search``, which phi
+    fills.
 
     The model [phi'(0), phi''(0)], with phi'(0) < 0, seeds the search
     (``_open_by_model``); when none of its opening probes decreases phi,
@@ -330,21 +341,6 @@ def _snap_by_parabolas(phi, probed, model):
     inset = h / 1024.0 + margin
     if not _open_by_model(phi, inset, *model):
         return None
-    # the probes in increasing t, with phi(0) = 0 first, kept sorted
-    ts = [0.0] + sorted(probed)
-    fs = [0.0] + [float(probed[t]) for t in ts[1:]]
-    if any(f != f for f in fs):
-        return None
-
-    def probe(u):
-        """phi(u), kept in ts and fs in order of u; False when it is nan."""
-        if u in probed:
-            return True
-        i = bisect(ts, u)
-        ts.insert(i, u)
-        fs.insert(i, float(phi(u)))
-        return fs[i] == fs[i]
-
     widths = [np.inf, np.inf]  # p3 - p1 before each of the last two probes
     for _ in range(SNAP_PROBES):
         j = fs.index(min(fs))
@@ -364,7 +360,7 @@ def _snap_by_parabolas(phi, probed, model):
         if p2 == BRACKET_MAX:
             # the left edge of BRACKET_MAX's cell, inset into it
             u = (k - 0.5) * h + inset
-            if not p1 < u < p2 or not probe(u):
+            if not p1 < u < p2 or math.isnan(phi(u)):
                 return None
             continue
         u = np.nan
@@ -381,19 +377,19 @@ def _snap_by_parabolas(phi, probed, model):
             else:
                 ku, side = round(u / h), (1 if u > p2 else -1)
             edge = (ku + 0.5 * side) * h - side * inset
-            if (edge - p2) * side > 0.0 and p1 < edge < p3 and edge not in probed:
+            if (edge - p2) * side > 0.0 and p1 < edge < p3 and edge not in ts:
                 u = edge
         elif p3 - p1 > 0.5 * widths[0]:
             u = np.nan
-        elif p1 < u < p3 and p1 < round(u / h) * h < p3 and round(u / h) * h not in probed:
+        elif p1 < u < p3 and p1 < round(u / h) * h < p3 and round(u / h) * h not in ts:
             u = round(u / h) * h
-        if not p1 < u < p3 or u in probed:
+        if not p1 < u < p3 or u in ts:
             if j + 1 == len(ts):
                 u = min(2.0 * p2 - p1, 0.5 * (p2 + p3))
             else:
                 u = 0.5 * (p2 + p3) if p3 - p2 >= p2 - p1 else 0.5 * (p1 + p2)
         widths = [widths[1], p3 - p1]
-        if not probe(u):
+        if math.isnan(phi(u)):
             return None
     return None
 
@@ -437,7 +433,7 @@ def _open_by_model(phi, inset, slope, curvature):
         else:
             u = (k - 0.5) * h + inset
     if u != t and u > 0.0:
-        phi(u)
+        return not math.isnan(phi(u))
     return True
 
 

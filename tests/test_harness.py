@@ -3,8 +3,11 @@ rendering, the property suite, and the command-line interface."""
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -266,6 +269,12 @@ def test_cli_run_newton(tmp_path, capsys):
     assert summary["final_distance"] < 1e-7
     assert (tmp_path / "run_newton.csv").exists()
     assert (tmp_path / "iterates_newton.svg").exists()
+    # the multiplicative Newton step holds no metric: at A = 0.5 it
+    # converges in 4 iterations, as at A = 0
+    assert main(["run", "--method", "newton", "--metric-a", "0.5",
+                 "--out", str(tmp_path / "a05")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["stop"] == "distance" and summary["iterations"] == 4
 
 
 def test_cli_run_writes_partial_outputs_on_solver_error(tmp_path, capsys):
@@ -283,15 +292,21 @@ def test_cli_table1(tmp_path, capsys):
     assert "newton" in capsys.readouterr().out
     table = json.loads((tmp_path / "mu2" / "table1.json").read_text())
     assert [m["stop"] for m in table["methods"].values()] == ["distance", "distance"]
-    # both methods fail at mu=3; every artifact is still written
-    assert main(["table1", "--mu", "3", "--out", str(tmp_path / "mu3")]) == 2
-    capsys.readouterr()
-    table = json.loads((tmp_path / "mu3" / "table1.json").read_text())
+
+
+def test_cli_module_table1_fails_at_mu3(tmp_path):
+    # both methods fail at mu=3; every artifact is still written, and
+    # python -m shapeopt.harness.cli hands main's exit code 2 to the shell
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[2]))
+    out = subprocess.run([sys.executable, "-m", "shapeopt.harness.cli", "table1", "--mu", "3",
+                          "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    table = json.loads((tmp_path / "table1.json").read_text())
     assert all(m["stop"].startswith("ShapeDegenerate: ")
                for m in table["methods"].values())
     for name in ("table1.txt", "table1_sd.csv", "table1_newton.csv",
                  "iterates_sd.svg", "iterates_newton.svg"):
-        assert (tmp_path / "mu3" / name).exists(), name
+        assert (tmp_path / name).exists(), name
 
 
 def test_cli_verify(tmp_path, capsys):

@@ -3,6 +3,7 @@ late-phase rate diagnostics."""
 
 import re
 import weakref
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -28,15 +29,11 @@ from shapeopt.functional import boundary_kernel
 from shapeopt.harness import experiment, initial_shape, reference_ellipse
 from shapeopt.harness.experiment import solve_and_write
 from shapeopt.harness.properties import random_star_curve
-from shapeopt.harness.scoreboard import warm_start, warm_starts
-from shapeopt.solver import GOLDEN, _decrease_function
+from shapeopt.harness.scoreboard import (ELLIPSE_PSI, custom_runs, general_warm_starts,
+                                         warm_start, warm_starts)
+from shapeopt.solver import GOLDEN, _decrease_function, _line_search
 
 F2 = VolumeFunctional.quadratic_mso(2.0)
-# psi = x^2 + 4y^2 - 1, the quadratic family's mu=2 ellipse through the
-# generic (fan quadrature) path
-ELLIPSE_PSI = VolumeFunctional.custom(
-    lambda p: p[..., 0] ** 2 + 4.0 * p[..., 1] ** 2 - 1.0,
-    lambda p: np.stack([2.0 * p[..., 0], 8.0 * p[..., 1]], axis=-1))
 
 TABLE1_METHODS = (STEEPEST_DESCENT, NEWTON_MULTIPLICATIVE)
 # step_scale of every step of the Table-1 runs, by (method, N): the runs at
@@ -58,15 +55,10 @@ def _table1_run(method, n=100):
                                  stop_distance=ExperimentSpec().stop_distance))
 
 
-def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
-                              step_resolution=0.01):
-    """The reference search: line_search_exact without its parabolic
-    search.  Golden section runs to the tolerance before the snap."""
-    direction = _CheckedField(c, direction, "direction")
-    if not direction.values.any():
-        raise LineSearchFailed("zero direction")
-    phi, _ = _decrease_function(c, f, direction)
-
+def _reference_search(phi, bracket_max=2.0, tolerance=1e-10, step_resolution=0.01):
+    """The reference search for the decrease function phi: the search of
+    line_search_exact without its parabolic search.  Golden section runs
+    to the tolerance before the snap."""
     t0, f0 = 1e-3, phi(1e-3)
     while f0 >= 0.0 and t0 > tolerance:
         t0 *= 0.5
@@ -105,6 +97,56 @@ def _line_search_exact_oracle(c, f, direction, bracket_max=2.0, tolerance=1e-10,
         if 0.0 < t_snap <= bracket_max and phi(t_snap) < 0.0:
             return float(t_snap)
     return float(t_star)
+
+
+def _line_search_exact_oracle(c, f, direction, **kwargs):
+    """The reference search along the retracted direction on c."""
+    direction = _CheckedField(c, direction, "direction")
+    if not direction.values.any():
+        raise LineSearchFailed("zero direction")
+    phi, _ = _decrease_function(c, f, direction)
+    return _reference_search(phi, **kwargs)
+
+
+def _decisions(monkeypatch):
+    """The list of what each parabolic search from now on returns: its
+    snapped step, or None where it hands over."""
+    decided = []
+    snap = solver._snap_by_parabolas
+    monkeypatch.setattr(solver, "_snap_by_parabolas",
+                        lambda *args: decided.append(snap(*args)) or decided[-1])
+    return decided
+
+
+def _line_search_once(phi, model):
+    """_line_search(phi, model), checking the promise of line_search_exact
+    that phi is probed at most once per t, also where the reference
+    search, after a handover, asks for a t the parabolic search probed."""
+    probes = []
+    try:
+        return _line_search(lambda t: probes.append(t) or phi(t), model)
+    finally:
+        assert len(set(probes)) == len(probes), "a t reached phi twice"
+
+
+def _probe_counts(monkeypatch):
+    """A Counter of the "searches" and "probes" of every line search from
+    now on, counted where solver._decrease_function hands each search its
+    decrease function."""
+    counts = Counter()
+    decrease = solver._decrease_function
+
+    def counted(*args):
+        phi, model = decrease(*args)
+        counts["searches"] += 1
+
+        def probe(t):
+            counts["probes"] += 1
+            return phi(t)
+        return probe, model
+
+    monkeypatch.setattr(solver, "_decrease_function", counted)
+    return counts
 
 
 def _fixed_step(monkeypatch, t):
@@ -262,16 +304,16 @@ def test_line_search_rejected_snap_runs_to_tolerance():
     assert t.hex() == _line_search_exact_oracle(c0, F2, d).hex()
 
 
-def test_line_search_rejected_grid_step_returns_bracket_midpoint(monkeypatch):
-    # every probe past t = 0.0152 is inadmissible (+inf), so the snap 0.02
-    # of the minimizer 0.0151 is rejected and the search returns golden
-    # section's midpoint
-    def cliff(c, f, direction):
-        phi = lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf
-        return phi, [-0.0302, 2.0]
+def _cliff(t):
+    """(t - 0.0151)^2 - 0.0151^2, inadmissible (+inf) past t = 0.0152."""
+    return (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf
 
-    monkeypatch.setattr(solver, "_decrease_function", cliff)
-    t = line_search_exact(initial_shape(100), F2, np.ones(100))
+
+def test_line_search_rejected_grid_step_returns_bracket_midpoint():
+    # every probe past t = 0.0152 is inadmissible, so the snap 0.02 of the
+    # minimizer 0.0151 is rejected and the search returns golden section's
+    # midpoint
+    t = _line_search_once(_cliff, [-0.0302, 2.0])
     assert abs(t - 0.0151) < 1e-8
 
 
@@ -326,26 +368,18 @@ def test_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
              for m in minimizers for kind in ("asymmetric", "flat4", "cliff")]
     cases += [(m, _unimodal_phi(rng, m, "flat8")) for m in rng.uniform(0.005, 2.0, 40)]
     # the decided snap 0.02 of the minimizer 0.0151 lies beyond the cliff
-    cases.append((0.0151, lambda t: (t - 0.0151) ** 2 - 0.0151 ** 2 if t <= 0.0152 else np.inf))
-    current = model = None
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, model))
-    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
-    decided = []
-    snap = solver._snap_by_parabolas
-    monkeypatch.setattr(solver, "_snap_by_parabolas",
-                        lambda *args: decided.append(snap(*args)) or decided[-1])
-    c, d = circle(64), np.ones(64)
+    cases.append((0.0151, _cliff))
+    decided = _decisions(monkeypatch)
     # a coarse tolerance lets golden section stop a cell away from the
     # minimizer, which the parabolic search must then leave undecided
     for tolerance in (1e-3, 1e-10):
         monkeypatch.setattr(solver, "TOLERANCE", tolerance)
         decided.clear()
-        for m, current in cases:
-            model = _difference_model(current)
+        for m, phi in cases:
+            model = _difference_model(phi)
             assert model[0] < 0.0, m
-            assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d)
-                    == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d,
-                                tolerance=tolerance)), (m, tolerance)
+            assert (_outcome(_line_search_once, phi, model)
+                    == _outcome(_reference_search, phi, tolerance=tolerance)), (m, tolerance)
         assert len(decided) == len(cases)
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
 
@@ -365,22 +399,13 @@ def test_seeded_line_search_matches_oracle_on_unimodal_functions(monkeypatch):
                   + list(rng.uniform(2.0, 5.0, 15)))
     cases = [_unimodal_phi(rng, m, kind)
              for m in minimizers for kind in ("asymmetric", "flat4", "cliff")]
-    current = model = None
-
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, model))
-    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
-    decided = []
-    snap = solver._snap_by_parabolas
-    monkeypatch.setattr(solver, "_snap_by_parabolas",
-                        lambda *args: decided.append(snap(*args)) or decided[-1])
-    c, d = circle(64), np.ones(64)
-    for current in cases:
-        slope, curvature = _difference_model(current)
+    decided = _decisions(monkeypatch)
+    for phi in cases:
+        slope, curvature = _difference_model(phi)
         model = [slope * rng.uniform(1.0 / 3.0, 3.0),
                  curvature * rng.uniform(-0.5, 3.0)]
         assert model[0] < 0.0
-        assert (_outcome(line_search_exact, c, ELLIPSE_PSI, d)
-                == _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d))
+        assert _outcome(_line_search_once, phi, model) == _outcome(_reference_search, phi)
     assert len(decided) == len(cases)
     assert sum(t is not None for t in decided) > 0.5 * len(cases)
 
@@ -396,17 +421,13 @@ def test_handover_runs_the_reference_search(monkeypatch):
     # phi(m) positive, so where golden section's bracket collapses onto
     # it, both raise "bracket collapsed without decrease", although the
     # snapped grid step nearest m decreases phi
-    rng = np.random.default_rng(47)
-    current = None
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (current, [-1.0, 2.0]))
-    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (current, None))
     monkeypatch.setattr(solver, "_snap_by_parabolas", lambda *args: None)
-    c, d = circle(64), np.ones(64)
+    rng = np.random.default_rng(47)
     raised = 0
     for m, width in zip(rng.uniform(0.005, 1.0, 400), 10.0 ** rng.uniform(-9.0, -7.0, 400)):
-        current = _spiked_phi(m, width)
-        expected = _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d)
-        assert _outcome(line_search_exact, c, ELLIPSE_PSI, d) == expected, (m, width)
+        phi = _spiked_phi(m, width)
+        expected = _outcome(_reference_search, phi)
+        assert _outcome(_line_search_once, phi, [-1.0, 2.0]) == expected, (m, width)
         raised += expected == ("LineSearchFailed", "bracket collapsed without decrease")
     assert raised >= 10
 
@@ -452,22 +473,17 @@ HANDOVERS = {
 
 @pytest.mark.parametrize("case", HANDOVERS)
 def test_parabolic_search_handovers_match_the_oracle(monkeypatch, case):
-    # each case hands over to the reference search, and the search returns
-    # the reference search's outcome: the step's float or the error
+    # each case hands over to the reference search, which runs on the
+    # probes already made, and the search returns the reference search's
+    # outcome: the step's float or the error
     phi, model, constants = HANDOVERS[case]
-    monkeypatch.setattr(solver, "_decrease_function", lambda c, f, d: (phi, model))
-    monkeypatch.setitem(globals(), "_decrease_function", lambda c, f, d: (phi, None))
     for name, value in constants.items():
         monkeypatch.setattr(solver, name, value)
-    decided = []
-    snap = solver._snap_by_parabolas
-    monkeypatch.setattr(solver, "_snap_by_parabolas",
-                        lambda *args: decided.append(snap(*args)) or decided[-1])
-    c, d = circle(64), np.ones(64)
-    expected = _outcome(_line_search_exact_oracle, c, ELLIPSE_PSI, d,
+    decided = _decisions(monkeypatch)
+    expected = _outcome(_reference_search, phi,
                         bracket_max=constants.get("BRACKET_MAX", 2.0),
                         tolerance=constants.get("TOLERANCE", 1e-10))
-    assert _outcome(line_search_exact, c, ELLIPSE_PSI, d) == expected
+    assert _outcome(_line_search_once, phi, model) == expected
     assert decided == [None]
 
 
@@ -477,10 +493,7 @@ def test_golden_section_decides_a_step_of_a_converging_run(monkeypatch):
     # parabolic search hands over, and golden section returns 0.52 there
     rng = np.random.default_rng(13)
     starts = [warm_start(100, rng) for _ in range(8)]
-    decided = []
-    snap = solver._snap_by_parabolas
-    monkeypatch.setattr(solver, "_snap_by_parabolas",
-                        lambda *args: decided.append(snap(*args)) or decided[-1])
+    decided = _decisions(monkeypatch)
     config = SolverConfig(method=STEEPEST_DESCENT, A=0.5, max_iterations=100)
     records = optimize(starts[2], F2, config)
     assert records[-1].stop == "distance" and len(records) - 1 == 74
@@ -506,26 +519,13 @@ def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
     # with the steepest-descent direction scaled by 0.1 the minimizer lies
     # beyond bracket_max; one probe at the left edge of its grid cell
     # decides the step there, as the reference search does in 64 probes
-    probes = 0
-    original = solver.mso_step_objective
-
-    def counted(*args):
-        phi = original(*args)
-
-        def probe(t):
-            nonlocal probes
-            probes += 1
-            return phi(t)
-        return probe
-
     c = initial_shape(400)
     for _ in range(5):
         d = 0.1 * step_direction(c, F2, SolverConfig(method=STEEPEST_DESCENT))
-        probes = 0
         with monkeypatch.context() as m:
-            m.setattr(solver, "mso_step_objective", counted)
+            counts = _probe_counts(m)
             t = line_search_exact(c, F2, d)
-        assert probes <= 10
+        assert counts["probes"] <= 10
         assert t == 2.0
         assert t.hex() == _line_search_exact_oracle(c, F2, d).hex()
         c = retract(c, d, t)
@@ -533,53 +533,24 @@ def test_line_search_decides_a_step_at_bracket_max(monkeypatch):
 
 def test_line_search_probe_count(monkeypatch):
     # a deterministic count: the model-seeded parabolic search averages 3.6
-    # probes per search on these runs (72 in 20 searches), and 3.65 on the
-    # general-form Newton runs from the 16 warm starts below (175 in 48)
-    probes = 0
-    original = solver.mso_step_objective
+    # probes per search on the Table-1 runs (72 in 20 searches), 3.65 on
+    # the general-form Newton runs from the warm starts of the
+    # newton_general_warm_n800 benchmark (175 in 48), and 10.71 on the
+    # custom path, which opens from the nodal model, over the scoreboard's
+    # 54 custom-functional runs (4680 in 437)
+    counts = _probe_counts(monkeypatch)
 
-    def counted(phi):
-        def probe(t):
-            nonlocal probes
-            probes += 1
-            return phi(t)
-        return probe
+    def probes_per_search(run):
+        counts.clear()
+        run()
+        return counts["probes"] / counts["searches"]
 
-    monkeypatch.setattr(solver, "mso_step_objective", lambda *args: counted(original(*args)))
-    searches = sum(len(_table1_run(method)) - 1 for method in TABLE1_METHODS)
-    assert probes / searches <= 10
-    assert probes / searches <= 5.5
-    # the starts of the newton_general_warm_n800 benchmark at seed 7
-    rng = np.random.default_rng(7)
-    starts = [warm_start(800, rng) for _ in range(16)]
-    probes = 0
+    assert probes_per_search(lambda: [_table1_run(method) for method in TABLE1_METHODS]) <= 5.5
     config = SolverConfig(method=NEWTON_GENERAL_FORM)
-    searches = sum(len(optimize(c, F2, config)) - 1 for c in starts)
-    assert probes / searches <= 5.5
-    # the custom path opens from the nodal model: 4680 probes in 437
-    # searches on the 54 runs of the custom functional from three
-    # 1%-perturbed ellipses at N=100 and 400, for every method and A
-    decrease = solver._decrease_function
-    searches = probes = 0
-
-    def counted_decrease(*args):
-        nonlocal searches
-        searches += 1
-        phi, model = decrease(*args)
-        return counted(phi), model
-
-    monkeypatch.setattr(solver, "_decrease_function", counted_decrease)
-    for n in (100, 400):
-        rng = np.random.default_rng(3)
-        ellipse = reference_ellipse(n, 2.0)
-        starts = [warm_start(n, rng, 0.01) for _ in range(3)]
-        for method in METHODS:
-            for A in (0.0, 0.5, 1.0):
-                for c0 in starts:
-                    optimize(c0, ELLIPSE_PSI, SolverConfig(method=method, A=A, max_iterations=20),
-                             reference=ellipse)
-    assert searches == 437
-    assert probes / searches <= 10.71
+    starts = general_warm_starts()
+    assert probes_per_search(lambda: [optimize(c, F2, config) for c in starts]) <= 5.5
+    assert probes_per_search(custom_runs) <= 10.71
+    assert counts["searches"] == 437
 
 
 def test_table1_step_scales_are_pinned():
